@@ -24,7 +24,7 @@ from .errors import (
     RealityError,
     VWPoleError,
 )
-from .exact import BigRational, GaussianRational, coeff_2f1, gr, verify_hahn_exact, verify_mult_2f1_exact
+from .exact import GaussianRational, coeff_2f1, gr, verify_hahn_exact, verify_mult_2f1_exact
 from .hyper import (
     SeriesEval,
     SeriesStatus,

@@ -298,12 +298,18 @@ def _run_exact(identity_id: str, seeds, K: int):
                 rec["passed"] = ok
             n_pass += ok
             n_fail += not ok
-        except QKLError as exc:
+        except Exception as exc:  # any failure is this case's error
             rec["passed"] = False
             rec["error"] = f"{type(exc).__name__}: {exc}"
             n_err += 1
         results.append(rec)
     return results, n_pass, n_fail, n_err
+
+
+def _require_positive_tol(tol: float):
+    # a bad tolerance is bad input for the whole run, not one case's error
+    if tol <= 0:
+        raise ParamError("tol_rel must be positive")
 
 
 def cmd_check(args) -> int:
@@ -328,6 +334,7 @@ def cmd_check(args) -> int:
             n_fail += f_
             n_err += e_
     else:
+        _require_positive_tol(args.tol)
         for ident in sorted(idents):
             for seed in seeds:
                 rec = {"identity": ident, "seed": seed}
@@ -347,7 +354,7 @@ def cmd_check(args) -> int:
                         rec["note"] = rep.note
                     n_pass += rep.passed
                     n_fail += not rep.passed
-                except QKLError as exc:
+                except Exception as exc:  # any failure is this case's error
                     rec["passed"] = False
                     rec["error"] = f"{type(exc).__name__}: {exc}"
                     n_err += 1
@@ -396,6 +403,7 @@ def _write_report(report: dict, out: str | None, fmt: str):
 
 def cmd_sweep(args) -> int:
     entry = get_entry(args.identity)
+    _require_positive_tol(args.tol)
     grids = []
     for grid_arg in args.grid:
         if "=" not in grid_arg:
@@ -425,7 +433,7 @@ def cmd_sweep(args) -> int:
                            precision=args.precision)
             row.update(rel_err=rep.rel_err, abs_err=rep.abs_err,
                        lhs=rep.lhs, rhs=rep.rhs, error="")
-        except QKLError as exc:
+        except Exception as exc:  # any failure is this point's error
             row.update(rel_err="", abs_err="", lhs="", rhs="",
                        error=f"{type(exc).__name__}")
         rows.append(row)

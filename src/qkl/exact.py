@@ -8,12 +8,11 @@ for the given parameter set and truncation order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParamError, PoleError
-
-BigRational = Fraction
 
 
 def _frac(v) -> Fraction:
@@ -129,18 +128,18 @@ def coeff_2f1(a, b, c, k: int) -> GaussianRational:
     return poch_exact(a, k) * poch_exact(b, k) / (den * factorial_exact(k))
 
 
-def _f32_unit_exact(u1, u2, u3, l1, l2, nmax: int) -> GaussianRational:
-    """Terminating 3F2(u1,u2,u3; l1,l2; 1) with exact arithmetic; numerator
-    zeros terminate before any denominator zero may be touched."""
-    total = GR_ONE
-    term = GR_ONE
+def _pfq_exact(upper, lower, z, nmax: int) -> GaussianRational:
+    """Terminating pFq(upper; lower; z) summed exactly through z^nmax; a
+    vanishing numerator ends the sum before any denominator zero is touched."""
+    total = term = GR_ONE
     for m in range(nmax):
-        num = (u1 + m) * (u2 + m) * (u3 + m)
+        num = math.prod([u + m for u in upper], start=z)
         if num.is_zero():
             break
-        den = (l1 + m) * (l2 + m) * (m + 1)
+        den = math.prod([l + m for l in lower], start=gr(m + 1))
         if den.is_zero():
-            raise PoleError("3F2 lower-parameter pole inside summation range")
+            raise PoleError(f"{len(upper)}F{len(lower)} lower-parameter pole "
+                            "inside summation range")
         term = term * num / den
         total = total + term
     return total
@@ -177,30 +176,13 @@ def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
             cj = (poch_exact(c, j) * poch_exact(A, j) * poch_exact(B, j)
                   / (cden * factorial_exact(j)))
             if not cj.is_zero():
-                cj = cj * _f32_unit_exact(GaussianRational(Fraction(-j)), a,
-                                          c + c2 + j - 1, A, c, j)
-                cj = cj * _f32_unit_exact(GaussianRational(Fraction(-j)), b,
-                                          c + c2 + j - 1, B, c, j)
+                cj = cj * _pfq_exact([gr(-j), a, c + c2 + j - 1], [A, c], GR_ONE, j)
+                cj = cj * _pfq_exact([gr(-j), b, c + c2 + j - 1], [B, c], GR_ONE, j)
             if not cj.is_zero():
                 rhs = rhs + cj * coeff_2f1(A + j, B + j, c + c2 + 2 * j, k - j)
         if lhs != rhs:
             return False, k
     return True, None
-
-
-def _f21_terminating_exact(u1, u2, l1, z, nmax: int) -> GaussianRational:
-    total = GR_ONE
-    term = GR_ONE
-    for m in range(nmax):
-        num = (u1 + m) * (u2 + m)
-        if num.is_zero():
-            break
-        den = (l1 + m) * (m + 1)
-        if den.is_zero():
-            raise PoleError("2F1 lower-parameter pole inside summation range")
-        term = term * num / den * z
-        total = total + term
-    return total
 
 
 def verify_hahn_exact(alpha, beta, M: int, N: int, x: int, y: int, z) -> bool:
@@ -225,20 +207,9 @@ def verify_hahn_exact(alpha, beta, M: int, N: int, x: int, y: int, z) -> bool:
         if poch_exact(alpha + 1, j).is_zero():
             raise PoleError("(alpha+1)_j pole inside Hahn polynomial range")
 
-    def hahn_exact(n, xx, NN):
-        total = GR_ONE
-        term = GR_ONE
-        for m in range(n):
-            num = (GaussianRational(Fraction(-n)) + m) * (alpha + beta + n + 1 + m) \
-                * (GaussianRational(Fraction(-xx)) + m)
-            if num.is_zero():
-                break
-            den = (alpha + 1 + m) * (GaussianRational(Fraction(-NN)) + m) * (m + 1)
-            if den.is_zero():
-                raise PoleError("Hahn 3F2 lower-parameter pole")
-            term = term * num / den
-            total = total + term
-        return total
+    def hahn(n, xx, NN):
+        return _pfq_exact([gr(-n), alpha + beta + n + 1, gr(-xx)],
+                          [alpha + 1, gr(-NN)], GR_ONE, n)
 
     lhs = GR_ZERO
     for j in range(jmax + 1):
@@ -247,17 +218,12 @@ def verify_hahn_exact(alpha, beta, M: int, N: int, x: int, y: int, z) -> bool:
                 * poch_exact(GaussianRational(Fraction(-N)), j)
                 / (factorial_exact(j) * poch_exact(beta + 1, j)
                    * poch_exact(alpha + beta + j + 1, j)))
-        f = _f21_terminating_exact(GaussianRational(Fraction(j - M)),
-                                   GaussianRational(Fraction(j - N)),
-                                   alpha + beta + 2 * j + 2, z, jmax - j)
+        f = _pfq_exact([gr(j - M), gr(j - N)], [alpha + beta + 2 * j + 2], z,
+                       jmax - j)
         zj = GR_ONE
         for _ in range(j):
             zj = zj * z
-        lhs = lhs + hahn_exact(j, x, M) * hahn_exact(j, y, N) * coef * f * zj
-    rhs = _f21_terminating_exact(GaussianRational(Fraction(-x)),
-                                 GaussianRational(Fraction(-y)),
-                                 alpha + 1, z, min(x, y)) \
-        * _f21_terminating_exact(GaussianRational(Fraction(x - M)),
-                                 GaussianRational(Fraction(y - N)),
-                                 beta + 1, z, min(M - x, N - y))
+        lhs = lhs + hahn(j, x, M) * hahn(j, y, N) * coef * f * zj
+    rhs = _pfq_exact([gr(-x), gr(-y)], [alpha + 1], z, min(x, y)) \
+        * _pfq_exact([gr(x - M), gr(y - N)], [beta + 1], z, min(M - x, N - y))
     return lhs == rhs

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import mpmath as mp
@@ -25,6 +25,7 @@ from .numerics import STANDARD, Context, extended_context
 from .series import _INT_TOL, _qval, as_nonneg_int, complex_pow_principal
 
 _ESCALATE_BAND = (0.9, 1.0)  # |z| band that triggers extended precision
+_DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
 
 
 class SeriesStatus(enum.Enum):
@@ -213,6 +214,32 @@ def _check_poles(stop, pole, kind: str):
             f"{kind} lower parameter pole at term {pole} before termination")
 
 
+def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
+                policy: TruncationPolicy | None, ctx: Context) -> SeriesEval:
+    """The protocol shared by every series engine.
+
+    ``excess`` is the number of upper parameters beyond (lower + 1): positive
+    diverges unless terminating, zero converges only for |z| < 1 and near the
+    boundary re-runs the engine through ``again(policy, ctx)`` at extended
+    precision.  ``terms()`` yields the summands; it runs under ``ctx``.
+    """
+    policy = policy or default_policy()
+    _check_poles(stop, pole, kind)
+    az = abs(complex(z))
+    if stop is None:
+        if excess > 0:
+            raise DivergenceError(
+                f"{kind} with {_DIVERGENT[kind]} diverges unless terminating")
+        if excess == 0:
+            if az >= 1.0:
+                raise DivergenceError(f"{kind} boundary |z| = {az} >= 1")
+            if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
+                return again(replace(policy, max_terms=max(policy.max_terms, 100000)),
+                             extended_context(40))
+    with ctx.guard():
+        return accumulate(terms(), policy, ctx, stop_index=stop)
+
+
 def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None = None,
             ctx: Context = STANDARD) -> SeriesEval:
     """Generalized hypergeometric series sum_n prod(upper)_n z^n / (prod(lower)_n n!).
@@ -221,47 +248,29 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
     and p = q+1 requires |z| < 1 (near the boundary the evaluation escalates
     to extended precision per policy).
     """
-    policy = policy or default_policy()
-    stop = detect_termination(upper)
-    _check_poles(stop, _classical_pole_index(lower), "pFq")
-    az = abs(complex(z))
-    if stop is None:
-        p, qn = len(upper), len(lower)
-        if p > qn + 1:
-            raise DivergenceError("pFq with p > q+1 diverges unless terminating")
-        if p == qn + 1:
-            if az >= 1.0:
-                raise DivergenceError(f"pFq boundary |z| = {az} >= 1")
-            if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
-                return hyp_pfq(upper, lower, z, _boundary_policy(policy),
-                               extended_context(40))
-    with ctx.guard():
+
+    def terms():
         up = [ctx.cnum(u) for u in upper]
         lo = [ctx.cnum(l) for l in lower]
         zc = ctx.cnum(z)
-
-        def terms():
-            term = ctx.cnum(1)
+        term = ctx.cnum(1)
+        yield term
+        n = 0
+        while True:
+            num = ctx.cnum(1)
+            for u in up:
+                num *= u + n
+            den = ctx.cnum(n + 1)
+            for l in lo:
+                den *= l + n
+            term = term * num / den * zc
             yield term
-            n = 0
-            while True:
-                num = ctx.cnum(1)
-                for u in up:
-                    num *= u + n
-                den = ctx.cnum(n + 1)
-                for l in lo:
-                    den *= l + n
-                term = term * num / den * zc
-                yield term
-                n += 1
+            n += 1
 
-        return accumulate(terms(), policy, ctx, stop_index=stop)
-
-
-def _boundary_policy(policy: TruncationPolicy) -> TruncationPolicy:
-    return TruncationPolicy(max_terms=max(policy.max_terms, 100000),
-                            tail_tol=policy.tail_tol,
-                            quiet_window=policy.quiet_window)
+    return _sum_series("pFq", len(upper) - len(lower) - 1,
+                       detect_termination(upper), _classical_pole_index(lower),
+                       z, terms, lambda pol, c: hyp_pfq(upper, lower, z, pol, c),
+                       policy, ctx)
 
 
 def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
@@ -272,48 +281,35 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
 
     Zero parameters are legal on either side: (0; q)_n = 1.
     """
-    policy = policy or default_policy()
     qq = _qval(q)
-    stop = detect_termination(upper, qq)
-    _check_poles(stop, _q_pole_index(lower, qq), "rphis")
-    az = abs(complex(z))
     extra = 1 + len(lower) - len(upper)
-    if stop is None:
-        if extra < 0:
-            raise DivergenceError("rphis with r > s+1 diverges unless terminating")
-        if extra == 0:
-            if az >= 1.0:
-                raise DivergenceError(f"rphis boundary |z| = {az} >= 1")
-            if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
-                return bhs_rphis(upper, lower, q, z, _boundary_policy(policy),
-                                 extended_context(40))
-    with ctx.guard():
+
+    def terms():
         up = [ctx.cnum(u) for u in upper]
         lo = [ctx.cnum(l) for l in lower]
         zc = ctx.cnum(z)
         qc = ctx.rnum(qq)
-
-        def terms():
-            term = ctx.cnum(1)
+        term = ctx.cnum(1)
+        yield term
+        qn = ctx.cnum(1)
+        while True:
+            num = ctx.cnum(1)
+            for u in up:
+                num *= 1 - u * qn
+            den = ctx.cnum(1 - qc * qn)
+            for l in lo:
+                den *= 1 - l * qn
+            factor = num / den * zc
+            if extra:
+                factor *= (-qn) ** extra
+            term = term * factor
+            qn *= qc
             yield term
-            n = 0
-            qn = ctx.cnum(1)
-            while True:
-                num = ctx.cnum(1)
-                for u in up:
-                    num *= 1 - u * qn
-                den = ctx.cnum(1 - qc * qn)
-                for l in lo:
-                    den *= 1 - l * qn
-                factor = num / den * zc
-                if extra:
-                    factor *= (-qn) ** extra
-                term = term * factor
-                qn *= qc
-                yield term
-                n += 1
 
-        return accumulate(terms(), policy, ctx, stop_index=stop)
+    return _sum_series("rphis", -extra, detect_termination(upper, qq),
+                       _q_pole_index(lower, qq), z, terms,
+                       lambda pol, c: bhs_rphis(upper, lower, q, z, pol, c),
+                       policy, ctx)
 
 
 def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
@@ -326,7 +322,6 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
     ``denoms`` overrides the aq/b_i list; required when some b_i is 0 with a
     cancelled denominator (degenerate limits of the bilinear formulas).
     """
-    policy = policy or default_policy()
     qq = _qval(q)
     if len(b5) != 5:
         raise ParamError("vwp_8w7 expects exactly five numerator parameters")
@@ -339,43 +334,34 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
         denoms = [0 if complex(b) == 0 else a * qq / b for b in b5]
     elif len(denoms) != 5:
         raise ParamError("denoms must list exactly five parameters")
-    stop = detect_termination(b5, qq)
-    _check_poles(stop, _q_pole_index(denoms, qq), "8W7")
-    az = abs(complex(z))
-    if stop is None:
-        if az >= 1.0:
-            raise DivergenceError(f"8W7 boundary |z| = {az} >= 1")
-        if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
-            return vwp_8w7(a, b5, q, z, _boundary_policy(policy),
-                           extended_context(40), denoms)
-    with ctx.guard():
+
+    def terms():
         aa = ctx.cnum(a)
         bs = [ctx.cnum(b) for b in b5]
         ds = [ctx.cnum(d) for d in denoms]
         zc = ctx.cnum(z)
         qc = ctx.rnum(qq)
+        # base_n excludes the (1 - a q^{2n}) factor so its zeros never
+        # enter a ratio denominator
+        base = ctx.cnum(1) / (1 - aa)
+        yield base * (1 - aa)
+        qn = ctx.cnum(1)
+        q2n = ctx.cnum(1)
+        while True:
+            num = (1 - aa * qn) * zc
+            den = ctx.cnum(1 - qc * qn)
+            for b, d in zip(bs, ds):
+                num *= 1 - b * qn
+                den *= 1 - d * qn
+            base = base * num / den
+            qn *= qc
+            q2n *= qc * qc
+            yield base * (1 - aa * q2n)
 
-        def terms():
-            # base_n excludes the (1 - a q^{2n}) factor so its zeros never
-            # enter a ratio denominator
-            base = ctx.cnum(1) / (1 - aa)
-            yield base * (1 - aa)
-            n = 0
-            qn = ctx.cnum(1)
-            q2n = ctx.cnum(1)
-            while True:
-                num = (1 - aa * qn) * zc
-                den = ctx.cnum(1 - qc * qn)
-                for b, d in zip(bs, ds):
-                    num *= 1 - b * qn
-                    den *= 1 - d * qn
-                base = base * num / den
-                qn *= qc
-                q2n *= qc * qc
-                yield base * (1 - aa * q2n)
-                n += 1
-
-        return accumulate(terms(), policy, ctx, stop_index=stop)
+    return _sum_series("8W7", 0, detect_termination(b5, qq),
+                       _q_pole_index(denoms, qq), z, terms,
+                       lambda pol, c: vwp_8w7(a, b5, q, z, pol, c, denoms),
+                       policy, ctx)
 
 
 def stable_eval(build, ctx: Context, predicted_lost: float = 0.0,

@@ -14,12 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .errors import DivergenceError, HypothesisError
 from .hyper import (
     TruncationPolicy,
+    accumulate,
     bhs_rphis,
     default_policy,
     gauss_2f1,
@@ -51,7 +52,7 @@ from .polys import (
     sj_ac,
     sj_mp,
 )
-from .series import bessel_j, log_gamma_real, pochhammer, qpoch
+from .series import bessel_j, log_gamma_real, pochhammer, qpoch, qpoch_many
 
 _TINY = 1e-300
 
@@ -128,23 +129,12 @@ def _require_conv(cond: bool, constraint: str):
 
 
 def _sum_j(term_fn, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
-    """Sum composite bilinear terms over j, stopping after quiet_window
-    consecutive terms below tail_tol * |partial sum|."""
+    """Sum composite bilinear terms over j = 0..jmax-1 under the series
+    stopping rule; the report carries the terms and the stop status."""
     with ctx.guard():
-        total = ctx.cnum(0)
-        quiet = 0
-        used = 0
-        for j in range(jmax):
-            t = term_fn(j)
-            total += t
-            used = j + 1
-            if abs(t) <= policy.tail_tol * abs(total):
-                quiet += 1
-                if quiet >= policy.quiet_window:
-                    return total, {"terms": used, "status": "Converged"}
-            else:
-                quiet = 0
-        return total, {"terms": used, "status": "MaxTermsReached"}
+        ev = accumulate(map(term_fn, range(jmax)),
+                        replace(policy, max_terms=jmax), ctx)
+    return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
 
 
 def _ev_meta(ev):
@@ -952,11 +942,7 @@ def _aw_bilinear_rhs(p, policy, ctx):
                b2 * t * eit, b2 * t * emt, c2 * t * emt, d2 * t * emt]
         den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp,
                c * d * t * emt * emp]
-        pref = ctx.cnum(1)
-        for u in num:
-            pref *= qpoch(u, q, ctx=ctx)
-        for l in den:
-            pref /= qpoch(l, q, ctx=ctx)
+        pref = qpoch_many(num, q, over=den, ctx=ctx)
         w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
                      q, a2 * t / b, policy, ctx)
         w2 = vwp_8w7(c * d * t * emt * emp / q,
@@ -1033,11 +1019,7 @@ def _cdqh_rhs(p, policy, ctx):
         num = [b * t * eip, b * t * emp, c * t * emp,
                b2 * t * eit, b2 * t * emt, c2 * t * emt]
         den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp]
-        pref = ctx.cnum(1)
-        for u in num:
-            pref *= qpoch(u, q, ctx=ctx)
-        for l in den:
-            pref /= qpoch(l, q, ctx=ctx)
+        pref = qpoch_many(num, q, over=den, ctx=ctx)
         w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
                      q, a2 * t / b, policy, ctx)
         f = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
@@ -1104,11 +1086,7 @@ def _asc_bilinear_rhs(p, policy, ctx):
         eip, emp = ctx.expi(phi), ctx.expi(-phi)
         num = [c * t * emp, c2 * t * emt, a * t * eip, a2 * t * eit]
         den = [t * eit * emp, t * emt * eip, c2 * t / c, a2 * c * t]
-        pref = ctx.cnum(1)
-        for u in num:
-            pref *= qpoch(u, q, ctx=ctx)
-        for l in den:
-            pref /= qpoch(l, q, ctx=ctx)
+        pref = qpoch_many(num, q, over=den, ctx=ctx)
         f1 = bhs_rphis([a2 * eip, a * eit, t * eit * eip],
                        [a * t * eip, a2 * t * eit], q, t * emt * emp, policy, ctx)
         f2 = bhs_rphis([c * emt, c2 * emp, t * emt * emp],

@@ -23,7 +23,7 @@ from .hyper import (
 )
 from .numerics import STANDARD, Context
 from .polys import MPParams, asc_orthonormal_stream, mp_orthonormal_stream
-from .series import _qval, log_gamma_real, qpoch
+from .series import _qval, log_gamma_real, qpoch_many
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,17 @@ def mp_kernel_sum(k: float, phi: float, pt: KernelPoint,
                   ctx: Context = STANDARD) -> SeriesEval:
     """sum_n p_n(x) p_n(y) t^n over orthonormal Meixner-Pollaczek values,
     generated by two simultaneous recurrence streams."""
-    policy = policy or default_policy()
     p = MPParams(k, phi)
+    return _bilinear_sum(mp_orthonormal_stream(p, pt.x, ctx),
+                         mp_orthonormal_stream(p, pt.y, ctx), pt.t, policy, ctx)
+
+
+def _bilinear_sum(xs, ys, t, policy: TruncationPolicy | None,
+                  ctx: Context) -> SeriesEval:
+    """sum_n x_n y_n t^n over two value streams, which run under ``ctx``."""
+    policy = policy or default_policy()
     with ctx.guard():
-        t = ctx.cnum(pt.t)
-        xs = mp_orthonormal_stream(p, pt.x, ctx)
-        ys = mp_orthonormal_stream(p, pt.y, ctx)
+        t = ctx.cnum(t)
 
         def terms():
             tn = ctx.cnum(1)
@@ -102,22 +107,13 @@ def ac_kernel_sum(k: float, q, pt: KernelPoint,
                   ctx: Context = STANDARD) -> SeriesEval:
     """sum_n r_n(x; q^k s, q^k/s) r_n(y; q^k sigma, q^k/sigma) t^n over
     orthonormal Al-Salam-Chihara recurrence streams."""
-    policy = policy or default_policy()
     qq = _qval(q)
     _check_spectral(k, qq, pt)
-    with ctx.guard():
-        t = ctx.cnum(pt.t)
-        s, sg = complex(pt.s), complex(pt.sigma)
-        xs = asc_orthonormal_stream(qq ** k * s, qq ** k / s, qq, pt.x, ctx)
-        ys = asc_orthonormal_stream(qq ** k * sg, qq ** k / sg, qq, pt.y, ctx)
-
-        def terms():
-            tn = ctx.cnum(1)
-            while True:
-                yield next(xs) * next(ys) * tn
-                tn *= t
-
-        return accumulate(terms(), policy, ctx)
+    s, sg = complex(pt.s), complex(pt.sigma)
+    return _bilinear_sum(
+        asc_orthonormal_stream(qq ** k * s, qq ** k / s, qq, pt.x, ctx),
+        asc_orthonormal_stream(qq ** k * sg, qq ** k / sg, qq, pt.y, ctx),
+        pt.t, policy, ctx)
 
 
 def _check_spectral(k: float, q: float, pt: KernelPoint):
@@ -148,11 +144,7 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
         num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
         den = [t * eit * emp, t * emt * eip, t * emt * emp,
                ctx.rnum(qq) ** (2 * k) * t * emt * emp]
-        pref = ctx.cnum(1)
-        for u in num:
-            pref *= qpoch(u, qq, ctx=ctx)
-        for l in den:
-            pref /= qpoch(l, qq, ctx=ctx)
+        pref = qpoch_many(num, qq, over=den, ctx=ctx)
         w = vwp_8w7(ctx.rnum(qq) ** (2 * k - 1) * t * emt * emp,
                     [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
                      t * emt * emp],
@@ -182,11 +174,7 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
                qk * t * s * eip, qk * t * s * emp]
         den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,
                t * eit * emp, t * emt * emp, t * emt * eip]
-        pref = ctx.cnum(1)
-        for u in num:
-            pref *= qpoch(u, qq, ctx=ctx)
-        for l in den:
-            pref /= qpoch(l, qq, ctx=ctx)
+        pref = qpoch_many(num, qq, over=den, ctx=ctx)
         w = vwp_8w7(ctx.rnum(qq) ** (k - 1) * s * t * t * eit,
                     [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
                     qq, qk * emt / s, policy, ctx)

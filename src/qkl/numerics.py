@@ -3,9 +3,7 @@
 All series and polynomial code in this package is written against the small
 facade below, so it runs unchanged on Python ``complex`` (standard mode,
 ~16 significant digits) or on ``mpmath`` numbers (extended mode, >= 30
-significant digits, arbitrarily escalatable).  Results carry the precision
-mode they were computed in; combining values from both modes yields the
-stronger mode.
+significant digits, arbitrarily escalatable).
 """
 from __future__ import annotations
 
@@ -49,10 +47,6 @@ class Context:
         if self.extended:
             return mp.workdps(self.dps)
         return contextlib.nullcontext()
-
-    @property
-    def eps(self) -> float:
-        return 2.220446049250313e-16 if not self.extended else 10.0 ** (1 - self.dps)
 
     # -- scalar constructors -------------------------------------------------
     def cnum(self, z):
@@ -98,32 +92,13 @@ class Context:
     def acos(self, x):
         return mp.acos(self.rnum(x)) if self.extended else math.acos(x)
 
-    def sinh(self, x):
-        return mp.sinh(x) if self.extended else math.sinh(x)
-
-    @property
-    def pi(self):
-        return mp.pi if self.extended else math.pi
-
     def expi(self, theta):
         """exp(i*theta) for real theta."""
         if self.extended:
             return mp.exp(mp.mpc(0, 1) * theta)
         return complex(math.cos(theta), math.sin(theta))
 
-    # -- predicates / parts --------------------------------------------------
-    @staticmethod
-    def re(z):
-        return z.real
-
-    @staticmethod
-    def im(z):
-        return z.imag
-
-    @staticmethod
-    def conj(z):
-        return z.conjugate()
-
+    # -- predicates ----------------------------------------------------------
     def is_finite(self, z) -> bool:
         if self.extended:
             return mp.isfinite(z)
@@ -136,10 +111,6 @@ class Context:
         """Downgrade any backend scalar to a Python complex."""
         return complex(z)
 
-    @staticmethod
-    def to_float(x) -> float:
-        return float(x)
-
 
 STANDARD = Context(STANDARD_MODE)
 EXTENDED = Context(EXTENDED_MODE, EXTENDED_DPS)
@@ -148,12 +119,3 @@ EXTENDED = Context(EXTENDED_MODE, EXTENDED_DPS)
 def extended_context(dps: int) -> Context:
     """Extended context with at least ``dps`` decimal digits."""
     return Context(EXTENDED_MODE, dps)
-
-
-def stronger(ctx_a: Context, ctx_b: Context) -> Context:
-    """The higher-precision of two contexts (result mode = max of input modes)."""
-    if not ctx_a.extended and not ctx_b.extended:
-        return ctx_a
-    if ctx_a.extended and ctx_b.extended:
-        return ctx_a if ctx_a.dps >= ctx_b.dps else ctx_b
-    return ctx_a if ctx_a.extended else ctx_b

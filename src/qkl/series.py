@@ -137,13 +137,16 @@ def qpoch_meta(a, q, n: int | None = None, *, eps: float | None = None,
         return out, m
 
 
-def qpoch_many(bases, q, n: int | None = None, *, eps: float | None = None,
-               ctx: Context = STANDARD):
-    """Product of (a; q)_n over a list of bases."""
+def qpoch_many(bases, q, n: int | None = None, *, over=(),
+               eps: float | None = None, ctx: Context = STANDARD):
+    """Product of (a; q)_n over a list of bases, then divided by (l; q)_n
+    for each l in ``over``, one factor at a time in list order."""
     with ctx.guard():
         out = ctx.cnum(1)
         for a in bases:
             out *= qpoch(a, q, n, eps=eps, ctx=ctx)
+        for l in over:
+            out /= qpoch(l, q, n, eps=eps, ctx=ctx)
         return out
 
 

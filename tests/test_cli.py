@@ -1,8 +1,13 @@
 """Command-line interface: verbs, exit codes, report determinism."""
+import dataclasses
 import json
 import os
+from pathlib import Path
 
+from qkl import identities
 from qkl.cli import main, parse_value, render_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -112,6 +117,45 @@ def test_check_failure_exit1(tmp_path, capsys):
                         "--out", str(out_file)], capsys)
     assert code == 1
     assert out_file.exists()   # reports still written on failure
+
+
+def test_check_all_matches_golden_report(tmp_path, capsys):
+    # the committed report pins every value of check --all bit for bit
+    out_file = tmp_path / "rep.json"
+    code, _, _ = run(["check", "--all", "--seeds", "0..1",
+                      "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out_file.read_bytes() == (GOLDEN / "check_all_seeds_0_1.json").read_bytes()
+
+
+def test_check_records_any_exception_as_errored(tmp_path, capsys, monkeypatch):
+    def boom(p, policy, ctx):
+        return 1 / 0
+
+    entry = identities.REGISTRY["mp_poisson"]
+    monkeypatch.setitem(identities.REGISTRY, "mp_poisson",
+                        dataclasses.replace(entry, eval_rhs=boom))
+    out_file = tmp_path / "rep.json"
+    code, out, _ = run(["check", "--identity", "mp_poisson",
+                        "--identity", "mp_recurrence", "--seeds", "0..1",
+                        "--out", str(out_file)], capsys)
+    assert code == 1
+    assert "2 passed / 0 failed / 2 errored" in out
+    results = json.loads(out_file.read_text())["results"]
+    errors = [r.get("error") for r in results]
+    assert errors[:2] == ["ZeroDivisionError: division by zero"] * 2
+    assert errors[2:] == [None, None]
+    code, out, _ = run(["sweep", "--identity", "mp_poisson",
+                        "--grid", "t=0.2,0.3"], capsys)
+    assert code == 0
+    assert out.count("ZeroDivisionError") == 2
+
+
+def test_check_bad_tolerance_is_bad_input(capsys):
+    code, _, err = run(["check", "--identity", "mp_poisson", "--seeds", "0",
+                        "--tol", "-1"], capsys)
+    assert code == 2
+    assert "tol_rel must be positive" in err
 
 
 def test_check_unknown_identity_exit2(capsys):

@@ -107,6 +107,40 @@ def test_near_boundary_escalation():
     assert abs(ev.value - ref) <= 1e-12 * abs(ref)
 
 
+def test_rphis_near_boundary_escalation():
+    upper, lower, q, z = [0.3, -0.4], [0.6], 0.5, 0.95
+    ev = bhs_rphis(upper, lower, q, z)
+    assert ev.precision == "extended"
+    with mp.workdps(40):
+        ref, term, n = mp.mpf(0), mp.mpf(1), 0
+        while abs(term) > mp.mpf(10) ** -35:
+            ref += term
+            qn = mp.mpf(q) ** n
+            term *= ((1 - upper[0] * qn) * (1 - upper[1] * qn) * z
+                     / ((1 - q * qn) * (1 - lower[0] * qn)))
+            n += 1
+        ref = complex(ref)
+    assert abs(ev.value - ref) <= 1e-12 * abs(ref)
+
+
+def test_vwp_near_boundary_escalation():
+    a, bs, q, z = 0.2, [0.3, 0.4, 0.5, 0.15, 0.25], 0.5, -0.93
+    ev = vwp_8w7(a, bs, q, z)
+    assert ev.precision == "extended"
+    with mp.workdps(40):
+        ref, ratio, n = mp.mpf(0), mp.mpf(1), 0
+        while n < 10 or abs(ratio) > mp.mpf(10) ** -35:
+            qn = mp.mpf(q) ** n
+            ref += (1 - a * qn * qn) / (1 - a) * ratio
+            factor = (1 - a * qn) * z / (1 - q * qn)
+            for b in bs:
+                factor *= (1 - b * qn) / (1 - mp.mpf(a) * q / b * qn)
+            ratio *= factor
+            n += 1
+        ref = complex(ref)
+    assert abs(ev.value - ref) <= 1e-12 * abs(ref)
+
+
 def test_rphis_trivial_and_termination():
     assert bhs_rphis([0.3, 0.2], [0.5], 0.5, 0.0).value == 1
     # upper parameter 1 = q^0 terminates at n = 0

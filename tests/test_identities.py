@@ -6,11 +6,13 @@ from qkl.errors import HypothesisError
 from qkl.hyper import TruncationPolicy
 from qkl.identities import (
     IdentityCase,
+    _sum_j,
     get_entry,
     identity_ids,
     run_case,
     sample_params,
 )
+from qkl.numerics import STANDARD
 
 ALL_IDS = identity_ids()
 
@@ -157,6 +159,19 @@ def test_mult_2f1_polynomial_case_floating():
     assert abs(rep.lhs - 0.25) < 1e-14
     assert abs(rep.rhs - 0.25) < 1e-14
     assert rep.passed
+
+
+def test_jsum_reports_term_cap():
+    value, meta = _sum_j(lambda j: 1.0, TruncationPolicy(), STANDARD, jmax=7)
+    assert value == 7
+    assert meta == {"terms": 7, "status": "MaxTermsReached"}
+
+
+def test_jsum_stops_after_quiet_window():
+    value, meta = _sum_j(lambda j: 1.0 if j < 2 else 0.0,
+                         TruncationPolicy(quiet_window=3), STANDARD)
+    assert value == 2
+    assert meta == {"terms": 5, "status": "Converged"}
 
 
 def test_registry_50_seed_invariant():

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from qkl.errors import DomainError, PoleError, RangeError
-from qkl.numerics import EXTENDED
+from qkl.numerics import EXTENDED, STANDARD
 from qkl.series import (
     QBase,
     bessel_j,
@@ -77,6 +77,22 @@ def test_qpoch_functional_equation():
 def test_qpoch_many():
     v = qpoch_many([0.2, 0.4], 0.5, 3)
     assert abs(v - qpoch(0.2, 0.5, 3) * qpoch(0.4, 0.5, 3)) < 1e-15
+
+
+def test_qpoch_many_over_divides_factor_by_factor():
+    # bit for bit the loop it replaces: products first, then one division
+    # per denominator base, in list order
+    num = [0.3 + 0.1j, -0.45, 0.2j, 0.7]
+    den = [0.15 - 0.2j, 0.6, -0.35j]
+    for ctx in (STANDARD, EXTENDED):
+        for n in (None, 5):
+            with ctx.guard():
+                pref = ctx.cnum(1)
+                for u in num:
+                    pref *= qpoch(u, 0.5, n, ctx=ctx)
+                for l in den:
+                    pref /= qpoch(l, 0.5, n, ctx=ctx)
+            assert qpoch_many(num, 0.5, n, over=den, ctx=ctx) == pref
 
 
 def test_gamma_basics():
