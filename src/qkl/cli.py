@@ -14,14 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import (
-    ConvergenceError,
-    DivergenceError,
-    HypothesisError,
-    ParamError,
-    PoleError,
-    QKLError,
-)
+from .errors import ConvergenceError, DivergenceError, ParamError, QKLError
 from .exact import gr, verify_hahn_exact, verify_mult_2f1_exact
 from .hyper import bhs_rphis, default_policy, gauss_2f1, hyp_pfq, vwp_8w7
 from .identities import IdentityCase, get_entry, identity_ids, run_case, sample_params
@@ -204,8 +197,16 @@ def _eval_kernel(p: dict):
         ev = ac_kernel_sum(p["k"], p["q"], pt)
     else:
         raise ParamError(f"unknown kernel family {family!r}")
+    return _series_result(ev)
+
+
+def _series_result(ev):
     return ev.value, {"terms_used": ev.terms_used, "tail_estimate": ev.tail_estimate,
                       "status": ev.status.value}
+
+
+def _as_list(v) -> list:
+    return v if isinstance(v, list) else [v]
 
 
 def _eval_series(p: dict):
@@ -213,23 +214,15 @@ def _eval_series(p: dict):
     policy = default_policy()
     if kind == "2f1":
         ev = gauss_2f1(p["a"], p["b"], p["c"], p["z"], policy)
-    elif kind == "pfq":
-        up = p["upper"] if isinstance(p["upper"], list) else [p["upper"]]
-        lo = p.get("lower", [])
-        lo = lo if isinstance(lo, list) else [lo]
-        ev = hyp_pfq(up, lo, p["z"], policy)
-    elif kind == "rphis":
-        up = p["upper"] if isinstance(p["upper"], list) else [p["upper"]]
-        lo = p.get("lower", [])
-        lo = lo if isinstance(lo, list) else [lo]
-        ev = bhs_rphis(up, lo, p["q"], p["z"], policy)
+    elif kind in ("pfq", "rphis"):
+        up, lo = _as_list(p["upper"]), _as_list(p.get("lower", []))
+        ev = (hyp_pfq(up, lo, p["z"], policy) if kind == "pfq"
+              else bhs_rphis(up, lo, p["q"], p["z"], policy))
     elif kind == "8w7":
-        bs = p["b"]
-        ev = vwp_8w7(p["a"], bs, p["q"], p["z"], policy)
+        ev = vwp_8w7(p["a"], p["b"], p["q"], p["z"], policy)
     else:
         raise ParamError(f"unknown series type {kind!r}")
-    return ev.value, {"terms_used": ev.terms_used, "tail_estimate": ev.tail_estimate,
-                      "status": ev.status.value}
+    return _series_result(ev)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +332,9 @@ def cmd_check(args) -> int:
             for seed in seeds:
                 rec = {"identity": ident, "seed": seed}
                 try:
-                    if file_params is not None:
-                        case = IdentityCase(ident, file_params, tol_rel=args.tol,
-                                            seed=seed)
-                    else:
-                        base = sample_params(ident, seed)
-                        case = IdentityCase(ident, base.params, tol_rel=args.tol,
-                                            seed=seed)
+                    params = (file_params if file_params is not None
+                              else sample_params(ident, seed).params)
+                    case = IdentityCase(ident, params, tol_rel=args.tol, seed=seed)
                     rep = run_case(case, precision=args.precision)
                     rec.update(passed=rep.passed, rel_err=rep.rel_err,
                                abs_err=rep.abs_err, lhs=rep.lhs, rhs=rep.rhs,
@@ -478,9 +467,7 @@ def cmd_ortho(args) -> int:
                          "error_estimate": res.error_estimate,
                          "evaluations": res.evaluations}],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report) + "\n")
-        print(f"report written to {args.out}")
+        _write_report(report, args.out, "json")
     return 0
 
 
@@ -547,8 +534,7 @@ def main(argv=None) -> int:
     except (DivergenceError, ConvergenceError) as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
-    except (ParamError, HypothesisError, PoleError, QKLError, KeyError,
-            ValueError, OSError) as exc:
+    except (QKLError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

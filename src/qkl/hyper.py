@@ -26,6 +26,9 @@ from .series import _INT_TOL, _qval, as_nonneg_int, complex_pow_principal
 
 _ESCALATE_BAND = (0.9, 1.0)  # |z| band that triggers extended precision
 _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
+# digits a stable_eval value must keep after cancellation, by precision mode
+_KEEP_STANDARD = 12.5
+_KEEP_EXTENDED = 16.0
 
 
 class SeriesStatus(enum.Enum):
@@ -156,11 +159,9 @@ def detect_termination(upper: Sequence, q=None, tol: float = _INT_TOL):
     """Smallest n with an upper parameter equal to -n (classical) or q^{-n}
     (basic), within tolerance; None when the series does not terminate."""
     best = None
+    qq = None if q is None else _qval(q)
     for u in upper:
-        if q is None:
-            m = as_nonneg_int(u, tol)
-        else:
-            m = _q_power_index(u, _qval(q), tol)
+        m = as_nonneg_int(u, tol) if qq is None else _q_power_index(u, qq, tol)
         if m is not None and (best is None or m < best):
             best = m
     return best
@@ -183,26 +184,11 @@ def _q_power_index(u, q: float, tol: float = _INT_TOL):
     return None
 
 
-def _classical_pole_index(lower: Sequence, tol: float = _INT_TOL):
-    """Index of the first vanishing denominator term, over classical lower
-    parameters: a nonpositive integer l first zeroes (l)_n at n = 1 - l."""
-    worst = None
-    for l in lower:
-        m = as_nonneg_int(l, tol)
-        if m is not None and (worst is None or m + 1 < worst):
-            worst = m + 1
-    return worst
-
-
-def _q_pole_index(lower: Sequence, q: float, tol: float = _INT_TOL):
-    """First n with a vanishing q-denominator: l = q^{-m} zeroes (l;q)_n at
-    n = m + 1."""
-    worst = None
-    for l in lower:
-        m = _q_power_index(l, q, tol)
-        if m is not None and (worst is None or m + 1 < worst):
-            worst = m + 1
-    return worst
+def _pole_index(lower: Sequence, q=None):
+    """First n with a vanishing denominator: a lower parameter -m
+    (classical) or q^{-m} (basic) zeroes (l)_n or (l; q)_n at n = m + 1."""
+    m = detect_termination(lower, q)
+    return None if m is None else m + 1
 
 
 def _check_poles(stop, pole, kind: str):
@@ -268,7 +254,7 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
             n += 1
 
     return _sum_series("pFq", len(upper) - len(lower) - 1,
-                       detect_termination(upper), _classical_pole_index(lower),
+                       detect_termination(upper), _pole_index(lower),
                        z, terms, lambda pol, c: hyp_pfq(upper, lower, z, pol, c),
                        policy, ctx)
 
@@ -307,20 +293,19 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
             yield term
 
     return _sum_series("rphis", -extra, detect_termination(upper, qq),
-                       _q_pole_index(lower, qq), z, terms,
+                       _pole_index(lower, qq), z, terms,
                        lambda pol, c: bhs_rphis(upper, lower, q, z, pol, c),
                        policy, ctx)
 
 
 def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
-            ctx: Context = STANDARD, denoms: Sequence | None = None) -> SeriesEval:
+            ctx: Context = STANDARD) -> SeriesEval:
     """Very-well-poised 8W7(a; b1..b5; q, z):
 
         sum_n (1 - a q^{2n}) / (1 - a) * (a; q)_n prod_i (b_i; q)_n
               / ((q; q)_n prod_i (a q / b_i; q)_n) * z^n.
 
-    ``denoms`` overrides the aq/b_i list; required when some b_i is 0 with a
-    cancelled denominator (degenerate limits of the bilinear formulas).
+    A zero b_i is legal only with a = 0, whose denominator a q / b_i is 0.
     """
     qq = _qval(q)
     if len(b5) != 5:
@@ -328,12 +313,9 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
     ac = complex(a)
     if abs(ac - 1.0) <= _INT_TOL * max(1.0, abs(ac)):
         raise VWPoleError("very-well-poised series undefined at a = 1")
-    if denoms is None:
-        if any(complex(b) == 0 for b in b5) and ac != 0:
-            raise ParamError("b_i = 0 requires explicit cancelled denominators")
-        denoms = [0 if complex(b) == 0 else a * qq / b for b in b5]
-    elif len(denoms) != 5:
-        raise ParamError("denoms must list exactly five parameters")
+    if any(complex(b) == 0 for b in b5) and ac != 0:
+        raise ParamError("b_i = 0 with a != 0 leaves the denominator a q / b_i undefined")
+    denoms = [0 if complex(b) == 0 else a * qq / b for b in b5]
 
     def terms():
         aa = ctx.cnum(a)
@@ -359,13 +341,12 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
             yield base * (1 - aa * q2n)
 
     return _sum_series("8W7", 0, detect_termination(b5, qq),
-                       _q_pole_index(denoms, qq), z, terms,
-                       lambda pol, c: vwp_8w7(a, b5, q, z, pol, c, denoms),
+                       _pole_index(denoms, qq), z, terms,
+                       lambda pol, c: vwp_8w7(a, b5, q, z, pol, c),
                        policy, ctx)
 
 
-def stable_eval(build, ctx: Context, predicted_lost: float = 0.0,
-                keep_standard: float = 12.5, keep_extended: float = 16.0):
+def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
     """Run ``build(c) -> (value, SeriesEval)`` escalating precision until the
     cancellation-adjusted digit count is adequate (or attempts run out).
 
@@ -374,7 +355,7 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0,
     so fixed precision cannot honour the accuracy contracts at high degree.
     """
     c = ctx
-    if not ctx.extended and predicted_lost > 15.95 - keep_standard:
+    if not ctx.extended and predicted_lost > 15.95 - _KEEP_STANDARD:
         c = extended_context(int(predicted_lost) + 20)
     value, ev = None, None
     for _ in range(4):
@@ -386,7 +367,7 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0,
         if finite:
             lost = ev.cancellation_digits()
             digits = 15.95 if not c.extended else c.dps
-            keep = keep_standard if not c.extended else keep_extended
+            keep = _KEEP_STANDARD if not c.extended else _KEEP_EXTENDED
             if digits - lost >= keep:
                 return value, ev, c
         else:

@@ -6,8 +6,14 @@ expansion), so a shared bug cannot certify itself, and emits an
 :class:`IdentityReport` with the two values and their residual.
 
 Each identity also carries a deterministic parameter sampler producing
-admissible cases from a seed, and a hypothesis validator that raises
-:class:`HypothesisError` naming the violated constraint.
+admissible cases from a seed (its keys are the identity's parameter names),
+and a hypothesis validator that raises :class:`HypothesisError` naming the
+violated constraint.
+
+A side that is a j-sum yields its composite terms j = 0, 1, ...; ``_sum_j``
+owns the loop, the term cap and the precision guard, so a running
+coefficient lives in the generator and any setup it needs runs under the
+guard on the first ``next()``.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import count, islice
 from typing import Callable
 
 from .errors import DivergenceError, HypothesisError
@@ -35,6 +42,7 @@ from .kernels import (
     ac_kernel_sum,
     mp_kernel_closed,
     mp_kernel_sum,
+    unit_phases,
 )
 from .numerics import EXTENDED, STANDARD, Context
 from .polys import (
@@ -94,15 +102,19 @@ class IdentityEntry:
     validator: Callable[[dict], None]
     eval_lhs: Callable[[dict, TruncationPolicy, Context], tuple]
     eval_rhs: Callable[[dict, TruncationPolicy, Context], tuple]
-    param_names: tuple
+
+    @property
+    def param_names(self) -> tuple:
+        """The parameter names, in the order the sampler draws them."""
+        return tuple(self.sampler(_rng(self.identity_id, 0)))
 
 
 REGISTRY: dict[str, IdentityEntry] = {}
 
 
-def _register(identity_id, description, param_names, sampler, validator, lhs, rhs):
+def _register(identity_id, description, sampler, validator, lhs, rhs):
     REGISTRY[identity_id] = IdentityEntry(identity_id, description, sampler,
-                                          validator, lhs, rhs, tuple(param_names))
+                                          validator, lhs, rhs)
 
 
 def identity_ids() -> list[str]:
@@ -128,12 +140,12 @@ def _require_conv(cond: bool, constraint: str):
         raise DivergenceError(f"outside convergence region: {constraint}")
 
 
-def _sum_j(term_fn, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
-    """Sum composite bilinear terms over j = 0..jmax-1 under the series
-    stopping rule; the report carries the terms and the stop status."""
+def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
+    """Sum at most ``jmax`` composite bilinear terms from the iterator
+    ``terms`` under the series stopping rule, inside ``ctx``'s precision
+    guard; the report carries the terms and the stop status."""
     with ctx.guard():
-        ev = accumulate(map(term_fn, range(jmax)),
-                        replace(policy, max_terms=jmax), ctx)
+        ev = accumulate(islice(terms, jmax), replace(policy, max_terms=jmax), ctx)
     return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
 
 
@@ -160,6 +172,30 @@ def _signed(rng, lo, hi):
 
 def _qchoice(rng):
     return rng.choice([0.3, 0.5, 0.7])
+
+
+def _param(rng):
+    """A real q-family parameter, 0.15 <= |v| <= 0.7."""
+    return _signed(rng, 0.15, 0.7)
+
+
+def _cos_angle(rng):
+    """A point x = cos(theta) of [-1, 1], theta kept 0.15 off the ends."""
+    return math.cos(_u(rng, 0.15, math.pi - 0.15))
+
+
+def _mate(rng, prod):
+    """x' = prod / y', with |y'| drawn so that |x'| and |y'| stay <= 0.7 by
+    construction (the sampler keeps x'; y' is recovered from prod)."""
+    return prod / _signed(rng, max(0.15, abs(prod) / 0.7), 0.7)
+
+
+def _halved_t(rng, num, den):
+    """t drawn from +-[0.05, 0.4], halved until |num t / den| < 0.95."""
+    t = _signed(rng, 0.05, 0.4)
+    while abs(num * t / den) >= 0.95:
+        t *= 0.5
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +226,6 @@ def _mp_poisson_rhs(p, policy, ctx):
 
 
 _register("mp_poisson", "MP Poisson kernel: bilinear sum equals closed form",
-          ("k", "phi", "t", "x", "y"),
           _mp_poisson_sample, _mp_poisson_validate, _mp_poisson_lhs, _mp_poisson_rhs)
 
 
@@ -237,7 +272,6 @@ def _mp_rec_rhs(p, policy, ctx):
 
 
 _register("mp_recurrence", "MP three-term recurrence on definitional values",
-          ("k", "phi", "y", "n"),
           _mp_rec_sample, _mp_rec_validate, _mp_rec_lhs, _mp_rec_rhs)
 
 
@@ -269,14 +303,13 @@ def _hahn_product_rhs(p, policy, ctx):
     x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
     X, Y = x1 + x2, y1 + y2
     A = 2 * k1 + 2 * k2 - 1
-    with ctx.guard():
+
+    def terms():
         rr = ctx.cnum(r)
         coef = ctx.cnum(1)
-        state = {"j": -1, "coef": coef}
-
-        def term(j):
+        for j in count():
             if j > 0:
-                state["coef"] = state["coef"] * (-rr) * j / (
+                coef = coef * (-rr) * j / (
                     (2 * k1 + j - 1) * (2 * k2 + j - 1)
                     * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
             kk = k1 + k2 + j
@@ -285,13 +318,12 @@ def _hahn_product_rhs(p, policy, ctx):
                             j, x1, ctx)
             py = chahn_poly(CHahnParams(k1, complex(k2, -Y), k1, complex(k2, Y)),
                             j, y1, ctx)
-            return state["coef"] * f.value * px * py
+            yield coef * f.value * px * py
 
-        return _sum_j(term, policy, ctx)
+    return _sum_j(terms(), policy, ctx)
 
 
 _register("hahn_product", "product of two 2F1 as continuous-Hahn bilinear sum",
-          ("k1", "k2", "x1", "x2", "y1", "y2", "r"),
           _hahn_product_sample, _hahn_product_validate,
           _hahn_product_lhs, _hahn_product_rhs)
 
@@ -330,21 +362,21 @@ def _chahn_bilinear_lhs(p, policy, ctx):
     r, x, y = p["r"], p["x"], p["y"]
     bd = (b + d).real
     A = 2 * a + bd - 1
-    with ctx.guard():
-        rr = ctx.cnum(r)
-        state = {"coef": ctx.cnum(1)}
 
-        def term(j):
+    def terms():
+        rr = ctx.cnum(r)
+        coef = ctx.cnum(1)
+        for j in count():
             if j > 0:
-                state["coef"] = state["coef"] * (-1) * j / (
+                coef = coef * (-1) * j / (
                     (2 * a + j - 1) * (bd + j - 1)
                     * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
             f = gauss_2f1(a + d + j, a + d2 + j, 2 * a + bd + 2 * j, r, policy, ctx)
             px = chahn_poly(CHahnParams(a, b, a, d), j, x, ctx)
             py = chahn_poly(CHahnParams(a, b2, a, d2), j, y, ctx)
-            return state["coef"] * f.value * px * py * rr ** j
+            yield coef * f.value * px * py * rr ** j
 
-        return _sum_j(term, policy, ctx)
+    return _sum_j(terms(), policy, ctx)
 
 
 def _chahn_bilinear_rhs(p, policy, ctx):
@@ -356,7 +388,6 @@ def _chahn_bilinear_rhs(p, policy, ctx):
 
 
 _register("chahn_bilinear", "continuous Hahn bilinear sum formula",
-          ("a", "beta", "u", "v", "x", "y", "r"),
           _chahn_bilinear_sample, _chahn_bilinear_validate,
           _chahn_bilinear_lhs, _chahn_bilinear_rhs)
 
@@ -391,7 +422,7 @@ def _jacobi_bessel_lhs(p, policy, ctx):
         return ctx.cnum(coef * jacobi_poly(al, be, j, x, ctx)
                         * jacobi_poly(al, be, j, y, ctx) * bj)
 
-    return _sum_j(term, policy, ctx, jmax=60)
+    return _sum_j(map(term, count()), policy, ctx, jmax=60)
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
@@ -405,7 +436,6 @@ def _jacobi_bessel_rhs(p, policy, ctx):
 
 
 _register("jacobi_bessel", "Jacobi-Bessel bilinear generating function",
-          ("alpha", "beta", "x", "y", "z"),
           _jacobi_bessel_sample, _jacobi_bessel_validate,
           _jacobi_bessel_lhs, _jacobi_bessel_rhs)
 
@@ -445,16 +475,24 @@ def _chahn_finite_lhs(p, policy, ctx):
         return total, {"terms": K + 1}
 
 
+def _chahn_finite_pref(p, ctx):
+    """(d - ix, d' - iy, 2a + b + d)_K / (a + d, a + d', b + d)_K, the
+    prefactor of both terminating right sides (call under ``ctx.guard()``)."""
+    a, b, d, b2, d2 = _chahn_abcd(p)
+    x, y, K = p["x"], p["y"], int(p["K"])
+    bd = (b + d).real
+    return (pochhammer(d - 1j * x, K, ctx) * pochhammer(d2 - 1j * y, K, ctx)
+            * pochhammer(2 * a + bd, K, ctx)
+            / (pochhammer(a + d, K, ctx) * pochhammer(a + d2, K, ctx)
+               * pochhammer(bd, K, ctx)))
+
+
 def _chahn_finite_rhs(p, policy, ctx):
     a, b, d, b2, d2 = _chahn_abcd(p)
     x, y, K = p["x"], p["y"], int(p["K"])
     bd = (b + d).real
-    S = 2 * a + bd
     with ctx.guard():
-        pref = (pochhammer(d - 1j * x, K, ctx) * pochhammer(d2 - 1j * y, K, ctx)
-                * pochhammer(S, K, ctx)
-                / (pochhammer(a + d, K, ctx) * pochhammer(a + d2, K, ctx)
-                   * pochhammer(bd, K, ctx)))
+        pref = _chahn_finite_pref(p, ctx)
         f = hyp_pfq_stable([-K, 1 - K - bd, complex(a, x), complex(a, y)],
                            [2 * a, 1 - K - d + 1j * x, 1 - K - d2 + 1j * y],
                            1, ctx, lost_hint=0.6 * K)
@@ -462,7 +500,6 @@ def _chahn_finite_rhs(p, policy, ctx):
 
 
 _register("chahn_finite", "terminating continuous-Hahn bilinear sum",
-          ("a", "beta", "u", "v", "x", "y", "K"),
           _chahn_finite_sample, _chahn_finite_validate,
           _chahn_finite_lhs, _chahn_finite_rhs)
 
@@ -493,10 +530,7 @@ def _chahn_whipple_rhs(p, policy, ctx):
     bd = (b + d).real
     S = 2 * a + bd
     with ctx.guard():
-        pref = (pochhammer(d - 1j * x, K, ctx) * pochhammer(d2 - 1j * y, K, ctx)
-                * pochhammer(S, K, ctx)
-                / (pochhammer(a + d, K, ctx) * pochhammer(a + d2, K, ctx)
-                   * pochhammer(bd, K, ctx)))
+        pref = _chahn_finite_pref(q, ctx)
         whip = (pochhammer(a + d, K, ctx)
                 * pochhammer(a + b + 1j * (x - y), K, ctx)
                 / (pochhammer(d - 1j * x, K, ctx) * pochhammer(b - 1j * y, K, ctx)))
@@ -508,7 +542,6 @@ def _chahn_whipple_rhs(p, policy, ctx):
 
 _register("chahn_finite_whipple",
           "terminating continuous-Hahn sum, Whipple-transformed right side",
-          ("a", "beta", "u", "x", "y", "K"),
           _chahn_whipple_sample, _chahn_whipple_validate,
           _chahn_whipple_lhs, _chahn_whipple_rhs)
 
@@ -569,29 +602,29 @@ def _mult_2f1_lhs(p, policy, ctx):
 def _mult_2f1_rhs(p, policy, ctx):
     a, b, c, a2, b2, c2, z = (p[k] for k in ("a", "b", "c", "a2", "b2", "c2", "z"))
     A, B, C = a + a2, b + b2, c + c2 - 1
-    with ctx.guard():
-        zc = ctx.cnum(z)
-        state = {"coef": ctx.cnum(1)}
 
-        def term(j):
+    def terms():
+        zc = ctx.cnum(z)
+        coef = ctx.cnum(1)
+        for j in count():
             if j > 0:
                 jm = j - 1
-                state["coef"] = state["coef"] * (c + jm) * (A + jm) * (B + jm) / (
+                coef = coef * (c + jm) * (A + jm) * (B + jm) / (
                     j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
-            if state["coef"] == 0:
-                return ctx.cnum(0)
+            if coef == 0:
+                yield ctx.cnum(0)
+                continue
             f3a = hyp_pfq_stable([-j, a, c + c2 + j - 1], [A, c], 1, ctx,
                                  lost_hint=0.45 * j)
             f3b = hyp_pfq_stable([-j, b, c + c2 + j - 1], [B, c], 1, ctx,
                                  lost_hint=0.45 * j)
             f = gauss_2f1(A + j, B + j, c + c2 + 2 * j, z, policy, ctx)
-            return state["coef"] * f3a * f3b * f.value * zc ** j
+            yield coef * f3a * f3b * f.value * zc ** j
 
-        return _sum_j(term, policy, ctx)
+    return _sum_j(terms(), policy, ctx)
 
 
 _register("mult_2f1", "multiplication formula for a product of two 2F1",
-          ("a", "b", "c", "a2", "b2", "c2", "z"),
           _mult_2f1_sample, _mult_2f1_validate, _mult_2f1_lhs, _mult_2f1_rhs)
 
 
@@ -613,7 +646,6 @@ def _bc_expand(p):
 
 _register("burchnall_chaundy",
           "square of a 2F1 as a self-consistency case of the multiplication formula",
-          ("a", "b", "c", "z"),
           _bc_sample,
           lambda p: _mult_2f1_validate(_bc_expand(p)),
           lambda p, pol, ctx: _mult_2f1_lhs(_bc_expand(p), pol, ctx),
@@ -652,28 +684,28 @@ def _conf_rhs(p, policy, ctx):
     a, c, a2, c2, x, y = (p[k] for k in ("a", "c", "a2", "c2", "x", "y"))
     A, C = a + a2, c + c2 - 1
     s = x + y
-    with ctx.guard():
-        state = {"coef": ctx.cnum(1)}
 
-        def term(j):
+    def terms():
+        coef = ctx.cnum(1)
+        for j in count():
             if j > 0:
                 jm = j - 1
-                state["coef"] = state["coef"] * (c + jm) * (A + jm) / (
+                coef = coef * (c + jm) * (A + jm) / (
                     j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
-            if state["coef"] == 0:
-                return ctx.cnum(0)
+            if coef == 0:
+                yield ctx.cnum(0)
+                continue
             f3 = hyp_pfq_stable([-j, a, c + c2 + j - 1], [A, c], 1, ctx,
                                 lost_hint=0.45 * j)
             f2a = hyp_pfq_stable([-j, c + c2 + j - 1], [c], x / s, ctx,
                                  lost_hint=0.4 * j)
             f1b = hyp_pfq([a + a2 + j], [c + c2 + 2 * j], s, policy, ctx)
-            return state["coef"] * f3 * f2a * f1b.value * ctx.cnum(s) ** j
+            yield coef * f3 * f2a * f1b.value * ctx.cnum(s) ** j
 
-        return _sum_j(term, policy, ctx)
+    return _sum_j(terms(), policy, ctx)
 
 
 _register("conf_1f1", "confluent product formula for two 1F1",
-          ("a", "c", "a2", "c2", "x", "y"),
           _conf_sample, _conf_validate, _conf_lhs, _conf_rhs)
 
 
@@ -730,7 +762,6 @@ def _hahn_disc_rhs(p, policy, ctx):
 
 _register("hahn_bilinear_discrete",
           "discrete Hahn bilinear theorem (floating route, corrected 1/j!)",
-          ("alpha", "beta", "M", "N", "x", "y", "z"),
           _hahn_disc_sample, _hahn_disc_validate, _hahn_disc_lhs, _hahn_disc_rhs)
 
 
@@ -749,9 +780,7 @@ def _ac_point_sample(rng):
         return _u(rng, lo, hi)
 
     return {"q": q, "k": k, "s": draw_s(), "sigma": draw_s(),
-            "t": _signed(rng, 0.05, 0.5),
-            "x": math.cos(_u(rng, 0.15, math.pi - 0.15)),
-            "y": math.cos(_u(rng, 0.15, math.pi - 0.15))}
+            "t": _signed(rng, 0.05, 0.5), "x": _cos_angle(rng), "y": _cos_angle(rng)}
 
 
 def _ac_point_validate(p):
@@ -780,7 +809,6 @@ def _ac_poisson_rhs(p, policy, ctx):
 
 
 _register("ac_poisson", "ASC Poisson kernel: bilinear sum equals 8W7 closed form",
-          ("q", "k", "s", "sigma", "t", "x", "y"),
           _ac_point_sample, _ac_point_validate, _ac_poisson_lhs, _ac_poisson_rhs)
 
 
@@ -791,7 +819,6 @@ def _ac_alt_validate(p):
 
 _register("ac_poisson_alt",
           "the two printed 8W7 closed forms of the ASC kernel agree",
-          ("q", "k", "s", "sigma", "t", "x", "y"),
           _ac_point_sample, _ac_alt_validate,
           lambda p, pol, ctx: (ac_kernel_closed(p["k"], p["q"], _ac_pt(p), pol, ctx), {}),
           lambda p, pol, ctx: (ac_kernel_closed_alt(p["k"], p["q"], _ac_pt(p), pol, ctx), {}))
@@ -806,12 +833,11 @@ def _ac_spoisson_sample(rng):
     k1 = _u(rng, 0.2, 1.4)
     k2 = _u(rng, 0.2, 1.4)
     lo, hi = q ** k2 + 0.05, q ** (-k2) - 0.05
-    ang = lambda: _u(rng, 0.15, math.pi - 0.15)
     return {"q": q, "k1": k1, "k2": k2,
             "s": _u(rng, lo, hi), "sigma": _u(rng, lo, hi),
             "t": _signed(rng, 0.05, 0.35),
-            "x1": math.cos(ang()), "x2": math.cos(ang()),
-            "y1": math.cos(ang()), "y2": math.cos(ang())}
+            "x1": _cos_angle(rng), "x2": _cos_angle(rng),
+            "y1": _cos_angle(rng), "y2": _cos_angle(rng)}
 
 
 def _ac_spoisson_validate(p):
@@ -849,12 +875,11 @@ def _ac_spoisson_rhs(p, policy, ctx):
         sy = sj_ac(k1, k2, j, p["y1"], p["y2"], sg, q, ctx)
         return ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(sx) * ctx.cnum(sy)
 
-    return _sum_j(term, policy, ctx, jmax=200)
+    return _sum_j(map(term, count()), policy, ctx, jmax=200)
 
 
 _register("ac_spoisson",
           "product of two ASC kernels as a coupled Askey-Wilson expansion",
-          ("q", "k1", "k2", "s", "sigma", "t", "x1", "x2", "y1", "y2"),
           _ac_spoisson_sample, _ac_spoisson_validate,
           _ac_spoisson_lhs, _ac_spoisson_rhs)
 
@@ -865,22 +890,11 @@ _register("ac_spoisson",
 
 def _aw_bilinear_sample(rng):
     q = _qchoice(rng)
-
-    def draw(lo=0.15, hi=0.7):
-        return _signed(rng, lo, hi)
-
-    a, b, c, d = draw(), draw(), draw(), draw()
-    # |b'| drawn so that a' = ab/b' keeps every modulus <= 0.7 by construction
-    b2 = _signed(rng, max(0.15, abs(a * b) / 0.7), 0.7)
-    a2 = a * b / b2
-    d2 = _signed(rng, max(0.15, abs(c * d) / 0.7), 0.7)
-    c2 = c * d / d2
-    t = _signed(rng, 0.05, 0.4)
-    while abs(a2 * t / b) >= 0.95:
-        t *= 0.5
+    a, b, c, d = _param(rng), _param(rng), _param(rng), _param(rng)
+    a2 = _mate(rng, a * b)
+    c2 = _mate(rng, c * d)
     return {"q": q, "a": a, "b": b, "c": c, "d": d, "a2": a2, "c2": c2,
-            "t": t, "x": math.cos(_u(rng, 0.15, math.pi - 0.15)),
-            "y": math.cos(_u(rng, 0.15, math.pi - 0.15))}
+            "t": _halved_t(rng, a2, b), "x": _cos_angle(rng), "y": _cos_angle(rng)}
 
 
 def _aw_primed(p):
@@ -908,26 +922,24 @@ def _aw_bilinear_lhs(p, policy, ctx):
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
     b2, d2 = _aw_primed(p)
     z87 = a2 * t / b
-    with ctx.guard():
-        tc = ctx.cnum(t)
 
-        def term(j):
-            qj = q ** j
-            num = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
-                * qpoch(b * d2 * qj * t, q, ctx=ctx) * qpoch(b2 * d * qj * t, q, ctx=ctx)
-            den = qpoch(b * b2 * c * d * q ** (2 * j) * t, q, ctx=ctx) \
-                * qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx) \
-                * qpoch(c * d, q, j, ctx=ctx) \
-                * qpoch(a * b * c * d * q ** (j - 1), q, j, ctx=ctx)
-            w = vwp_8w7(b * b2 * c * d * q ** (2 * j - 1) * t,
-                        [b * c * qj, b * d * qj, b2 * c2 * qj, b2 * d2 * qj, b * t / a2],
-                        q, z87, policy, ctx)
-            hj = num / den * w.value
-            px = aw_poly(AWParams(q, a, b, c, d), j, p["x"], ctx)
-            py = aw_poly(AWParams(q, a2, b2, c2, d2), j, p["y"], ctx)
-            return hj * ctx.cnum(px) * ctx.cnum(py) * tc ** j
+    def term(j):
+        qj = q ** j
+        num = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
+            * qpoch(b * d2 * qj * t, q, ctx=ctx) * qpoch(b2 * d * qj * t, q, ctx=ctx)
+        den = qpoch(b * b2 * c * d * q ** (2 * j) * t, q, ctx=ctx) \
+            * qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx) \
+            * qpoch(c * d, q, j, ctx=ctx) \
+            * qpoch(a * b * c * d * q ** (j - 1), q, j, ctx=ctx)
+        w = vwp_8w7(b * b2 * c * d * q ** (2 * j - 1) * t,
+                    [b * c * qj, b * d * qj, b2 * c2 * qj, b2 * d2 * qj, b * t / a2],
+                    q, z87, policy, ctx)
+        hj = num / den * w.value
+        px = aw_poly(AWParams(q, a, b, c, d), j, p["x"], ctx)
+        py = aw_poly(AWParams(q, a2, b2, c2, d2), j, p["y"], ctx)
+        return hj * ctx.cnum(px) * ctx.cnum(py) * ctx.cnum(t) ** j
 
-        return _sum_j(term, policy, ctx, jmax=200)
+    return _sum_j(map(term, count()), policy, ctx, jmax=200)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -936,8 +948,7 @@ def _aw_bilinear_rhs(p, policy, ctx):
     b2, d2 = _aw_primed(p)
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
     with ctx.guard():
-        eit, emt = ctx.expi(theta), ctx.expi(-theta)
-        eip, emp = ctx.expi(phi), ctx.expi(-phi)
+        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
         num = [b * t * eip, b * t * emp, c * t * emp, d * t * emp,
                b2 * t * eit, b2 * t * emt, c2 * t * emt, d2 * t * emt]
         den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp,
@@ -952,7 +963,6 @@ def _aw_bilinear_rhs(p, policy, ctx):
 
 
 _register("aw_bilinear", "Askey-Wilson bilinear generating function",
-          ("q", "a", "b", "c", "d", "a2", "c2", "t", "x", "y"),
           _aw_bilinear_sample, _aw_bilinear_validate,
           _aw_bilinear_lhs, _aw_bilinear_rhs)
 
@@ -963,19 +973,10 @@ _register("aw_bilinear", "Askey-Wilson bilinear generating function",
 
 def _cdqh_sample(rng):
     q = _qchoice(rng)
-
-    def draw():
-        return _signed(rng, 0.15, 0.7)
-
-    a, b, c, c2 = draw(), draw(), draw(), draw()
-    b2 = _signed(rng, max(0.15, abs(a * b) / 0.7), 0.7)
-    a2 = a * b / b2
-    t = _signed(rng, 0.05, 0.4)
-    while abs(a2 * t / b) >= 0.95:
-        t *= 0.5
-    return {"q": q, "a": a, "b": b, "c": c, "a2": a2, "c2": c2, "t": t,
-            "x": math.cos(_u(rng, 0.15, math.pi - 0.15)),
-            "y": math.cos(_u(rng, 0.15, math.pi - 0.15))}
+    a, b, c, c2 = _param(rng), _param(rng), _param(rng), _param(rng)
+    a2 = _mate(rng, a * b)
+    return {"q": q, "a": a, "b": b, "c": c, "a2": a2, "c2": c2,
+            "t": _halved_t(rng, a2, b), "x": _cos_angle(rng), "y": _cos_angle(rng)}
 
 
 def _cdqh_validate(p):
@@ -991,21 +992,19 @@ def _cdqh_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, a2, c2 = (p[k] for k in ("a", "b", "c", "a2", "c2"))
     b2 = a * b / a2
-    with ctx.guard():
-        tc = ctx.cnum(t)
 
-        def term(j):
-            qj = q ** j
-            gj = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
-                / (qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx))
-            f = bhs_rphis([b * c * qj, b2 * c2 * qj, b * t / a2],
-                          [b * c2 * qj * t, b2 * c * qj * t], q, a2 * t / b,
-                          policy, ctx)
-            px = aw_poly(AWParams(q, a, b, c, 0.0), j, p["x"], ctx)
-            py = aw_poly(AWParams(q, a2, b2, c2, 0.0), j, p["y"], ctx)
-            return gj * f.value * ctx.cnum(px) * ctx.cnum(py) * tc ** j
+    def term(j):
+        qj = q ** j
+        gj = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
+            / (qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx))
+        f = bhs_rphis([b * c * qj, b2 * c2 * qj, b * t / a2],
+                      [b * c2 * qj * t, b2 * c * qj * t], q, a2 * t / b,
+                      policy, ctx)
+        px = aw_poly(AWParams(q, a, b, c, 0.0), j, p["x"], ctx)
+        py = aw_poly(AWParams(q, a2, b2, c2, 0.0), j, p["y"], ctx)
+        return gj * f.value * ctx.cnum(px) * ctx.cnum(py) * ctx.cnum(t) ** j
 
-        return _sum_j(term, policy, ctx, jmax=200)
+    return _sum_j(map(term, count()), policy, ctx, jmax=200)
 
 
 def _cdqh_rhs(p, policy, ctx):
@@ -1014,8 +1013,7 @@ def _cdqh_rhs(p, policy, ctx):
     b2 = a * b / a2
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
     with ctx.guard():
-        eit, emt = ctx.expi(theta), ctx.expi(-theta)
-        eip, emp = ctx.expi(phi), ctx.expi(-phi)
+        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
         num = [b * t * eip, b * t * emp, c * t * emp,
                b2 * t * eit, b2 * t * emt, c2 * t * emt]
         den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp]
@@ -1029,7 +1027,6 @@ def _cdqh_rhs(p, policy, ctx):
 
 _register("cdqh_bilinear",
           "continuous dual q-Hahn bilinear generating function (d = d' = 0)",
-          ("q", "a", "b", "c", "a2", "c2", "t", "x", "y"),
           _cdqh_sample, _cdqh_validate, _cdqh_lhs, _cdqh_rhs)
 
 
@@ -1039,17 +1036,9 @@ _register("cdqh_bilinear",
 
 def _asc_bilinear_sample(rng):
     q = _qchoice(rng)
-
-    def draw():
-        return _signed(rng, 0.15, 0.7)
-
-    a, c, a2, c2 = draw(), draw(), draw(), draw()
-    t = _signed(rng, 0.05, 0.4)
-    while abs(t * c2 / c) >= 0.95:
-        t *= 0.5
-    return {"q": q, "a": a, "c": c, "a2": a2, "c2": c2, "t": t,
-            "x": math.cos(_u(rng, 0.15, math.pi - 0.15)),
-            "y": math.cos(_u(rng, 0.15, math.pi - 0.15))}
+    a, c, a2, c2 = _param(rng), _param(rng), _param(rng), _param(rng)
+    return {"q": q, "a": a, "c": c, "a2": a2, "c2": c2,
+            "t": _halved_t(rng, c2, c), "x": _cos_angle(rng), "y": _cos_angle(rng)}
 
 
 def _asc_bilinear_validate(p):
@@ -1063,18 +1052,17 @@ def _asc_bilinear_validate(p):
 def _asc_bilinear_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, c, a2, c2 = (p[k] for k in ("a", "c", "a2", "c2"))
-    with ctx.guard():
-        tc = ctx.cnum(t)
 
-        def term(j):
-            co = tc ** j / (qpoch(q, q, j, ctx=ctx) * qpoch(a2 * c * t, q, j, ctx=ctx))
-            f = bhs_rphis([c * t / c2, a * c * q ** j], [a2 * c * t * q ** j],
-                          q, t * c2 / c, policy, ctx)
-            rx = asc_poly(ASCParams(q, a, c), j, p["x"], ctx=ctx)
-            ry = asc_poly(ASCParams(q, a2, c2), j, p["y"], ctx=ctx)
-            return co * f.value * ctx.cnum(rx) * ctx.cnum(ry)
+    def term(j):
+        co = ctx.cnum(t) ** j / (qpoch(q, q, j, ctx=ctx)
+                                 * qpoch(a2 * c * t, q, j, ctx=ctx))
+        f = bhs_rphis([c * t / c2, a * c * q ** j], [a2 * c * t * q ** j],
+                      q, t * c2 / c, policy, ctx)
+        rx = asc_poly(ASCParams(q, a, c), j, p["x"], ctx=ctx)
+        ry = asc_poly(ASCParams(q, a2, c2), j, p["y"], ctx=ctx)
+        return co * f.value * ctx.cnum(rx) * ctx.cnum(ry)
 
-        return _sum_j(term, policy, ctx, jmax=200)
+    return _sum_j(map(term, count()), policy, ctx, jmax=200)
 
 
 def _asc_bilinear_rhs(p, policy, ctx):
@@ -1082,8 +1070,7 @@ def _asc_bilinear_rhs(p, policy, ctx):
     a, c, a2, c2 = (p[k] for k in ("a", "c", "a2", "c2"))
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
     with ctx.guard():
-        eit, emt = ctx.expi(theta), ctx.expi(-theta)
-        eip, emp = ctx.expi(phi), ctx.expi(-phi)
+        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
         num = [c * t * emp, c2 * t * emt, a * t * eip, a2 * t * eit]
         den = [t * eit * emp, t * emt * eip, c2 * t / c, a2 * c * t]
         pref = qpoch_many(num, q, over=den, ctx=ctx)
@@ -1096,7 +1083,6 @@ def _asc_bilinear_rhs(p, policy, ctx):
 
 _register("asc_bilinear",
           "Al-Salam-Chihara bilinear generating function",
-          ("q", "a", "c", "a2", "c2", "t", "x", "y"),
           _asc_bilinear_sample, _asc_bilinear_validate,
           _asc_bilinear_lhs, _asc_bilinear_rhs)
 
@@ -1107,13 +1093,9 @@ _register("asc_bilinear",
 
 def _cbqh_sample(rng):
     q = _qchoice(rng)
-    c, c2 = _signed(rng, 0.15, 0.7), _signed(rng, 0.15, 0.7)
-    t = _signed(rng, 0.05, 0.4)
-    while abs(t * c2 / c) >= 0.95:
-        t *= 0.5
-    return {"q": q, "c": c, "c2": c2, "t": t,
-            "x": math.cos(_u(rng, 0.15, math.pi - 0.15)),
-            "y": math.cos(_u(rng, 0.15, math.pi - 0.15))}
+    c, c2 = _param(rng), _param(rng)
+    return {"q": q, "c": c, "c2": c2, "t": _halved_t(rng, c2, c),
+            "x": _cos_angle(rng), "y": _cos_angle(rng)}
 
 
 def _cbqh_validate(p):
@@ -1127,17 +1109,17 @@ def _cbqh_lhs(p, policy, ctx):
     """Directly summed big q-Hermite bilinear kernel; the j-independent
     2phi1 factor is q-binomial-summed to (t^2; q)_inf / (t c'/c; q)_inf."""
     q, t, c, c2 = p["q"], p["t"], p["c"], p["c2"]
-    with ctx.guard():
+
+    def terms():
         pref = qpoch(t * t, q, ctx=ctx) / qpoch(t * c2 / c, q, ctx=ctx)
         tc = ctx.cnum(t)
-
-        def term(j):
+        for j in count():
             co = tc ** j / qpoch(q, q, j, ctx=ctx)
             hx = aw_poly(AWParams(q, c, 0.0, 0.0, 0.0), j, p["x"], ctx)
             hy = aw_poly(AWParams(q, c2, 0.0, 0.0, 0.0), j, p["y"], ctx)
-            return pref * co * ctx.cnum(hx) * ctx.cnum(hy)
+            yield pref * co * ctx.cnum(hx) * ctx.cnum(hy)
 
-        return _sum_j(term, policy, ctx, jmax=200)
+    return _sum_j(terms(), policy, ctx, jmax=200)
 
 
 def _cbqh_rhs(p, policy, ctx):
@@ -1146,7 +1128,6 @@ def _cbqh_rhs(p, policy, ctx):
 
 _register("cbqh_reduction",
           "continuous big q-Hermite reduction of the ASC bilinear formula",
-          ("q", "c", "c2", "t", "x", "y"),
           _cbqh_sample, _cbqh_validate, _cbqh_lhs, _cbqh_rhs)
 
 
@@ -1190,12 +1171,11 @@ def _mp_spoisson_rhs(p, policy, ctx):
         sy = sj_mp(k1, k2, j, p["y1"], p["y2"], phi, ctx)
         return ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(sx) * ctx.cnum(sy)
 
-    return _sum_j(term, policy, ctx, jmax=250)
+    return _sum_j(map(term, count()), policy, ctx, jmax=250)
 
 
 _register("mp_spoisson",
           "product of two MP kernels as a coupled continuous-Hahn expansion",
-          ("k1", "k2", "phi", "t", "x1", "x2", "y1", "y2"),
           _mp_spoisson_sample, _mp_spoisson_validate,
           _mp_spoisson_lhs, _mp_spoisson_rhs)
 

@@ -48,6 +48,12 @@ class KernelPoint:
         return math.acos(self.x), math.acos(self.y)
 
 
+def unit_phases(theta, phi, ctx: Context):
+    """(e^{i theta}, e^{-i theta}, e^{i phi}, e^{-i phi}) in the backend of
+    ``ctx``; call under ``ctx.guard()``."""
+    return ctx.expi(theta), ctx.expi(-theta), ctx.expi(phi), ctx.expi(-phi)
+
+
 def mp_kernel_sum(k: float, phi: float, pt: KernelPoint,
                   policy: TruncationPolicy | None = None,
                   ctx: Context = STANDARD) -> SeriesEval:
@@ -71,7 +77,14 @@ def _bilinear_sum(xs, ys, t, policy: TruncationPolicy | None,
                 yield next(xs) * next(ys) * tn
                 tn *= t
 
-        return accumulate(terms(), policy, ctx)
+        try:
+            return accumulate(terms(), policy, ctx)
+        finally:
+            # a suspended stream holds its own precision guard, which sets
+            # this guard's precision globally when the stream is closed: so
+            # close both streams before this guard restores the caller's
+            xs.close()
+            ys.close()
 
 
 def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
@@ -99,7 +112,7 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
                    + i * (x + y) * ctx.log(base1)
                    + (-2 * k - i * (x + y)) * ctx.log(base2))
         out = ctx.exp(logpref) * f.value
-    return ctx.to_complex(out) if not ctx.extended else out
+    return complex(out) if not ctx.extended else out
 
 
 def ac_kernel_sum(k: float, q, pt: KernelPoint,
@@ -139,8 +152,7 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
         t = ctx.cnum(pt.t)
         s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
         qk = ctx.rnum(qq) ** k
-        eit, emt = ctx.expi(theta), ctx.expi(-theta)
-        eip, emp = ctx.expi(phi), ctx.expi(-phi)
+        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
         num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
         den = [t * eit * emp, t * emt * eip, t * emt * emp,
                ctx.rnum(qq) ** (2 * k) * t * emt * emp]
@@ -150,7 +162,7 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
                      t * emt * emp],
                     qq, t * eit * eip, policy, ctx)
         out = pref * w.value
-    return ctx.to_complex(out) if not ctx.extended else out
+    return complex(out) if not ctx.extended else out
 
 
 def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
@@ -168,8 +180,7 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
         t = ctx.cnum(pt.t)
         s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
         qk = ctx.rnum(qq) ** k
-        eit, emt = ctx.expi(theta), ctx.expi(-theta)
-        eip, emp = ctx.expi(phi), ctx.expi(-phi)
+        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
         num = [t * t, qk * emt / s, qk * t * eit * sg, qk * t * eit / sg,
                qk * t * s * eip, qk * t * s * emp]
         den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,
@@ -179,4 +190,4 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
                     [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
                     qq, qk * emt / s, policy, ctx)
         out = pref * w.value
-    return ctx.to_complex(out) if not ctx.extended else out
+    return complex(out) if not ctx.extended else out

@@ -105,12 +105,6 @@ class Context:
         z = complex(z)
         return math.isfinite(z.real) and math.isfinite(z.imag)
 
-    # -- conversions ----------------------------------------------------------
-    @staticmethod
-    def to_complex(z) -> complex:
-        """Downgrade any backend scalar to a Python complex."""
-        return complex(z)
-
 
 STANDARD = Context(STANDARD_MODE)
 EXTENDED = Context(EXTENDED_MODE, EXTENDED_DPS)

@@ -8,7 +8,10 @@ monitors the largest summand and transparently re-runs at escalated precision
 until the result carries ~15 trustworthy digits.  Recurrence evaluation is
 provided for Meixner-Pollaczek (the one family whose recurrence the engine
 treats as primary data) and, derived from the n = 1 structure, for
-Al-Salam-Chihara; the streams back the kernel summations.
+Al-Salam-Chihara; the streams back the kernel summations.  A stream is
+suspended inside its own precision guard, so its consumer closes it inside
+the consumer's guard; closed later, it would restore the precision of that
+guard globally.
 """
 from __future__ import annotations
 

@@ -27,6 +27,7 @@ _WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
         0.204432940075298, 0.209482141084728)
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
+_MAX_PANELS = 2000
 
 
 @dataclass
@@ -106,8 +107,7 @@ def _kronrod_panel(f, a: float, b: float):
     return k15, np.abs(k15 - g7), n_eval
 
 
-def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8,
-              max_panels: int = 2000):
+def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8):
     """Adaptive bisection of GK15 panels driven by the max elementwise error."""
     edges = np.linspace(a, b, initial_panels + 1)
     panels = []
@@ -116,7 +116,7 @@ def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8,
         val, err, ne = _kronrod_panel(f, lo, hi)
         panels.append((lo, hi, val, err))
         n_eval += ne
-    while len(panels) < max_panels:
+    while len(panels) < _MAX_PANELS:
         total_err = np.zeros_like(panels[0][3])
         for _, _, _, err in panels:
             total_err = total_err + err

@@ -90,21 +90,13 @@ def pochhammer(a, n: int, ctx: Context = STANDARD):
         return out
 
 
-def qpoch(a, q, n: int | None = None, *, eps: float | None = None,
-          ctx: Context = STANDARD):
+def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
     """q-shifted factorial (a; q)_n = prod_{m<n} (1 - a q^m).
 
     ``n=None`` computes the infinite product, truncated at the first m with
-    |a| q^m < eps (1-q) and corrected with the first-order tail
-    exp(-a q^M / (1-q)).
+    |a| q^m < eps (1-q), eps = 1e-17 in standard precision and 10^(-dps-2)
+    in extended, and corrected with the first-order tail exp(-a q^M / (1-q)).
     """
-    value, _ = qpoch_meta(a, q, n, eps=eps, ctx=ctx)
-    return value
-
-
-def qpoch_meta(a, q, n: int | None = None, *, eps: float | None = None,
-               ctx: Context = STANDARD):
-    """Like :func:`qpoch` but also reports the number of factors used."""
     qq = _qval(q)
     with ctx.guard():
         a = ctx.cnum(a)
@@ -117,11 +109,8 @@ def qpoch_meta(a, q, n: int | None = None, *, eps: float | None = None,
             for m in range(n):
                 out *= 1 - a * qm
                 qm *= qc
-            return out, n
-        if eps is None:
-            eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
-        if eps <= 0:
-            raise ParamError("qpoch infinite product requires eps > 0")
+            return out
+        eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
         bound = eps * (1 - qq)
         qm = ctx.cnum(1)
         absa = abs(a)
@@ -134,29 +123,43 @@ def qpoch_meta(a, q, n: int | None = None, *, eps: float | None = None,
             m += 1
         # first-order tail of sum_{j>=m} log(1 - a q^j)
         out *= ctx.exp(-a * qm / (1 - qc))
-        return out, m
+        return out
 
 
 def qpoch_many(bases, q, n: int | None = None, *, over=(),
-               eps: float | None = None, ctx: Context = STANDARD):
+               ctx: Context = STANDARD):
     """Product of (a; q)_n over a list of bases, then divided by (l; q)_n
     for each l in ``over``, one factor at a time in list order."""
     with ctx.guard():
         out = ctx.cnum(1)
         for a in bases:
-            out *= qpoch(a, q, n, eps=eps, ctx=ctx)
+            out *= qpoch(a, q, n, ctx=ctx)
         for l in over:
-            out /= qpoch(l, q, n, eps=eps, ctx=ctx)
+            out /= qpoch(l, q, n, ctx=ctx)
         return out
+
+
+def _lanczos_sum(zz: complex) -> complex:
+    """The Lanczos series of Gamma(zz + 1)."""
+    acc = _LANCZOS_COEFFS[0]
+    for k in range(1, len(_LANCZOS_COEFFS)):
+        acc += _LANCZOS_COEFFS[k] / (zz + k)
+    return acc
 
 
 def _lanczos_gamma(z: complex) -> complex:
     z -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (z + k)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
+    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * _lanczos_sum(z)
+
+
+def _off_gamma_pole(z) -> complex:
+    """complex(z); PoleError when z is a nonpositive integer within 1e-14."""
+    zc = complex(z)
+    m = round(zc.real)
+    if m <= 0 and abs(zc.real - m) <= 1e-14 and abs(zc.imag) <= 1e-14:
+        raise PoleError(f"gamma pole at z = {m}")
+    return zc
 
 
 def complex_gamma(z, ctx: Context = STANDARD):
@@ -164,10 +167,7 @@ def complex_gamma(z, ctx: Context = STANDARD):
 
     Raises PoleError when z is a nonpositive integer within 1e-14.
     """
-    zc = complex(z)
-    m = round(zc.real)
-    if m <= 0 and abs(zc.real - m) <= 1e-14 and abs(zc.imag) <= 1e-14:
-        raise PoleError(f"gamma pole at z = {m}")
+    zc = _off_gamma_pole(z)
     if ctx.extended:
         with ctx.guard():
             return mp.gamma(ctx.cnum(z))
@@ -188,20 +188,15 @@ def log_gamma_real(x, ctx: Context = STANDARD):
 
 def log_abs_gamma(z, ctx: Context = STANDARD) -> float:
     """log |Gamma(z)|, overflow-free for large |Im z| (weight evaluation)."""
-    zc = complex(z)
-    m = round(zc.real)
-    if m <= 0 and abs(zc.real - m) <= 1e-14 and abs(zc.imag) <= 1e-14:
-        raise PoleError(f"gamma pole at z = {m}")
+    zc = _off_gamma_pole(z)
     if ctx.extended:
         with ctx.guard():
             return float(mp.re(mp.loggamma(ctx.cnum(z))))
     if zc.real >= 0.5:
         zz = zc - 1.0
-        acc = _LANCZOS_COEFFS[0]
-        for k in range(1, len(_LANCZOS_COEFFS)):
-            acc += _LANCZOS_COEFFS[k] / (zz + k)
         t = zz + _LANCZOS_G + 0.5
-        val = 0.5 * math.log(2 * math.pi) + (zz + 0.5) * cmath.log(t) - t + cmath.log(acc)
+        val = (0.5 * math.log(2 * math.pi) + (zz + 0.5) * cmath.log(t) - t
+               + cmath.log(_lanczos_sum(zz)))
         return val.real
     # reflection: log|Gamma(z)| = log pi - log|sin(pi z)| - log|Gamma(1-z)|
     y = math.pi * zc.imag

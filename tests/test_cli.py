@@ -4,6 +4,9 @@ import json
 import os
 from pathlib import Path
 
+import mpmath as mp
+import pytest
+
 from qkl import identities
 from qkl.cli import main, parse_value, render_json
 
@@ -72,6 +75,35 @@ def test_eval_series(capsys):
 
     got = complex(out.splitlines()[0].split("=")[1].strip())
     assert abs(got - 2 * math.log(2)) < 1e-14
+
+
+_SERIES_CASES = [
+    # list upper, scalar lower: 2F1(1/2, 1/4; 3/2; 0.3)
+    (["type=pfq", "upper=0.5,0.25", "lower=1.5", "z=0.3"],
+     lambda: mp.hyp2f1(0.5, 0.25, 1.5, 0.3), 26),
+    # scalar upper, no lower: 1F0(1/2; ; z) = (1 - z)^(-1/2)
+    (["type=pfq", "upper=0.5", "z=0.3"], lambda: (1 - mp.mpf(0.3)) ** -0.5, 30),
+    # list upper, scalar lower: 2phi1(0.3, 0.4; 0.2; q, z)
+    (["type=rphis", "upper=0.3,0.4", "lower=0.2", "q=0.5", "z=0.3"],
+     lambda: mp.qhyper([0.3, 0.4], [0.2], 0.5, 0.3), 32),
+    # scalar upper, no lower: q-binomial theorem (az; q)_inf / (z; q)_inf
+    (["type=rphis", "upper=0.3", "q=0.5", "z=0.4"],
+     lambda: mp.qp(0.3 * 0.4, 0.5) / mp.qp(0.4, 0.5), 41),
+]
+
+
+@pytest.mark.parametrize("argv, ref, terms", _SERIES_CASES)
+def test_eval_series_pfq_rphis_list_and_scalar_upper(argv, ref, terms, capsys):
+    code, out, _ = run(["eval", "series", *argv], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln.split(" = ")[0] for ln in lines] == [
+        "value", "terms_used", "tail_estimate", "status"]
+    with mp.workdps(30):
+        expected = complex(ref())
+    assert abs(complex(lines[0].split(" = ")[1]) - expected) <= 1e-14 * abs(expected)
+    assert lines[1] == f"terms_used = {terms}"
+    assert lines[3] == "status = Converged"
 
 
 def test_eval_bad_input_exit2(capsys):
@@ -222,6 +254,16 @@ def test_ortho_cli(capsys):
     assert "max |off-diagonal|" in out
     code, _, _ = run(["ortho", "family=asc", "q=0.5", "a=1.2", "b=0.3"], capsys)
     assert code == 2   # discrete-spectrum regime rejected
+
+
+def test_ortho_report_file_matches_golden(tmp_path, capsys):
+    # the --out report is pinned byte for byte
+    out_file = tmp_path / "ortho.json"
+    code, out, _ = run(["ortho", "family=mp", "k=0.8", "phi=1.1", "--nmax", "4",
+                        "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == f"report written to {out_file}"
+    assert out_file.read_bytes() == (GOLDEN / "ortho_mp_nmax4.json").read_bytes()
 
 
 def test_env_max_terms_override(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Identity registry: samplers, validators, degenerate anchors, and seeded
 verification sweeps."""
+from itertools import count
+
 import pytest
 
 from qkl.errors import HypothesisError
@@ -150,6 +152,13 @@ def test_params_survive_in_case():
     assert case.seed == 7
 
 
+@pytest.mark.parametrize("ident", ALL_IDS)
+def test_param_names_are_sampler_keys(ident):
+    names = get_entry(ident).param_names
+    for seed in range(3):
+        assert tuple(sample_params(ident, seed).params) == names
+
+
 def test_mult_2f1_polynomial_case_floating():
     # a = a' = -1, b = b' = 1, c = c' = 1: both sides are (1-z)^2 = 0.25 at
     # z = 0.5; the expansion coefficients vanish beyond j = 2
@@ -162,13 +171,14 @@ def test_mult_2f1_polynomial_case_floating():
 
 
 def test_jsum_reports_term_cap():
-    value, meta = _sum_j(lambda j: 1.0, TruncationPolicy(), STANDARD, jmax=7)
+    value, meta = _sum_j(map(lambda j: 1.0, count()), TruncationPolicy(), STANDARD,
+                         jmax=7)
     assert value == 7
     assert meta == {"terms": 7, "status": "MaxTermsReached"}
 
 
 def test_jsum_stops_after_quiet_window():
-    value, meta = _sum_j(lambda j: 1.0 if j < 2 else 0.0,
+    value, meta = _sum_j(map(lambda j: 1.0 if j < 2 else 0.0, count()),
                          TruncationPolicy(quiet_window=3), STANDARD)
     assert value == 2
     assert meta == {"terms": 5, "status": "Converged"}

@@ -2,10 +2,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from qkl.errors import DivergenceError, DomainError
 from qkl.hyper import TruncationPolicy
+from qkl.identities import run_case, sample_params
 from qkl.kernels import (
     KernelPoint,
     ac_kernel_closed,
@@ -14,6 +16,7 @@ from qkl.kernels import (
     mp_kernel_closed,
     mp_kernel_sum,
 )
+from qkl.numerics import EXTENDED
 
 
 def test_kernel_point_validation():
@@ -124,3 +127,16 @@ def test_ac_kernel_spectral_window_enforced():
         ac_kernel_sum(0.7, 0.5, KernelPoint(0.3, 0.2, -0.4, s=9.0, sigma=0.9))
     with pytest.raises(DomainError):
         ac_kernel_closed(0.7, 0.5, KernelPoint(0.3, 0.2, 0.4))
+
+
+def test_extended_kernel_sums_leave_mpmath_precision_alone():
+    # the recurrence streams hold their own precision guard while suspended,
+    # so a sum must close them before leaving its guard
+    dps = mp.mp.dps
+    mp_kernel_sum(1.0, 1.0, KernelPoint(0.3, 0.5, -0.2), ctx=EXTENDED)
+    assert mp.mp.dps == dps
+    ac_kernel_sum(0.7, 0.5, KernelPoint(0.3, 0.2, -0.4, s=1.1, sigma=0.9),
+                  ctx=EXTENDED)
+    assert mp.mp.dps == dps
+    run_case(sample_params("mp_poisson", 3), precision="extended")
+    assert mp.mp.dps == dps
