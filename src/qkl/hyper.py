@@ -70,6 +70,8 @@ def _log10_abs(x) -> float:
         return float("inf")
     if a == 0:
         return float("-inf")
+    if isinstance(a, float):
+        return math.log10(a)
     try:
         return float(mp.log10(a))
     except (OverflowError, ValueError):

@@ -51,13 +51,15 @@ from .polys import (
     CHahnParams,
     HahnParams,
     MPParams,
+    _aw_coefficients,
+    _aw_slots,
     aw_poly,
-    asc_poly,
+    aw_stream,
     chahn_poly,
     hahn_poly,
     jacobi_poly,
     mp_poly,
-    sj_ac,
+    sj_ac_stream,
     sj_mp,
 )
 from .series import bessel_j, log_gamma_real, pochhammer, qpoch, qpoch_many
@@ -866,16 +868,16 @@ def _ac_spoisson_lhs(p, policy, ctx):
 def _ac_spoisson_rhs(p, policy, ctx):
     q, k1, k2, t = p["q"], p["k1"], p["k2"], p["t"]
     s, sg = p["s"], p["sigma"]
+    sx = sj_ac_stream(k1, k2, p["x1"], p["x2"], s, q, ctx)
+    sy = sj_ac_stream(k1, k2, p["y1"], p["y2"], sg, q, ctx)
 
-    def term(j):
+    def term(j, vx, vy):
         kk = k1 + k2 + j
         v = ac_kernel_closed(kk, q, KernelPoint(t, p["x1"], p["y1"], s=s, sigma=sg),
                              policy, ctx)
-        sx = sj_ac(k1, k2, j, p["x1"], p["x2"], s, q, ctx)
-        sy = sj_ac(k1, k2, j, p["y1"], p["y2"], sg, q, ctx)
-        return ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(sx) * ctx.cnum(sy)
+        return ctx.cnum(t) ** j * ctx.cnum(v) * vx * vy
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=200)
+    return _sum_j(map(term, count(), sx, sy), policy, ctx, jmax=200)
 
 
 _register("ac_spoisson",
@@ -922,8 +924,10 @@ def _aw_bilinear_lhs(p, policy, ctx):
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
     b2, d2 = _aw_primed(p)
     z87 = a2 * t / b
+    px = aw_stream(AWParams(q, a, b, c, d), p["x"], ctx)
+    py = aw_stream(AWParams(q, a2, b2, c2, d2), p["y"], ctx)
 
-    def term(j):
+    def term(j, vx, vy):
         qj = q ** j
         num = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
             * qpoch(b * d2 * qj * t, q, ctx=ctx) * qpoch(b2 * d * qj * t, q, ctx=ctx)
@@ -935,11 +939,9 @@ def _aw_bilinear_lhs(p, policy, ctx):
                     [b * c * qj, b * d * qj, b2 * c2 * qj, b2 * d2 * qj, b * t / a2],
                     q, z87, policy, ctx)
         hj = num / den * w.value
-        px = aw_poly(AWParams(q, a, b, c, d), j, p["x"], ctx)
-        py = aw_poly(AWParams(q, a2, b2, c2, d2), j, p["y"], ctx)
-        return hj * ctx.cnum(px) * ctx.cnum(py) * ctx.cnum(t) ** j
+        return hj * vx * vy * ctx.cnum(t) ** j
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=200)
+    return _sum_j(map(term, count(), px, py), policy, ctx, jmax=200)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -968,6 +970,57 @@ _register("aw_bilinear", "Askey-Wilson bilinear generating function",
 
 
 # ---------------------------------------------------------------------------
+# Askey-Wilson three-term recurrence (definitional values)
+
+
+def _aw_rec_sample(rng):
+    q = _qchoice(rng)
+    nonzero = rng.choice((4, 3, 2, 1, 0))
+    a, b, c, d = (_param(rng) if i < nonzero else 0.0 for i in range(4))
+    n = rng.randrange(1, 31)
+    x = _cos_angle(rng)
+    aw = AWParams(q, a, b, c, d)
+    for _ in range(40):
+        near = list(islice(aw_stream(aw, x), n - 1, n + 2))
+        if abs(2 * x * near[1]) > 1e-2 * max(map(abs, near)):
+            break
+        x = _cos_angle(rng)
+    return {"q": q, "a": a, "b": b, "c": c, "d": d, "n": n, "x": x}
+
+
+def _aw_rec_validate(p):
+    _require(0 < p["q"] < 1, "0 < q < 1")
+    _require(int(p["n"]) >= 0, "n >= 0")
+    _require(abs(p["x"]) <= 1, "x in [-1, 1]")
+
+
+def _aw_rec_params(p):
+    return AWParams(p["q"], p["a"], p["b"], p["c"], p["d"])
+
+
+def _aw_rec_lhs(p, policy, ctx):
+    with ctx.guard():
+        v = 2 * ctx.rnum(p["x"]) * aw_poly(_aw_rec_params(p), int(p["n"]), p["x"], ctx)
+    return v, {}
+
+
+def _aw_rec_rhs(p, policy, ctx):
+    aw = _aw_rec_params(p)
+    n, x = int(p["n"]), p["x"]
+    with ctx.guard():
+        a, b, c, d = (ctx.cnum(v) for v in _aw_slots(aw))
+        up, mid, low = _aw_coefficients(a, b, c, d, ctx.rnum(aw.q), n)
+        v = up * aw_poly(aw, n + 1, x, ctx) + mid * aw_poly(aw, n, x, ctx)
+        if n > 0:
+            v += low * aw_poly(aw, n - 1, x, ctx)
+    return v, {}
+
+
+_register("aw_recurrence", "Askey-Wilson three-term recurrence on definitional values",
+          _aw_rec_sample, _aw_rec_validate, _aw_rec_lhs, _aw_rec_rhs)
+
+
+# ---------------------------------------------------------------------------
 # continuous dual q-Hahn specialisation (d = d' = 0)
 
 
@@ -992,19 +1045,19 @@ def _cdqh_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, a2, c2 = (p[k] for k in ("a", "b", "c", "a2", "c2"))
     b2 = a * b / a2
+    px = aw_stream(AWParams(q, a, b, c, 0.0), p["x"], ctx)
+    py = aw_stream(AWParams(q, a2, b2, c2, 0.0), p["y"], ctx)
 
-    def term(j):
+    def term(j, vx, vy):
         qj = q ** j
         gj = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
             / (qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx))
         f = bhs_rphis([b * c * qj, b2 * c2 * qj, b * t / a2],
                       [b * c2 * qj * t, b2 * c * qj * t], q, a2 * t / b,
                       policy, ctx)
-        px = aw_poly(AWParams(q, a, b, c, 0.0), j, p["x"], ctx)
-        py = aw_poly(AWParams(q, a2, b2, c2, 0.0), j, p["y"], ctx)
-        return gj * f.value * ctx.cnum(px) * ctx.cnum(py) * ctx.cnum(t) ** j
+        return gj * f.value * vx * vy * ctx.cnum(t) ** j
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=200)
+    return _sum_j(map(term, count(), px, py), policy, ctx, jmax=200)
 
 
 def _cdqh_rhs(p, policy, ctx):
@@ -1052,17 +1105,17 @@ def _asc_bilinear_validate(p):
 def _asc_bilinear_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, c, a2, c2 = (p[k] for k in ("a", "c", "a2", "c2"))
+    rx = aw_stream(ASCParams(q, a, c).as_aw(), p["x"], ctx)
+    ry = aw_stream(ASCParams(q, a2, c2).as_aw(), p["y"], ctx)
 
-    def term(j):
+    def term(j, vx, vy):
         co = ctx.cnum(t) ** j / (qpoch(q, q, j, ctx=ctx)
                                  * qpoch(a2 * c * t, q, j, ctx=ctx))
         f = bhs_rphis([c * t / c2, a * c * q ** j], [a2 * c * t * q ** j],
                       q, t * c2 / c, policy, ctx)
-        rx = asc_poly(ASCParams(q, a, c), j, p["x"], ctx=ctx)
-        ry = asc_poly(ASCParams(q, a2, c2), j, p["y"], ctx=ctx)
-        return co * f.value * ctx.cnum(rx) * ctx.cnum(ry)
+        return co * f.value * vx * vy
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=200)
+    return _sum_j(map(term, count(), rx, ry), policy, ctx, jmax=200)
 
 
 def _asc_bilinear_rhs(p, policy, ctx):
@@ -1113,11 +1166,11 @@ def _cbqh_lhs(p, policy, ctx):
     def terms():
         pref = qpoch(t * t, q, ctx=ctx) / qpoch(t * c2 / c, q, ctx=ctx)
         tc = ctx.cnum(t)
-        for j in count():
+        hx = aw_stream(AWParams(q, c, 0.0, 0.0, 0.0), p["x"], ctx)
+        hy = aw_stream(AWParams(q, c2, 0.0, 0.0, 0.0), p["y"], ctx)
+        for j, vx, vy in zip(count(), hx, hy):
             co = tc ** j / qpoch(q, q, j, ctx=ctx)
-            hx = aw_poly(AWParams(q, c, 0.0, 0.0, 0.0), j, p["x"], ctx)
-            hy = aw_poly(AWParams(q, c2, 0.0, 0.0, 0.0), j, p["y"], ctx)
-            yield pref * co * ctx.cnum(hx) * ctx.cnum(hy)
+            yield pref * co * vx * vy
 
     return _sum_j(terms(), policy, ctx, jmax=200)
 

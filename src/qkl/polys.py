@@ -5,13 +5,18 @@ Terminating q-series suffer catastrophic cancellation that grows like
 q^(-n(n-1)/2) with the degree, and the classical families lose digits at a
 slower but still fatal rate; every definitional evaluation here therefore
 monitors the largest summand and transparently re-runs at escalated precision
-until the result carries ~15 trustworthy digits.  Recurrence evaluation is
-provided for Meixner-Pollaczek (the one family whose recurrence the engine
-treats as primary data) and, derived from the n = 1 structure, for
-Al-Salam-Chihara; the streams back the kernel summations.  A stream is
-suspended inside its own precision guard, so its consumer closes it inside
-the consumer's guard; closed later, it would restore the precision of that
-guard globally.
+until the result carries ~15 trustworthy digits.
+
+Three families also have recurrence streams, which yield p_0, p_1, ... at
+one point by forward three-term recurrence, stable on the orthogonality
+support: Meixner-Pollaczek and Al-Salam-Chihara (orthonormal, backing the
+kernel sums) and Askey-Wilson (``aw_stream``, in ``aw_poly``'s normalisation,
+with ``sj_ac_stream`` on top of it; these back the q-bilinear j-sums).  The
+definitions stay as the oracles the streams are tested against.  The
+orthonormal streams are suspended inside their own precision guard, so their
+consumer closes them inside the consumer's guard; closed later, they would
+restore the precision of that guard globally.  The Askey-Wilson streams
+guard each step and hold no guard across a yield.
 """
 from __future__ import annotations
 
@@ -276,6 +281,19 @@ def _aw_predicted_lost(n: int, q: float, base_mod: float) -> float:
     return lost + 2
 
 
+def _unit_arg(x: float, where: str) -> float:
+    """x clamped to [-1, 1]; DomainError beyond a 1e-12 slack."""
+    if abs(x) > 1 + 1e-12:
+        raise DomainError(f"{where} argument x = {x} outside [-1, 1]")
+    return min(1.0, max(-1.0, x))
+
+
+def _aw_slots(p: AWParams) -> list:
+    """(a, b, c, d) reordered so that the a-slot holds the largest modulus;
+    it is zero only when all four are."""
+    return sorted([p.a, p.b, p.c, p.d], key=lambda v: -abs(complex(v)))
+
+
 def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     """Askey-Wilson p_n(x; a, b, c, d | q) from the terminating 4phi3,
     x = cos theta with theta in [0, pi].
@@ -284,11 +302,8 @@ def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     permutation symmetry; with all four parameters zero the polynomial is the
     continuous q-Hermite case, evaluated from its combinatorial expansion.
     """
-    if abs(x) > 1 + 1e-12:
-        raise DomainError(f"aw_poly argument x = {x} outside [-1, 1]")
-    x = min(1.0, max(-1.0, x))
-    params = sorted([p.a, p.b, p.c, p.d], key=lambda v: -abs(complex(v)))
-    a, b, c_, d = params
+    x = _unit_arg(x, "aw_poly")
+    a, b, c_, d = _aw_slots(p)
     if complex(a) == 0:
         value = _cont_q_hermite(n, x, p.q, ctx)
         return complex(value) if not ctx.extended else value
@@ -317,9 +332,7 @@ def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
     """Al-Salam-Chihara R_n(x; a, b | q) = a^{-n} (ab; q)_n *
     3phi2(q^{-n}, a e^{i theta}, a e^{-i theta}; ab, 0; q, q); the orthonormal
     variant divides by sqrt((q, ab; q)_n)."""
-    if abs(x) > 1 + 1e-12:
-        raise DomainError(f"asc_poly argument x = {x} outside [-1, 1]")
-    x = min(1.0, max(-1.0, x))
+    x = _unit_arg(x, "asc_poly")
     a, b = (p.a, p.b) if abs(complex(p.a)) >= abs(complex(p.b)) else (p.b, p.a)
     q = p.q
     if complex(a) == 0:
@@ -342,6 +355,63 @@ def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
             norm = ctx.sqrt(qpoch(p.q, q, n, ctx=ctx) * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), q, n, ctx=ctx))
             value = value / norm
     return complex(value) if not ctx.extended else value
+
+
+def _aw_coefficients(a, b, c, d, q, n: int):
+    """(U_n, B_n, L_n) of 2x p_n = U_n p_{n+1} + B_n p_n + L_n p_{n-1} in
+    ``aw_poly``'s normalisation, in the backend of the arguments.
+
+    KLS 14.1.3 recurs the 4phi3 with coefficients A_n, C_n; rescaled by
+    f_n = a^{-n} (ab, ac, ad; q)_n it becomes U_n = A_n f_n / f_{n+1},
+    L_n = C_n f_n / f_{n-1} and B_n = a + 1/a - A_n - C_n, where U_n and L_n
+    are symmetric in (a, b, c, d).  ``a`` must be the largest modulus (see
+    ``_aw_slots``); a = 0 means all four are zero, the continuous q-Hermite
+    recurrence (1, 0, 1 - q^n).
+    """
+    qn = q ** n
+    if a == 0:
+        return 1, 0, 1 - qn
+    abcd = a * b * c * d
+    ab, ac, ad = a * b, a * c, a * d
+    if n == 0:
+        # the factor (1 - abcd/q) of A_0 cancels; C_0 = L_0 = 0
+        up, big_c, low = 1 / (1 - abcd), 0, 0
+    else:
+        qm = qn / q
+        odd = 1 - abcd * qn * qm  # 1 - abcd q^{2n-1}
+        up = (1 - abcd * qm) / (odd * (1 - abcd * qn * qn))
+        big_c = (a * (1 - qn) * (1 - b * c * qm) * (1 - b * d * qm) * (1 - c * d * qm)
+                 / ((1 - abcd * qm * qm) * odd))
+        low = big_c * (1 - ab * qm) * (1 - ac * qm) * (1 - ad * qm) / a
+    big_a = up * (1 - ab * qn) * (1 - ac * qn) * (1 - ad * qn) / a
+    return up, a + 1 / a - big_a - big_c, low
+
+
+def aw_stream(p: AWParams, x: float, ctx: Context = STANDARD):
+    """Yields the Askey-Wilson values p_0(x), p_1(x), ... of ``aw_poly`` by
+    forward three-term recurrence (``_aw_coefficients``), which is stable on
+    the orthogonality support x in [-1, 1] (Gautschi, SIAM Rev. 9 (1967)).
+
+    Each step runs under ``ctx``'s guard and no guard is held across a yield,
+    so the stream may be closed anywhere.
+    """
+    x = _unit_arg(x, "aw_stream")
+    return _aw_values(_aw_slots(p), p.q, x, ctx)
+
+
+def _aw_values(slots, q: float, x: float, ctx: Context):
+    with ctx.guard():
+        a, b, c, d = (ctx.cnum(v) for v in slots)
+        qc = ctx.rnum(q)
+        two_x = 2 * ctx.rnum(x)
+        prev, cur = ctx.cnum(0), ctx.cnum(1)
+    n = 0
+    while True:
+        yield cur
+        with ctx.guard():
+            up, mid, low = _aw_coefficients(a, b, c, d, qc, n)
+            prev, cur = cur, ((two_x - mid) * cur - low * prev) / up
+        n += 1
 
 
 def asc_orthonormal_stream(a, b, q, x: float, ctx: Context = STANDARD):
@@ -398,17 +468,7 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
     """Coupling coefficient of the Al-Salam-Chihara tensor-product basis: an
     Askey-Wilson value at x2 with a-parameters built from theta_1 = arccos x1,
     normalised by sqrt((q, q^{2k1}, q^{2k2}, q^{2k1+2k2+j-1}; q)_j)."""
-    if k1 <= 0 or k2 <= 0:
-        raise ParamError("sj_ac requires k1, k2 > 0")
-    qq = _qval(q)
-    k = k1 + k2 + j
-    mod_s = abs(complex(s))
-    if not (qq ** k < mod_s < qq ** (-k) or abs(mod_s - 1.0) <= 1e-12):
-        raise ParamError(f"sj_ac requires |s| in (q^k, q^-k) or |s| = 1 at k = {k}")
-    eith1 = cmath.exp(1j * math.acos(x1))
-    sc = complex(s)
-    aw = AWParams(qq, qq ** k1 * eith1, qq ** k1 * eith1.conjugate(),
-                  qq ** k2 * sc, qq ** k2 / sc)
+    qq, aw = _sj_ac_params(k1, k2, k1 + k2 + j, x1, s, q)
     pj = aw_poly(aw, j, x2, ctx)
     with ctx.guard():
         norm = ctx.rsqrt(qpoch(qq, qq, j, ctx=ctx).real
@@ -417,3 +477,46 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
                          * qpoch(qq ** (2 * k1 + 2 * k2 + j - 1), qq, j, ctx=ctx).real)
         out = pj / norm
     return complex(out) if not ctx.extended else out
+
+
+def _sj_ac_params(k1: float, k2: float, k: float, x1: float, s, q):
+    """(q, Askey-Wilson parameters) of ``sj_ac``, after its checks at
+    k = k1 + k2 + j; the parameters do not depend on j."""
+    if k1 <= 0 or k2 <= 0:
+        raise ParamError("sj_ac requires k1, k2 > 0")
+    qq = _qval(q)
+    mod_s = abs(complex(s))
+    if not (qq ** k < mod_s < qq ** (-k) or abs(mod_s - 1.0) <= 1e-12):
+        raise ParamError(f"sj_ac requires |s| in (q^k, q^-k) or |s| = 1 at k = {k}")
+    eith1 = cmath.exp(1j * math.acos(x1))
+    sc = complex(s)
+    return qq, AWParams(qq, qq ** k1 * eith1, qq ** k1 * eith1.conjugate(),
+                        qq ** k2 * sc, qq ** k2 / sc)
+
+
+def sj_ac_stream(k1: float, k2: float, x1: float, x2: float, s, q,
+                 ctx: Context = STANDARD):
+    """Yields ``sj_ac(k1, k2, j, x1, x2, s, q)`` for j = 0, 1, ...: one
+    ``aw_stream`` at x2 over a running norm.  Only the j = 0 check on |s|
+    binds, since the window (q^{k1+k2+j}, q^{-k1-k2-j}) widens with j."""
+    qq, aw = _sj_ac_params(k1, k2, k1 + k2, x1, s, q)
+    return _sj_ac_values(aw_stream(aw, x2, ctx), qq, k1, k2, ctx)
+
+
+def _sj_ac_values(pvals, qq: float, k1: float, k2: float, ctx: Context):
+    """pvals[j] / sqrt(N_j), N_j = (q, q^{2k1}, q^{2k2}, q^{2K+j-1}; q)_j,
+    K = k1 + k2; the last factor grows by (1 - q^{2K+2j-2}) and, from j = 2,
+    by (1 - q^{2K+2j-3}) / (1 - q^{2K+j-2})."""
+    two_k = 2 * (k1 + k2)
+    with ctx.guard():
+        q = ctx.rnum(qq)
+        norm = ctx.rnum(1)
+    for j, pj in enumerate(pvals):
+        with ctx.guard():
+            if j > 0:
+                norm *= ((1 - q ** j) * (1 - q ** (2 * k1 + j - 1))
+                         * (1 - q ** (2 * k2 + j - 1)) * (1 - q ** (two_k + 2 * j - 2)))
+            if j > 1:
+                norm *= (1 - q ** (two_k + 2 * j - 3)) / (1 - q ** (two_k + j - 2))
+            out = pj / ctx.rsqrt(norm)
+        yield out

@@ -2,6 +2,7 @@
 verification sweeps."""
 from itertools import count
 
+import mpmath as mp
 import pytest
 
 from qkl.errors import HypothesisError
@@ -25,7 +26,7 @@ def test_registry_contents():
                 "mult_2f1", "burchnall_chaundy", "conf_1f1",
                 "hahn_bilinear_discrete", "ac_poisson", "ac_poisson_alt",
                 "ac_spoisson", "aw_bilinear", "cdqh_bilinear", "asc_bilinear",
-                "cbqh_reduction", "mp_spoisson"}
+                "cbqh_reduction", "mp_spoisson", "aw_recurrence"}
     assert set(ALL_IDS) == expected
 
 
@@ -97,6 +98,7 @@ _ANCHORS = {
     "asc_bilinear": {"t": 0.0},
     "cbqh_reduction": {"t": 0.0},
     "mp_spoisson": {"t": 0.0},
+    "aw_recurrence": {"n": 0},
 }
 
 
@@ -132,6 +134,15 @@ def test_explicit_extended_precision():
                    precision="extended")
     assert rep.precision_used == "extended"
     assert rep.rel_err <= 1e-10
+
+
+@pytest.mark.parametrize("ident", ["aw_bilinear", "ac_spoisson", "cdqh_bilinear",
+                                   "asc_bilinear", "cbqh_reduction"])
+def test_extended_q_bilinear_case_leaves_mpmath_precision_alone(ident):
+    # the Askey-Wilson streams are dropped after the j-sum has left its
+    # guard, so they must not hold a guard across a yield
+    run_case(sample_params(ident, 3), precision="extended")
+    assert mp.mp.dps == 15
 
 
 def test_tail_tol_scaling():

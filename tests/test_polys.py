@@ -1,26 +1,31 @@
 """Polynomial families: definitions, recurrences, and structural invariants."""
 import math
 import random
+from itertools import islice
 
 import pytest
 
-from qkl.errors import DegreeError, ParamError, RealityError
-from qkl.numerics import EXTENDED
+from qkl.errors import DegreeError, DomainError, ParamError, RealityError
+from qkl.identities import sample_params
+from qkl.numerics import EXTENDED, extended_context
 from qkl.polys import (
     ASCParams,
     AWParams,
     CHahnParams,
     HahnParams,
     MPParams,
+    _sj_ac_params,
     asc_orthonormal_stream,
     asc_poly,
     aw_poly,
+    aw_stream,
     chahn_poly,
     hahn_poly,
     jacobi_poly,
     mp_poly,
     mp_poly_rec,
     sj_ac,
+    sj_ac_stream,
     sj_mp,
 )
 
@@ -207,6 +212,87 @@ def test_asc_stream_conjugate_parameters_real():
     for _ in range(10):
         v = next(gen)
         assert abs(v.imag) < 1e-12
+
+
+def _sampled_aw_points(ident, seed):
+    """The (Askey-Wilson parameters, point) pairs whose streams one case of
+    a q-bilinear identity sums."""
+    p = sample_params(ident, seed).params
+    q, x, y = p["q"], p.get("x"), p.get("y")
+    if ident == "aw_bilinear":
+        b2, d2 = p["a"] * p["b"] / p["a2"], p["c"] * p["d"] / p["c2"]
+        return [(AWParams(q, p["a"], p["b"], p["c"], p["d"]), x),
+                (AWParams(q, p["a2"], b2, p["c2"], d2), y)]
+    if ident == "cdqh_bilinear":
+        b2 = p["a"] * p["b"] / p["a2"]
+        return [(AWParams(q, p["a"], p["b"], p["c"], 0.0), x),
+                (AWParams(q, p["a2"], b2, p["c2"], 0.0), y)]
+    if ident == "asc_bilinear":
+        return [(ASCParams(q, p["a"], p["c"]).as_aw(), x),
+                (ASCParams(q, p["a2"], p["c2"]).as_aw(), y)]
+    if ident == "cbqh_reduction":
+        return [(AWParams(q, p["c"], 0.0, 0.0, 0.0), x),
+                (AWParams(q, p["c2"], 0.0, 0.0, 0.0), y)]
+    k1, k2 = p["k1"], p["k2"]
+    return [(_sj_ac_params(k1, k2, k1 + k2, p[u], p[s], q)[1], p[v])
+            for u, v, s in (("x1", "x2", "s"), ("y1", "y2", "sigma"))]
+
+
+@pytest.mark.parametrize("ident", ["aw_bilinear", "cdqh_bilinear", "asc_bilinear",
+                                   "cbqh_reduction", "ac_spoisson"])
+def test_aw_stream_matches_definition(ident):
+    # the recurrence stream, in standard and in extended precision, against
+    # definitional values summed at >= 120 digits (which promise 16 correct
+    # digits), relative to the largest neighbouring value: a value near a
+    # zero of p_n carries the rounding of its neighbours
+    ref_ctx = extended_context(120)
+    for seed in range(2):
+        for aw, x in _sampled_aw_points(ident, seed):
+            ref = [complex(aw_poly(aw, n, x, ref_ctx)) for n in range(31)]
+            std = list(islice(aw_stream(aw, x), 30))
+            ext = list(islice(aw_stream(aw, x, EXTENDED), 30))
+            for n in range(30):
+                scale = max(abs(v) for v in ref[max(n - 1, 0):n + 2])
+                assert abs(std[n] - ref[n]) <= 1e-12 * scale, (seed, n)
+                assert abs(complex(ext[n]) - ref[n]) <= 1e-12 * scale, (seed, n)
+
+
+def test_aw_stream_special_parameters():
+    # one nonzero parameter (continuous big q-Hermite) and all zeros
+    # (continuous q-Hermite), against the definition
+    x = 0.3
+    for params in ((0.0, 0.45, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.5, -0.6, 0.0, 0.2)):
+        aw = AWParams(0.5, *params)
+        vals = list(islice(aw_stream(aw, x), 12))
+        for n, v in enumerate(vals):
+            ref = aw_poly(aw, n, x)
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref)), (params, n)
+
+
+def test_aw_stream_domain():
+    aw = AWParams(0.5, 0.4, 0.3, -0.2, 0.6)
+    with pytest.raises(DomainError):
+        aw_stream(aw, 1.5)
+    with pytest.raises(DomainError):
+        aw_stream(aw, -1.0 - 1e-9)
+    assert next(aw_stream(aw, 1.0 + 1e-13)) == 1
+
+
+def test_sj_ac_stream_matches_sj_ac():
+    cases = [(0.5, 0.7, 0.2, -0.1, 1.1, 0.5), (0.25, 0.25, -0.6, 0.9, 0.8, 0.3)]
+    p = sample_params("ac_spoisson", 0).params
+    cases.append((p["k1"], p["k2"], p["x1"], p["x2"], p["s"], p["q"]))
+    for k1, k2, x1, x2, s, q in cases:
+        vals = list(islice(sj_ac_stream(k1, k2, x1, x2, s, q), 21))
+        for j, v in enumerate(vals):
+            ref = sj_ac(k1, k2, j, x1, x2, s, q)
+            scale = max(abs(w) for w in vals[max(j - 1, 0):j + 2])
+            assert abs(v - ref) <= 1e-11 * scale, (k1, k2, j)
+    # only the j = 0 window on |s| binds
+    with pytest.raises(ParamError):
+        sj_ac_stream(0.5, 0.7, 0.2, -0.1, 9.0, 0.5)
+    with pytest.raises(ParamError):
+        sj_ac_stream(0.0, 0.7, 0.2, -0.1, 1.1, 0.5)
 
 
 # ---------------------------------------------------------------- degree
