@@ -13,15 +13,14 @@ import os
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import mpmath as mp
-
 from .errors import (
     DenominatorPoleError,
     DivergenceError,
     ParamError,
+    RangeError,
     VWPoleError,
 )
-from .numerics import STANDARD, Context, extended_context
+from .numerics import STANDARD, Context, extended_context, log10_abs
 from .series import _INT_TOL, _qval, as_nonneg_int, complex_pow_principal
 
 _ESCALATE_BAND = (0.9, 1.0)  # |z| band that triggers extended precision
@@ -62,22 +61,6 @@ def default_policy() -> TruncationPolicy:
     return TruncationPolicy()
 
 
-def _log10_abs(x) -> float:
-    """log10 |x| for any backend scalar; -inf at 0, +inf past overflow."""
-    try:
-        a = abs(x)
-    except OverflowError:
-        return float("inf")
-    if a == 0:
-        return float("-inf")
-    if isinstance(a, float):
-        return math.log10(a)
-    try:
-        return float(mp.log10(a))
-    except (OverflowError, ValueError):
-        return float("inf")
-
-
 @dataclass
 class SeriesEval:
     value: complex
@@ -91,7 +74,7 @@ class SeriesEval:
         """Decimal digits lost to cancellation in this summation."""
         if self.max_term_log10 == float("-inf"):
             return 0.0
-        v = _log10_abs(self.value)
+        v = log10_abs(self.value)
         if v == float("-inf"):
             return float("inf")
         return max(0.0, self.max_term_log10
@@ -118,7 +101,7 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     for n, term in enumerate(term_iter):
         total += term
         a = abs(term)
-        max_term_log = max(max_term_log, _log10_abs(term))
+        max_term_log = max(max_term_log, log10_abs(term))
         if stop_index is not None:
             if n >= stop_index:
                 status = SeriesStatus.TERMINATED_FINITE
@@ -146,8 +129,7 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
             status = SeriesStatus.MAX_TERMS_REACHED
             tail = _safe_float(a)
             break
-    return SeriesEval(total, n + 1, tail, status,
-                      "extended" if ctx.extended else "standard", max_term_log)
+    return SeriesEval(total, n + 1, tail, status, ctx.mode, max_term_log)
 
 
 def _safe_float(x) -> float:
@@ -209,7 +191,8 @@ def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
     ``excess`` is the number of upper parameters beyond (lower + 1): positive
     diverges unless terminating, zero converges only for |z| < 1 and near the
     boundary re-runs the engine through ``again(policy, ctx)`` at extended
-    precision.  ``terms()`` yields the summands; it runs under ``ctx``.
+    precision, whose value comes back as a value of ``ctx``.  ``terms()``
+    yields the summands in ``ctx``'s backend.
     """
     policy = policy or default_policy()
     _check_poles(stop, pole, kind)
@@ -222,10 +205,11 @@ def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
             if az >= 1.0:
                 raise DivergenceError(f"{kind} boundary |z| = {az} >= 1")
             if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
-                return again(replace(policy, max_terms=max(policy.max_terms, 100000)),
-                             extended_context(40))
-    with ctx.guard():
-        return accumulate(terms(), policy, ctx, stop_index=stop)
+                ev = again(replace(policy, max_terms=max(policy.max_terms, 100000)),
+                           extended_context(40))
+                ev.value = ctx.adopt(ev.value)
+                return ev
+    return accumulate(terms(), policy, ctx, stop_index=stop)
 
 
 def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None = None,
@@ -355,6 +339,7 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
     Used by every terminating-series polynomial evaluation: the definitional
     sums lose digits like q^(-n(n-1)/2) (q-families) or (1+|z|)^n (classical),
     so fixed precision cannot honour the accuracy contracts at high degree.
+    Raises RangeError when the last attempt overflows.
     """
     c = ctx
     if not ctx.extended and predicted_lost > 15.95 - _KEEP_STANDARD:
@@ -377,7 +362,7 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
         nxt = int(lost) + 22 if math.isfinite(lost) else 2 * c.dps + 20
         c = extended_context(max(nxt, c.dps + 10, int(predicted_lost) + 20))
     if value is None:
-        raise ArithmeticError("series evaluation failed to produce a finite value")
+        raise RangeError("series evaluation failed to produce a finite value")
     return value, ev, c
 
 
@@ -391,7 +376,7 @@ def hyp_pfq_stable(upper: Sequence, lower: Sequence, z, ctx: Context = STANDARD,
         return ev.value, ev
 
     value, _, _ = stable_eval(build, ctx, lost_hint)
-    return value
+    return ctx.adopt(value)
 
 
 def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
@@ -418,10 +403,9 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
     if abs(w) >= 1.0:
         raise DivergenceError(
             f"2F1 argument z = {zc} outside both unit discs (no continuation)")
-    with ctx.guard():
-        inner = hyp_pfq([a, ctx.cnum(c) - ctx.cnum(b)], [c], w, policy, ctx)
-        pref = complex_pow_principal(1 - ctx.cnum(z), -ctx.cnum(a), ctx)
-        inner.value = pref * inner.value
-        inner.max_term_log10 += _log10_abs(pref)
-        inner.tail_estimate *= _safe_float(abs(pref))
+    inner = hyp_pfq([a, ctx.cnum(c) - ctx.cnum(b)], [c], w, policy, ctx)
+    pref = complex_pow_principal(1 - ctx.cnum(z), -ctx.cnum(a), ctx)
+    inner.value = pref * inner.value
+    inner.max_term_log10 += log10_abs(pref)
+    inner.tail_estimate *= _safe_float(abs(pref))
     return inner

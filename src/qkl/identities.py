@@ -11,9 +11,8 @@ and a hypothesis validator that raises :class:`HypothesisError` naming the
 violated constraint.
 
 A side that is a j-sum yields its composite terms j = 0, 1, ...; ``_sum_j``
-owns the loop, the term cap and the precision guard, so a running
-coefficient lives in the generator and any setup it needs runs under the
-guard on the first ``next()``.
+owns the loop and the term cap, so a running coefficient lives in the
+generator.
 """
 from __future__ import annotations
 
@@ -144,10 +143,9 @@ def _require_conv(cond: bool, constraint: str):
 
 def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
     """Sum at most ``jmax`` composite bilinear terms from the iterator
-    ``terms`` under the series stopping rule, inside ``ctx``'s precision
-    guard; the report carries the terms and the stop status."""
-    with ctx.guard():
-        ev = accumulate(islice(terms, jmax), replace(policy, max_terms=jmax), ctx)
+    ``terms`` under the series stopping rule; the report carries the terms
+    and the stop status."""
+    ev = accumulate(islice(terms, jmax), replace(policy, max_terms=jmax), ctx)
     return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
 
 
@@ -415,9 +413,9 @@ def _jacobi_bessel_lhs(p, policy, ctx):
 
     def term(j):
         nu = al + be + 2 * j + 1
-        logc = (math.lgamma(j + 1) + math.lgamma(al + be + j + 1)
-                - math.lgamma(al + j + 1) - math.lgamma(be + j + 1))
-        coef = (-1) ** j * (al + be + 2 * j + 1) * math.exp(logc)
+        logc = (log_gamma_real(j + 1, ctx) + log_gamma_real(al + be + j + 1, ctx)
+                - log_gamma_real(al + j + 1, ctx) - log_gamma_real(be + j + 1, ctx))
+        coef = (-1) ** j * (al + be + 2 * j + 1) * ctx.rexp(logc)
         bj = bessel_j(nu, z, ctx)
         if abs(bj) < 1e-18:
             return ctx.cnum(0)
@@ -431,9 +429,10 @@ def _jacobi_bessel_rhs(p, policy, ctx):
     al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
     mm = (1 - x) * (1 - y)
     pp = (1 + x) * (1 + y)
-    v = (2.0 ** (al + be - 1) * mm ** (-al / 2) * pp ** (-be / 2) * z
-         * bessel_j(al, z / 2 * math.sqrt(mm), ctx)
-         * bessel_j(be, z / 2 * math.sqrt(pp), ctx))
+    v = (ctx.rnum(2.0) ** (al + be - 1) * ctx.rnum(mm) ** (-al / 2)
+         * ctx.rnum(pp) ** (-be / 2) * z
+         * bessel_j(al, z / 2 * ctx.rsqrt(mm), ctx)
+         * bessel_j(be, z / 2 * ctx.rsqrt(pp), ctx))
     return ctx.cnum(v), {}
 
 
@@ -463,23 +462,22 @@ def _chahn_finite_lhs(p, policy, ctx):
     x, y, K = p["x"], p["y"], int(p["K"])
     bd = (b + d).real
     S = 2 * a + bd
-    with ctx.guard():
-        total = ctx.cnum(0)
-        for j in range(K + 1):
-            num = (pochhammer(-K, j, ctx) * pochhammer(S, 2 * j, ctx)
-                   * ctx.rexp(log_gamma_real(j + 1, ctx)))
-            den = (pochhammer(2 * a, j, ctx) * pochhammer(bd, j, ctx)
-                   * pochhammer(S + j - 1, j, ctx) * pochhammer(a + d, j, ctx)
-                   * pochhammer(a + d2, j, ctx) * pochhammer(S + K, j, ctx))
-            px = chahn_poly(CHahnParams(a, b, a, d), j, x, ctx)
-            py = chahn_poly(CHahnParams(a, b2, a, d2), j, y, ctx)
-            total += num / den * px * py
-        return total, {"terms": K + 1}
+    total = ctx.cnum(0)
+    for j in range(K + 1):
+        num = (pochhammer(-K, j, ctx) * pochhammer(S, 2 * j, ctx)
+               * ctx.rexp(log_gamma_real(j + 1, ctx)))
+        den = (pochhammer(2 * a, j, ctx) * pochhammer(bd, j, ctx)
+               * pochhammer(S + j - 1, j, ctx) * pochhammer(a + d, j, ctx)
+               * pochhammer(a + d2, j, ctx) * pochhammer(S + K, j, ctx))
+        px = chahn_poly(CHahnParams(a, b, a, d), j, x, ctx)
+        py = chahn_poly(CHahnParams(a, b2, a, d2), j, y, ctx)
+        total += num / den * px * py
+    return total, {"terms": K + 1}
 
 
 def _chahn_finite_pref(p, ctx):
     """(d - ix, d' - iy, 2a + b + d)_K / (a + d, a + d', b + d)_K, the
-    prefactor of both terminating right sides (call under ``ctx.guard()``)."""
+    prefactor of both terminating right sides."""
     a, b, d, b2, d2 = _chahn_abcd(p)
     x, y, K = p["x"], p["y"], int(p["K"])
     bd = (b + d).real
@@ -493,12 +491,11 @@ def _chahn_finite_rhs(p, policy, ctx):
     a, b, d, b2, d2 = _chahn_abcd(p)
     x, y, K = p["x"], p["y"], int(p["K"])
     bd = (b + d).real
-    with ctx.guard():
-        pref = _chahn_finite_pref(p, ctx)
-        f = hyp_pfq_stable([-K, 1 - K - bd, complex(a, x), complex(a, y)],
-                           [2 * a, 1 - K - d + 1j * x, 1 - K - d2 + 1j * y],
-                           1, ctx, lost_hint=0.6 * K)
-        return pref * f, {"terms": K + 1}
+    pref = _chahn_finite_pref(p, ctx)
+    f = hyp_pfq_stable([-K, 1 - K - bd, complex(a, x), complex(a, y)],
+                       [2 * a, 1 - K - d + 1j * x, 1 - K - d2 + 1j * y],
+                       1, ctx, lost_hint=0.6 * K)
+    return pref * f, {"terms": K + 1}
 
 
 _register("chahn_finite", "terminating continuous-Hahn bilinear sum",
@@ -531,15 +528,14 @@ def _chahn_whipple_rhs(p, policy, ctx):
     x, y, K = q["x"], q["y"], int(q["K"])
     bd = (b + d).real
     S = 2 * a + bd
-    with ctx.guard():
-        pref = _chahn_finite_pref(q, ctx)
-        whip = (pochhammer(a + d, K, ctx)
-                * pochhammer(a + b + 1j * (x - y), K, ctx)
-                / (pochhammer(d - 1j * x, K, ctx) * pochhammer(b - 1j * y, K, ctx)))
-        f = hyp_pfq_stable([-K, S + K - 1, complex(a, x), complex(a, -y)],
-                           [2 * a, a + d, a + b + 1j * (x - y)],
-                           1, ctx, lost_hint=0.6 * K)
-        return pref * whip * f, {"terms": K + 1}
+    pref = _chahn_finite_pref(q, ctx)
+    whip = (pochhammer(a + d, K, ctx)
+            * pochhammer(a + b + 1j * (x - y), K, ctx)
+            / (pochhammer(d - 1j * x, K, ctx) * pochhammer(b - 1j * y, K, ctx)))
+    f = hyp_pfq_stable([-K, S + K - 1, complex(a, x), complex(a, -y)],
+                       [2 * a, a + d, a + b + 1j * (x - y)],
+                       1, ctx, lost_hint=0.6 * K)
+    return pref * whip * f, {"terms": K + 1}
 
 
 _register("chahn_finite_whipple",
@@ -736,20 +732,19 @@ def _hahn_disc_lhs(p, policy, ctx):
     al, be = p["alpha"], p["beta"]
     M, N, x, y, z = int(p["M"]), int(p["N"]), int(p["x"]), int(p["y"]), p["z"]
     jmax = min(M, N)
-    with ctx.guard():
-        total = ctx.cnum(0)
-        for j in range(jmax + 1):
-            coef = (pochhammer(al + 1, j, ctx) * pochhammer(-M, j, ctx)
-                    * pochhammer(-N, j, ctx)
-                    / (ctx.rexp(log_gamma_real(j + 1, ctx))
-                       * pochhammer(be + 1, j, ctx)
-                       * pochhammer(al + be + j + 1, j, ctx)))
-            qx = hahn_poly(HahnParams(al, be, M), j, x, ctx)
-            qy = hahn_poly(HahnParams(al, be, N), j, y, ctx)
-            f = hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
-                               lost_hint=0.4 * (jmax - j))
-            total += coef * qx * qy * f * ctx.cnum(z) ** j
-        return total, {"terms": jmax + 1}
+    total = ctx.cnum(0)
+    for j in range(jmax + 1):
+        coef = (pochhammer(al + 1, j, ctx) * pochhammer(-M, j, ctx)
+                * pochhammer(-N, j, ctx)
+                / (ctx.rexp(log_gamma_real(j + 1, ctx))
+                   * pochhammer(be + 1, j, ctx)
+                   * pochhammer(al + be + j + 1, j, ctx)))
+        qx = hahn_poly(HahnParams(al, be, M), j, x, ctx)
+        qy = hahn_poly(HahnParams(al, be, N), j, y, ctx)
+        f = hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
+                           lost_hint=0.4 * (jmax - j))
+        total += coef * qx * qy * f * ctx.cnum(z) ** j
+    return total, {"terms": jmax + 1}
 
 
 def _hahn_disc_rhs(p, policy, ctx):
@@ -758,8 +753,7 @@ def _hahn_disc_rhs(p, policy, ctx):
     fa = hyp_pfq_stable([-x, -y], [al + 1], z, ctx, lost_hint=0.4 * min(x, y))
     fb = hyp_pfq_stable([x - M, y - N], [be + 1], z, ctx,
                         lost_hint=0.4 * min(M - x, N - y))
-    with ctx.guard():
-        return fa * fb, {"terms": min(x, y) + min(M - x, N - y) + 2}
+    return fa * fb, {"terms": min(x, y) + min(M - x, N - y) + 2}
 
 
 _register("hahn_bilinear_discrete",
@@ -949,19 +943,18 @@ def _aw_bilinear_rhs(p, policy, ctx):
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
     b2, d2 = _aw_primed(p)
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    with ctx.guard():
-        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
-        num = [b * t * eip, b * t * emp, c * t * emp, d * t * emp,
-               b2 * t * eit, b2 * t * emt, c2 * t * emt, d2 * t * emt]
-        den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp,
-               c * d * t * emt * emp]
-        pref = qpoch_many(num, q, over=den, ctx=ctx)
-        w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
-                     q, a2 * t / b, policy, ctx)
-        w2 = vwp_8w7(c * d * t * emt * emp / q,
-                     [c * emt, d * emt, c2 * emp, d2 * emp, t * emt * emp],
-                     q, t * eit * eip, policy, ctx)
-        return pref * w1.value * w2.value, {"terms": w1.terms_used + w2.terms_used}
+    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    num = [b * t * eip, b * t * emp, c * t * emp, d * t * emp,
+           b2 * t * eit, b2 * t * emt, c2 * t * emt, d2 * t * emt]
+    den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp,
+           c * d * t * emt * emp]
+    pref = qpoch_many(num, q, over=den, ctx=ctx)
+    w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
+                 q, a2 * t / b, policy, ctx)
+    w2 = vwp_8w7(c * d * t * emt * emp / q,
+                 [c * emt, d * emt, c2 * emp, d2 * emp, t * emt * emp],
+                 q, t * eit * eip, policy, ctx)
+    return pref * w1.value * w2.value, {"terms": w1.terms_used + w2.terms_used}
 
 
 _register("aw_bilinear", "Askey-Wilson bilinear generating function",
@@ -999,20 +992,18 @@ def _aw_rec_params(p):
 
 
 def _aw_rec_lhs(p, policy, ctx):
-    with ctx.guard():
-        v = 2 * ctx.rnum(p["x"]) * aw_poly(_aw_rec_params(p), int(p["n"]), p["x"], ctx)
+    v = 2 * ctx.rnum(p["x"]) * aw_poly(_aw_rec_params(p), int(p["n"]), p["x"], ctx)
     return v, {}
 
 
 def _aw_rec_rhs(p, policy, ctx):
     aw = _aw_rec_params(p)
     n, x = int(p["n"]), p["x"]
-    with ctx.guard():
-        a, b, c, d = (ctx.cnum(v) for v in _aw_slots(aw))
-        up, mid, low = _aw_coefficients(a, b, c, d, ctx.rnum(aw.q), n)
-        v = up * aw_poly(aw, n + 1, x, ctx) + mid * aw_poly(aw, n, x, ctx)
-        if n > 0:
-            v += low * aw_poly(aw, n - 1, x, ctx)
+    a, b, c, d = (ctx.cnum(v) for v in _aw_slots(aw))
+    up, mid, low = _aw_coefficients(a, b, c, d, ctx.rnum(aw.q), n)
+    v = up * aw_poly(aw, n + 1, x, ctx) + mid * aw_poly(aw, n, x, ctx)
+    if n > 0:
+        v += low * aw_poly(aw, n - 1, x, ctx)
     return v, {}
 
 
@@ -1065,17 +1056,16 @@ def _cdqh_rhs(p, policy, ctx):
     a, b, c, a2, c2 = (p[k] for k in ("a", "b", "c", "a2", "c2"))
     b2 = a * b / a2
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    with ctx.guard():
-        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
-        num = [b * t * eip, b * t * emp, c * t * emp,
-               b2 * t * eit, b2 * t * emt, c2 * t * emt]
-        den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp]
-        pref = qpoch_many(num, q, over=den, ctx=ctx)
-        w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
-                     q, a2 * t / b, policy, ctx)
-        f = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
-                      [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
-        return pref * w1.value * f.value, {"terms": w1.terms_used + f.terms_used}
+    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    num = [b * t * eip, b * t * emp, c * t * emp,
+           b2 * t * eit, b2 * t * emt, c2 * t * emt]
+    den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp]
+    pref = qpoch_many(num, q, over=den, ctx=ctx)
+    w1 = vwp_8w7(b * b2 * t / q, [b * eit, b * emt, b2 * eip, b2 * emp, b * t / a2],
+                 q, a2 * t / b, policy, ctx)
+    f = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
+                  [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
+    return pref * w1.value * f.value, {"terms": w1.terms_used + f.terms_used}
 
 
 _register("cdqh_bilinear",
@@ -1122,16 +1112,15 @@ def _asc_bilinear_rhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, c, a2, c2 = (p[k] for k in ("a", "c", "a2", "c2"))
     theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    with ctx.guard():
-        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
-        num = [c * t * emp, c2 * t * emt, a * t * eip, a2 * t * eit]
-        den = [t * eit * emp, t * emt * eip, c2 * t / c, a2 * c * t]
-        pref = qpoch_many(num, q, over=den, ctx=ctx)
-        f1 = bhs_rphis([a2 * eip, a * eit, t * eit * eip],
-                       [a * t * eip, a2 * t * eit], q, t * emt * emp, policy, ctx)
-        f2 = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
-                       [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
-        return pref * f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
+    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    num = [c * t * emp, c2 * t * emt, a * t * eip, a2 * t * eit]
+    den = [t * eit * emp, t * emt * eip, c2 * t / c, a2 * c * t]
+    pref = qpoch_many(num, q, over=den, ctx=ctx)
+    f1 = bhs_rphis([a2 * eip, a * eit, t * eit * eip],
+                   [a * t * eip, a2 * t * eit], q, t * emt * emp, policy, ctx)
+    f2 = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
+                   [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
+    return pref * f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
 
 
 _register("asc_bilinear",
@@ -1266,16 +1255,15 @@ def _evaluate(entry: IdentityEntry, case: IdentityCase, ctx: Context) -> Identit
     rhs, meta_r = entry.eval_rhs(case.params, case.policy, ctx)
     if not (ctx.is_finite(lhs) and ctx.is_finite(rhs)):
         raise DivergenceError(f"{case.identity_id}: non-finite side value")
-    with ctx.guard():
-        diff = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), ctx.rnum(_TINY))
-        rel = float(diff / scale)
-        abs_err = float(diff)
+    diff = abs(lhs - rhs)
+    scale = max(abs(lhs), abs(rhs), ctx.rnum(_TINY))
+    rel = float(diff / scale)
+    abs_err = float(diff)
     return IdentityReport(
         identity_id=case.identity_id,
         lhs=complex(lhs), rhs=complex(rhs),
         abs_err=abs_err, rel_err=rel,
         passed=rel <= case.tol_rel,
         terms={"lhs": meta_l, "rhs": meta_r},
-        precision_used="extended" if ctx.extended else "standard",
+        precision_used=ctx.mode,
         seed=case.seed)

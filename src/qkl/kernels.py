@@ -50,7 +50,7 @@ class KernelPoint:
 
 def unit_phases(theta, phi, ctx: Context):
     """(e^{i theta}, e^{-i theta}, e^{i phi}, e^{-i phi}) in the backend of
-    ``ctx``; call under ``ctx.guard()``."""
+    ``ctx``."""
     return ctx.expi(theta), ctx.expi(-theta), ctx.expi(phi), ctx.expi(-phi)
 
 
@@ -66,25 +66,17 @@ def mp_kernel_sum(k: float, phi: float, pt: KernelPoint,
 
 def _bilinear_sum(xs, ys, t, policy: TruncationPolicy | None,
                   ctx: Context) -> SeriesEval:
-    """sum_n x_n y_n t^n over two value streams, which run under ``ctx``."""
+    """sum_n x_n y_n t^n over two value streams of ``ctx``."""
     policy = policy or default_policy()
-    with ctx.guard():
-        t = ctx.cnum(t)
+    t = ctx.cnum(t)
 
-        def terms():
-            tn = ctx.cnum(1)
-            while True:
-                yield next(xs) * next(ys) * tn
-                tn *= t
+    def terms():
+        tn = ctx.cnum(1)
+        while True:
+            yield next(xs) * next(ys) * tn
+            tn *= t
 
-        try:
-            return accumulate(terms(), policy, ctx)
-        finally:
-            # a suspended stream holds its own precision guard, which sets
-            # this guard's precision globally when the stream is closed: so
-            # close both streams before this guard restores the caller's
-            xs.close()
-            ys.close()
+    return accumulate(terms(), policy, ctx)
 
 
 def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
@@ -98,21 +90,20 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     """
     MPParams(k, phi)
     policy = policy or default_policy()
-    with ctx.guard():
-        i = ctx.cnum(1j)
-        t = ctx.cnum(pt.t)
-        x, y = ctx.rnum(pt.x), ctx.rnum(pt.y)
-        sinphi = ctx.sin(ctx.rnum(phi))
-        r = -4 * t * sinphi * sinphi / (1 - t) ** 2
-        base1 = 1 - t * ctx.expi(2 * ctx.rnum(phi))
-        base2 = 1 - t
-        assert base1.real > 0 and base2.real > 0, "principal branch violated"
-        f = gauss_2f1(k + i * x, k + i * y, 2 * ctx.rnum(k), r, policy, ctx)
-        logpref = (-log_gamma_real(2 * k, ctx)
-                   + i * (x + y) * ctx.log(base1)
-                   + (-2 * k - i * (x + y)) * ctx.log(base2))
-        out = ctx.exp(logpref) * f.value
-    return complex(out) if not ctx.extended else out
+    i = ctx.cnum(1j)
+    t = ctx.cnum(pt.t)
+    x, y = ctx.rnum(pt.x), ctx.rnum(pt.y)
+    sinphi = ctx.sin(ctx.rnum(phi))
+    r = -4 * t * sinphi * sinphi / (1 - t) ** 2
+    base1 = 1 - t * ctx.expi(2 * ctx.rnum(phi))
+    base2 = 1 - t
+    assert base1.real > 0 and base2.real > 0, "principal branch violated"
+    f = gauss_2f1(k + i * x, k + i * y, 2 * ctx.rnum(k), r, policy, ctx)
+    logpref = (-log_gamma_real(2 * k, ctx)
+               + i * (x + y) * ctx.log(base1)
+               + (-2 * k - i * (x + y)) * ctx.log(base2))
+    out = ctx.exp(logpref) * f.value
+    return ctx.cnum(out)
 
 
 def ac_kernel_sum(k: float, q, pt: KernelPoint,
@@ -148,21 +139,20 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
     qq = _qval(q)
     _check_spectral(k, qq, pt)
     theta, phi = pt.thetas()
-    with ctx.guard():
-        t = ctx.cnum(pt.t)
-        s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
-        qk = ctx.rnum(qq) ** k
-        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
-        num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
-        den = [t * eit * emp, t * emt * eip, t * emt * emp,
-               ctx.rnum(qq) ** (2 * k) * t * emt * emp]
-        pref = qpoch_many(num, qq, over=den, ctx=ctx)
-        w = vwp_8w7(ctx.rnum(qq) ** (2 * k - 1) * t * emt * emp,
-                    [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
-                     t * emt * emp],
-                    qq, t * eit * eip, policy, ctx)
-        out = pref * w.value
-    return complex(out) if not ctx.extended else out
+    t = ctx.cnum(pt.t)
+    s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
+    qk = ctx.rnum(qq) ** k
+    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
+    den = [t * eit * emp, t * emt * eip, t * emt * emp,
+           ctx.rnum(qq) ** (2 * k) * t * emt * emp]
+    pref = qpoch_many(num, qq, over=den, ctx=ctx)
+    w = vwp_8w7(ctx.rnum(qq) ** (2 * k - 1) * t * emt * emp,
+                [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
+                 t * emt * emp],
+                qq, t * eit * eip, policy, ctx)
+    out = pref * w.value
+    return ctx.cnum(out)
 
 
 def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
@@ -176,18 +166,17 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
     if abs(complex(pt.s)) <= qq ** k:
         raise DivergenceError("alt kernel form needs |s| > q^k")
     theta, phi = pt.thetas()
-    with ctx.guard():
-        t = ctx.cnum(pt.t)
-        s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
-        qk = ctx.rnum(qq) ** k
-        eit, emt, eip, emp = unit_phases(theta, phi, ctx)
-        num = [t * t, qk * emt / s, qk * t * eit * sg, qk * t * eit / sg,
-               qk * t * s * eip, qk * t * s * emp]
-        den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,
-               t * eit * emp, t * emt * emp, t * emt * eip]
-        pref = qpoch_many(num, qq, over=den, ctx=ctx)
-        w = vwp_8w7(ctx.rnum(qq) ** (k - 1) * s * t * t * eit,
-                    [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
-                    qq, qk * emt / s, policy, ctx)
-        out = pref * w.value
-    return complex(out) if not ctx.extended else out
+    t = ctx.cnum(pt.t)
+    s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
+    qk = ctx.rnum(qq) ** k
+    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    num = [t * t, qk * emt / s, qk * t * eit * sg, qk * t * eit / sg,
+           qk * t * s * eip, qk * t * s * emp]
+    den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,
+           t * eit * emp, t * emt * emp, t * emt * eip]
+    pref = qpoch_many(num, qq, over=den, ctx=ctx)
+    w = vwp_8w7(ctx.rnum(qq) ** (k - 1) * s * t * t * eit,
+                [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
+                qq, qk * emt / s, policy, ctx)
+    out = pref * w.value
+    return ctx.cnum(out)

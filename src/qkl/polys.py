@@ -12,11 +12,9 @@ one point by forward three-term recurrence, stable on the orthogonality
 support: Meixner-Pollaczek and Al-Salam-Chihara (orthonormal, backing the
 kernel sums) and Askey-Wilson (``aw_stream``, in ``aw_poly``'s normalisation,
 with ``sj_ac_stream`` on top of it; these back the q-bilinear j-sums).  The
-definitions stay as the oracles the streams are tested against.  The
-orthonormal streams are suspended inside their own precision guard, so their
-consumer closes them inside the consumer's guard; closed later, they would
-restore the precision of that guard globally.  The Askey-Wilson streams
-guard each step and hold no guard across a yield.
+definitions stay as the oracles the streams are tested against.  A stream's
+values are numbers of its context and carry their precision with them, so a
+stream holds no state beyond its recurrence and may be dropped anywhere.
 """
 from __future__ import annotations
 
@@ -148,21 +146,19 @@ def mp_poly(p: MPParams, n: int, x: float, orthonormal: bool = False,
     k, phi = p.k, p.phi
 
     def build(c: Context):
-        with c.guard():
-            i = c.cnum(1j)
-            zarg = 1 - c.exp(-2 * i * c.rnum(phi))
-            ev = hyp_pfq([-n, c.rnum(k) + i * c.rnum(x)], [2 * c.rnum(k)], zarg, ctx=c)
-            lead = c.exp(log_gamma_real(2 * k + n, c) - log_gamma_real(2 * k, c)
-                         - log_gamma_real(n + 1, c) + i * c.rnum(n * phi))
-            return lead * ev.value, ev
+        i = c.cnum(1j)
+        zarg = 1 - c.exp(-2 * i * c.rnum(phi))
+        ev = hyp_pfq([-n, c.rnum(k) + i * c.rnum(x)], [2 * c.rnum(k)], zarg, ctx=c)
+        lead = c.exp(log_gamma_real(2 * k + n, c) - log_gamma_real(2 * k, c)
+                     - log_gamma_real(n + 1, c) + i * c.rnum(n * phi))
+        return lead * ev.value, ev
 
     value, _, used = _stable_eval(build, ctx, predicted_lost=0.47 * n)
     out = _enforce_real(value, f"mp_poly(n={n})")
     if orthonormal:
-        with used.guard():
-            out = out * used.rexp(0.5 * (log_gamma_real(n + 1, used)
-                                         - log_gamma_real(n + 2 * k, used)))
-    return float(out) if not ctx.extended else out
+        out = out * used.rexp(0.5 * (log_gamma_real(n + 1, used)
+                                     - log_gamma_real(n + 2 * k, used)))
+    return ctx.rnum(out)
 
 
 def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float:
@@ -171,26 +167,24 @@ def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float
     gen = mp_orthonormal_stream(p, y, ctx)
     for _ in range(n):
         next(gen)
-    out = next(gen)
-    return float(out) if not ctx.extended else out
+    return ctx.rnum(next(gen))
 
 
 def mp_orthonormal_stream(p: MPParams, y: float, ctx: Context = STANDARD):
     """Yields the orthonormal MP values p_0(y), p_1(y), ... (stable stream)."""
     k, phi = p.k, p.phi
-    with ctx.guard():
-        two_y_sin = 2 * ctx.rnum(y) * ctx.sin(ctx.rnum(phi))
-        cosphi = ctx.cos(ctx.rnum(phi))
-        prev = ctx.rnum(0)
-        cur = ctx.rexp(-log_gamma_real(2 * k, ctx) / 2)
-        n = 0
-        while True:
-            yield cur
-            a_n = ctx.rsqrt((n + 1) * (n + 2 * k))
-            a_nm1 = ctx.rsqrt(n * (n - 1 + 2 * k)) if n > 0 else ctx.rnum(0)
-            nxt = ((two_y_sin + 2 * (n + k) * cosphi) * cur - a_nm1 * prev) / a_n
-            prev, cur = cur, nxt
-            n += 1
+    two_y_sin = 2 * ctx.rnum(y) * ctx.sin(ctx.rnum(phi))
+    cosphi = ctx.cos(ctx.rnum(phi))
+    prev = ctx.rnum(0)
+    cur = ctx.rexp(-log_gamma_real(2 * k, ctx) / 2)
+    n = 0
+    while True:
+        yield cur
+        a_n = ctx.rsqrt((n + 1) * (n + 2 * k))
+        a_nm1 = ctx.rsqrt(n * (n - 1 + 2 * k)) if n > 0 else ctx.rnum(0)
+        nxt = ((two_y_sin + 2 * (n + k) * cosphi) * cur - a_nm1 * prev) / a_n
+        prev, cur = cur, nxt
+        n += 1
 
 
 # --------------------------------------------------------------------------
@@ -203,17 +197,16 @@ def chahn_poly(p: CHahnParams, n: int, x: float, ctx: Context = STANDARD) -> com
     a, b, c_, d = p.a, p.b, p.c, p.d
 
     def build(c: Context):
-        with c.guard():
-            i = c.cnum(1j)
-            ca, cb, cc, cd = (c.cnum(v) for v in (a, b, c_, d))
-            ev = hyp_pfq([-n, n + ca + cb + cc + cd - 1, ca + i * c.rnum(x)],
-                         [ca + cc, ca + cd], 1, ctx=c)
-            pref = (i ** n) * pochhammer(ca + cc, n, c) * pochhammer(ca + cd, n, c)
-            pref /= c.exp(log_gamma_real(n + 1, c))
-            return pref * ev.value, ev
+        i = c.cnum(1j)
+        ca, cb, cc, cd = (c.cnum(v) for v in (a, b, c_, d))
+        ev = hyp_pfq([-n, n + ca + cb + cc + cd - 1, ca + i * c.rnum(x)],
+                     [ca + cc, ca + cd], 1, ctx=c)
+        pref = (i ** n) * pochhammer(ca + cc, n, c) * pochhammer(ca + cd, n, c)
+        pref /= c.exp(log_gamma_real(n + 1, c))
+        return pref * ev.value, ev
 
     value, _, _ = _stable_eval(build, ctx, predicted_lost=0.7 * n)
-    return complex(value) if not ctx.extended else value
+    return ctx.cnum(value)
 
 
 def hahn_poly(p: HahnParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
@@ -222,13 +215,12 @@ def hahn_poly(p: HahnParams, n: int, x: float, ctx: Context = STANDARD) -> compl
         raise DegreeError(f"Hahn degree n = {n} exceeds N = {p.N}")
 
     def build(c: Context):
-        with c.guard():
-            al, be = c.cnum(p.alpha), c.cnum(p.beta)
-            ev = hyp_pfq([-n, n + al + be + 1, -c.rnum(x)], [al + 1, -p.N], 1, ctx=c)
-            return ev.value, ev
+        al, be = c.cnum(p.alpha), c.cnum(p.beta)
+        ev = hyp_pfq([-n, n + al + be + 1, -c.rnum(x)], [al + 1, -p.N], 1, ctx=c)
+        return ev.value, ev
 
     value, _, _ = _stable_eval(build, ctx, predicted_lost=0.5 * n)
-    return complex(value) if not ctx.extended else value
+    return ctx.cnum(value)
 
 
 def jacobi_poly(alpha: float, beta: float, n: int, x: float,
@@ -238,15 +230,13 @@ def jacobi_poly(alpha: float, beta: float, n: int, x: float,
     generating function holds."""
 
     def build(c: Context):
-        with c.guard():
-            al, be = c.rnum(alpha), c.rnum(beta)
-            ev = hyp_pfq([-n, n + al + be + 1], [al + 1], (1 - c.rnum(x)) / 2, ctx=c)
-            pref = pochhammer(al + 1, n, c) / c.exp(log_gamma_real(n + 1, c))
-            return pref * ev.value, ev
+        al, be = c.rnum(alpha), c.rnum(beta)
+        ev = hyp_pfq([-n, n + al + be + 1], [al + 1], (1 - c.rnum(x)) / 2, ctx=c)
+        pref = pochhammer(al + 1, n, c) / c.exp(log_gamma_real(n + 1, c))
+        return pref * ev.value, ev
 
     value, _, _ = _stable_eval(build, ctx, predicted_lost=0.35 * n)
-    out = _enforce_real(value, f"jacobi_poly(n={n})")
-    return float(out) if not ctx.extended else out
+    return ctx.rnum(_enforce_real(value, f"jacobi_poly(n={n})"))
 
 
 # --------------------------------------------------------------------------
@@ -266,12 +256,11 @@ def _qbinomial(n: int, m: int, q, ctx: Context):
 def _cont_q_hermite(n: int, x: float, q: float, ctx: Context) -> complex:
     """H_n(cos theta | q) = sum_m [n, m]_q e^{i(n-2m)theta}; the all-parameters-
     zero Askey-Wilson case.  No cancellation beyond O(n) terms."""
-    with ctx.guard():
-        theta = ctx.acos(ctx.rnum(x))
-        total = ctx.cnum(0)
-        for m in range(n + 1):
-            total += _qbinomial(n, m, q, ctx) * ctx.expi((n - 2 * m) * theta)
-        return total
+    theta = ctx.acos(ctx.rnum(x))
+    total = ctx.cnum(0)
+    for m in range(n + 1):
+        total += _qbinomial(n, m, q, ctx) * ctx.expi((n - 2 * m) * theta)
+    return total
 
 
 def _aw_predicted_lost(n: int, q: float, base_mod: float) -> float:
@@ -305,26 +294,24 @@ def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     x = _unit_arg(x, "aw_poly")
     a, b, c_, d = _aw_slots(p)
     if complex(a) == 0:
-        value = _cont_q_hermite(n, x, p.q, ctx)
-        return complex(value) if not ctx.extended else value
+        return ctx.cnum(_cont_q_hermite(n, x, p.q, ctx))
     q = p.q
 
     def build(c: Context):
-        with c.guard():
-            qc = c.rnum(q)
-            ca, cb, cc, cd = (c.cnum(v) for v in (a, b, c_, d))
-            theta = c.acos(c.rnum(x))
-            eit = c.expi(theta)
-            emt = c.expi(-theta)
-            ev = bhs_rphis([qc ** (-n), ca * cb * cc * cd * qc ** (n - 1), ca * eit, ca * emt],
-                           [ca * cb, ca * cc, ca * cd], q, qc, ctx=c)
-            pref = ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * qpoch(ca * cc, q, n, ctx=c) \
-                * qpoch(ca * cd, q, n, ctx=c)
-            return pref * ev.value, ev
+        qc = c.rnum(q)
+        ca, cb, cc, cd = (c.cnum(v) for v in (a, b, c_, d))
+        theta = c.acos(c.rnum(x))
+        eit = c.expi(theta)
+        emt = c.expi(-theta)
+        ev = bhs_rphis([qc ** (-n), ca * cb * cc * cd * qc ** (n - 1), ca * eit, ca * emt],
+                       [ca * cb, ca * cc, ca * cd], q, qc, ctx=c)
+        pref = ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * qpoch(ca * cc, q, n, ctx=c) \
+            * qpoch(ca * cd, q, n, ctx=c)
+        return pref * ev.value, ev
 
-    value, _, used = _stable_eval(build, ctx,
-                                  predicted_lost=_aw_predicted_lost(n, q, abs(complex(a))))
-    return complex(value) if not ctx.extended else value
+    value, _, _ = _stable_eval(build, ctx,
+                               predicted_lost=_aw_predicted_lost(n, q, abs(complex(a))))
+    return ctx.cnum(value)
 
 
 def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
@@ -340,21 +327,19 @@ def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
     else:
 
         def build(c: Context):
-            with c.guard():
-                qc = c.rnum(q)
-                ca, cb = c.cnum(a), c.cnum(b)
-                theta = c.acos(c.rnum(x))
-                ev = bhs_rphis([qc ** (-n), ca * c.expi(theta), ca * c.expi(-theta)],
-                               [ca * cb, 0], q, qc, ctx=c)
-                return ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * ev.value, ev
+            qc = c.rnum(q)
+            ca, cb = c.cnum(a), c.cnum(b)
+            theta = c.acos(c.rnum(x))
+            ev = bhs_rphis([qc ** (-n), ca * c.expi(theta), ca * c.expi(-theta)],
+                           [ca * cb, 0], q, qc, ctx=c)
+            return ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * ev.value, ev
 
         value, _, _ = _stable_eval(build, ctx,
                                    predicted_lost=_aw_predicted_lost(n, q, abs(complex(a))))
     if orthonormal:
-        with ctx.guard():
-            norm = ctx.sqrt(qpoch(p.q, q, n, ctx=ctx) * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), q, n, ctx=ctx))
-            value = value / norm
-    return complex(value) if not ctx.extended else value
+        norm = ctx.sqrt(qpoch(p.q, q, n, ctx=ctx) * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), q, n, ctx=ctx))
+        value = ctx.adopt(value) / norm
+    return ctx.cnum(value)
 
 
 def _aw_coefficients(a, b, c, d, q, n: int):
@@ -392,25 +377,21 @@ def aw_stream(p: AWParams, x: float, ctx: Context = STANDARD):
     forward three-term recurrence (``_aw_coefficients``), which is stable on
     the orthogonality support x in [-1, 1] (Gautschi, SIAM Rev. 9 (1967)).
 
-    Each step runs under ``ctx``'s guard and no guard is held across a yield,
-    so the stream may be closed anywhere.
     """
     x = _unit_arg(x, "aw_stream")
     return _aw_values(_aw_slots(p), p.q, x, ctx)
 
 
 def _aw_values(slots, q: float, x: float, ctx: Context):
-    with ctx.guard():
-        a, b, c, d = (ctx.cnum(v) for v in slots)
-        qc = ctx.rnum(q)
-        two_x = 2 * ctx.rnum(x)
-        prev, cur = ctx.cnum(0), ctx.cnum(1)
+    a, b, c, d = (ctx.cnum(v) for v in slots)
+    qc = ctx.rnum(q)
+    two_x = 2 * ctx.rnum(x)
+    prev, cur = ctx.cnum(0), ctx.cnum(1)
     n = 0
     while True:
         yield cur
-        with ctx.guard():
-            up, mid, low = _aw_coefficients(a, b, c, d, qc, n)
-            prev, cur = cur, ((two_x - mid) * cur - low * prev) / up
+        up, mid, low = _aw_coefficients(a, b, c, d, qc, n)
+        prev, cur = cur, ((two_x - mid) * cur - low * prev) / up
         n += 1
 
 
@@ -420,23 +401,22 @@ def asc_orthonormal_stream(a, b, q, x: float, ctx: Context = STANDARD):
     + sqrt((1-q^n)(1-a b q^{n-1})) r_{n-1}, derived from the n = 1 structure
     R_1 = 2x - a - b and the orthonormalisation."""
     qq = _qval(q)
-    with ctx.guard():
-        ca, cb = ctx.cnum(a), ctx.cnum(b)
-        ab = ca * cb
-        s = ca + cb
-        xx = ctx.rnum(x)
-        prev = ctx.cnum(0)
-        cur = ctx.cnum(1)
-        n = 0
-        qn = ctx.rnum(1)
-        while True:
-            yield cur
-            a_n = ctx.sqrt((1 - qn * qq) * (1 - ab * qn))
-            a_nm1 = ctx.sqrt((1 - qn) * (1 - ab * qn / qq)) if n > 0 else ctx.cnum(0)
-            nxt = ((2 * xx - s * qn) * cur - a_nm1 * prev) / a_n
-            prev, cur = cur, nxt
-            qn *= qq
-            n += 1
+    ca, cb = ctx.cnum(a), ctx.cnum(b)
+    ab = ca * cb
+    s = ca + cb
+    xx = ctx.rnum(x)
+    prev = ctx.cnum(0)
+    cur = ctx.cnum(1)
+    n = 0
+    qn = ctx.rnum(1)
+    while True:
+        yield cur
+        a_n = ctx.sqrt((1 - qn * qq) * (1 - ab * qn))
+        a_nm1 = ctx.sqrt((1 - qn) * (1 - ab * qn / qq)) if n > 0 else ctx.cnum(0)
+        nxt = ((2 * xx - s * qn) * cur - a_nm1 * prev) / a_n
+        prev, cur = cur, nxt
+        qn *= qq
+        n += 1
 
 
 # --------------------------------------------------------------------------
@@ -454,13 +434,11 @@ def sj_mp(k1: float, k2: float, j: int, x1: float, x2: float, phi: float,
     ph = chahn_poly(CHahnParams(k1, complex(k2, -X), k1, complex(k2, X)), j, x1, ctx)
     ph = _enforce_real(ph, f"sj_mp(j={j})")
     two = 2 * (k1 + k2)
-    with ctx.guard():
-        logw = 0.5 * (log_gamma_real(j + 1, ctx) + math.log(2 * j + two - 1)
-                      + log_gamma_real(j + two - 1, ctx)
-                      - log_gamma_real(2 * k1 + j, ctx)
-                      - log_gamma_real(2 * k2 + j, ctx))
-        out = (-2 * ctx.sin(ctx.rnum(phi))) ** j * ctx.rexp(logw) * ph
-    return float(out) if not ctx.extended else out
+    logw = 0.5 * (log_gamma_real(j + 1, ctx) + math.log(2 * j + two - 1)
+                  + log_gamma_real(j + two - 1, ctx)
+                  - log_gamma_real(2 * k1 + j, ctx)
+                  - log_gamma_real(2 * k2 + j, ctx))
+    return ctx.rnum((-2 * ctx.sin(ctx.rnum(phi))) ** j * ctx.rexp(logw) * ph)
 
 
 def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
@@ -470,13 +448,11 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
     normalised by sqrt((q, q^{2k1}, q^{2k2}, q^{2k1+2k2+j-1}; q)_j)."""
     qq, aw = _sj_ac_params(k1, k2, k1 + k2 + j, x1, s, q)
     pj = aw_poly(aw, j, x2, ctx)
-    with ctx.guard():
-        norm = ctx.rsqrt(qpoch(qq, qq, j, ctx=ctx).real
-                         * qpoch(qq ** (2 * k1), qq, j, ctx=ctx).real
-                         * qpoch(qq ** (2 * k2), qq, j, ctx=ctx).real
-                         * qpoch(qq ** (2 * k1 + 2 * k2 + j - 1), qq, j, ctx=ctx).real)
-        out = pj / norm
-    return complex(out) if not ctx.extended else out
+    norm = ctx.rsqrt(qpoch(qq, qq, j, ctx=ctx).real
+                     * qpoch(qq ** (2 * k1), qq, j, ctx=ctx).real
+                     * qpoch(qq ** (2 * k2), qq, j, ctx=ctx).real
+                     * qpoch(qq ** (2 * k1 + 2 * k2 + j - 1), qq, j, ctx=ctx).real)
+    return pj / norm
 
 
 def _sj_ac_params(k1: float, k2: float, k: float, x1: float, s, q):
@@ -508,15 +484,12 @@ def _sj_ac_values(pvals, qq: float, k1: float, k2: float, ctx: Context):
     K = k1 + k2; the last factor grows by (1 - q^{2K+2j-2}) and, from j = 2,
     by (1 - q^{2K+2j-3}) / (1 - q^{2K+j-2})."""
     two_k = 2 * (k1 + k2)
-    with ctx.guard():
-        q = ctx.rnum(qq)
-        norm = ctx.rnum(1)
+    q = ctx.rnum(qq)
+    norm = ctx.rnum(1)
     for j, pj in enumerate(pvals):
-        with ctx.guard():
-            if j > 0:
-                norm *= ((1 - q ** j) * (1 - q ** (2 * k1 + j - 1))
-                         * (1 - q ** (2 * k2 + j - 1)) * (1 - q ** (two_k + 2 * j - 2)))
-            if j > 1:
-                norm *= (1 - q ** (two_k + 2 * j - 3)) / (1 - q ** (two_k + j - 2))
-            out = pj / ctx.rsqrt(norm)
-        yield out
+        if j > 0:
+            norm *= ((1 - q ** j) * (1 - q ** (2 * k1 + j - 1))
+                     * (1 - q ** (2 * k2 + j - 1)) * (1 - q ** (two_k + 2 * j - 2)))
+        if j > 1:
+            norm *= (1 - q ** (two_k + 2 * j - 3)) / (1 - q ** (two_k + j - 2))
+        yield pj / ctx.rsqrt(norm)

@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .errors import DomainError, ParamError, PoleError, RangeError
 from .numerics import STANDARD, Context, extended_context
 
@@ -82,12 +80,11 @@ def pochhammer(a, n: int, ctx: Context = STANDARD):
     """
     if n < 0:
         raise ParamError("pochhammer order n must be nonnegative")
-    with ctx.guard():
-        a = ctx.cnum(a)
-        out = ctx.cnum(1)
-        for m in range(n):
-            out *= a + m
-        return out
+    a = ctx.cnum(a)
+    out = ctx.cnum(1)
+    for m in range(n):
+        out *= a + m
+    return out
 
 
 def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
@@ -98,45 +95,44 @@ def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
     in extended, and corrected with the first-order tail exp(-a q^M / (1-q)).
     """
     qq = _qval(q)
-    with ctx.guard():
-        a = ctx.cnum(a)
-        qc = ctx.rnum(qq)
-        out = ctx.cnum(1)
-        if n is not None:
-            if n < 0:
-                raise ParamError("qpoch order n must be nonnegative")
-            qm = ctx.cnum(1)
-            for m in range(n):
-                out *= 1 - a * qm
-                qm *= qc
-            return out
-        eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
-        bound = eps * (1 - qq)
+    a = ctx.cnum(a)
+    qc = ctx.rnum(qq)
+    out = ctx.cnum(1)
+    if n is not None:
+        if n < 0:
+            raise ParamError("qpoch order n must be nonnegative")
         qm = ctx.cnum(1)
-        absa = abs(a)
-        m = 0
-        # |a| q^m decreases strictly; cap guards eps below representable range
-        cap = 64 + int(math.log(max(eps, 1e-320)) / math.log(qq)) if absa > 0 else 0
-        while absa * abs(qm) >= bound and m < cap:
+        for m in range(n):
             out *= 1 - a * qm
             qm *= qc
-            m += 1
-        # first-order tail of sum_{j>=m} log(1 - a q^j)
-        out *= ctx.exp(-a * qm / (1 - qc))
         return out
+    eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
+    bound = eps * (1 - qq)
+    qm = ctx.cnum(1)
+    absa = abs(a)
+    m = 0
+    # |a| q^m decreases strictly; cap bounds the loop when eps is below the
+    # representable range
+    cap = 64 + int(math.log(max(eps, 1e-320)) / math.log(qq)) if absa > 0 else 0
+    while absa * abs(qm) >= bound and m < cap:
+        out *= 1 - a * qm
+        qm *= qc
+        m += 1
+    # first-order tail of sum_{j>=m} log(1 - a q^j)
+    out *= ctx.exp(-a * qm / (1 - qc))
+    return out
 
 
 def qpoch_many(bases, q, n: int | None = None, *, over=(),
                ctx: Context = STANDARD):
     """Product of (a; q)_n over a list of bases, then divided by (l; q)_n
     for each l in ``over``, one factor at a time in list order."""
-    with ctx.guard():
-        out = ctx.cnum(1)
-        for a in bases:
-            out *= qpoch(a, q, n, ctx=ctx)
-        for l in over:
-            out /= qpoch(l, q, n, ctx=ctx)
-        return out
+    out = ctx.cnum(1)
+    for a in bases:
+        out *= qpoch(a, q, n, ctx=ctx)
+    for l in over:
+        out /= qpoch(l, q, n, ctx=ctx)
+    return out
 
 
 def _lanczos_sum(zz: complex) -> complex:
@@ -169,8 +165,7 @@ def complex_gamma(z, ctx: Context = STANDARD):
     """
     zc = _off_gamma_pole(z)
     if ctx.extended:
-        with ctx.guard():
-            return mp.gamma(ctx.cnum(z))
+        return ctx.gamma(ctx.cnum(z))
     if zc.real < 0.5:
         return math.pi / (cmath.sin(math.pi * zc) * _lanczos_gamma(1.0 - zc))
     return _lanczos_gamma(zc)
@@ -179,8 +174,7 @@ def complex_gamma(z, ctx: Context = STANDARD):
 def log_gamma_real(x, ctx: Context = STANDARD):
     """log Gamma(x) for real x > 0 (coefficient assembly helper)."""
     if ctx.extended:
-        with ctx.guard():
-            return mp.loggamma(ctx.rnum(x))
+        return ctx.loggamma(ctx.rnum(x))
     if x <= 0:
         raise DomainError("log_gamma_real requires x > 0")
     return math.lgamma(x)
@@ -190,8 +184,7 @@ def log_abs_gamma(z, ctx: Context = STANDARD) -> float:
     """log |Gamma(z)|, overflow-free for large |Im z| (weight evaluation)."""
     zc = _off_gamma_pole(z)
     if ctx.extended:
-        with ctx.guard():
-            return float(mp.re(mp.loggamma(ctx.cnum(z))))
+        return float(ctx.loggamma(ctx.cnum(z)).real)
     if zc.real >= 0.5:
         zz = zc - 1.0
         t = zz + _LANCZOS_G + 0.5
@@ -210,14 +203,13 @@ def log_abs_gamma(z, ctx: Context = STANDARD) -> float:
 
 def complex_pow_principal(base, exponent, ctx: Context = STANDARD):
     """base**exponent = exp(exponent * Log base), principal logarithm."""
-    with ctx.guard():
-        b = ctx.cnum(base)
-        e = ctx.cnum(exponent)
-        if b == 0:
-            if e.imag == 0 and e.real > 0:
-                return ctx.cnum(0)
-            raise DomainError("0 cannot be raised to a non-positive-real power")
-        return ctx.exp(e * ctx.log(b))
+    b = ctx.cnum(base)
+    e = ctx.cnum(exponent)
+    if b == 0:
+        if e.imag == 0 and e.real > 0:
+            return ctx.cnum(0)
+        raise DomainError("0 cannot be raised to a non-positive-real power")
+    return ctx.exp(e * ctx.log(b))
 
 
 def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
@@ -239,21 +231,19 @@ def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
     if not ctx.extended and z > 8.0:
         wide = extended_context(26 + int(0.45 * z))
         return float(bessel_j(nu, z, wide))
-    with ctx.guard():
-        zr = ctx.rnum(z)
-        nur = ctx.rnum(nu)
-        if zr == 0:
-            return ctx.rnum(1 if nu == 0 else 0)
-        half = zr / 2
-        loghalf = math.log(half) if not ctx.extended else mp.log(half)
-        t = nur * loghalf - log_gamma_real(nur + 1, ctx)
-        term = math.exp(t) if not ctx.extended else mp.exp(t)
-        total = term
-        m = 0
-        while m < 500:
-            term = -term * half * half / ((m + 1) * (nur + m + 1))
-            total += term
-            m += 1
-            if abs(term) < 1e-16 * abs(total) + 10.0 ** (-ctx.dps - 4):
-                break
-        return total
+    zr = ctx.rnum(z)
+    nur = ctx.rnum(nu)
+    if zr == 0:
+        return ctx.rnum(1 if nu == 0 else 0)
+    half = zr / 2
+    t = nur * ctx.rlog(half) - log_gamma_real(nur + 1, ctx)
+    term = ctx.rexp(t)
+    total = term
+    m = 0
+    while m < 500:
+        term = -term * half * half / ((m + 1) * (nur + m + 1))
+        total += term
+        m += 1
+        if abs(term) < 1e-16 * abs(total) + 10.0 ** (-ctx.dps - 4):
+            break
+    return total

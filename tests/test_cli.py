@@ -160,6 +160,23 @@ def test_check_all_matches_golden_report(tmp_path, capsys):
     assert out_file.read_bytes() == (GOLDEN / "check_all_seeds_0_1.json").read_bytes()
 
 
+def test_check_all_ignores_mpmath_global_precision(tmp_path, capsys):
+    # every value carries its own precision, so the process-wide mpmath
+    # setting changes no byte of the report
+    golden = (GOLDEN / "check_all_seeds_0_1.json").read_bytes()
+    prec = mp.mp.prec
+    try:
+        for dps in (5, 100):
+            mp.mp.dps = dps
+            out_file = tmp_path / f"rep_{dps}.json"
+            code, _, _ = run(["check", "--all", "--seeds", "0..1",
+                              "--out", str(out_file)], capsys)
+            assert code == 0
+            assert out_file.read_bytes() == golden, dps
+    finally:
+        mp.mp.prec = prec
+
+
 def test_check_records_any_exception_as_errored(tmp_path, capsys, monkeypatch):
     def boom(p, policy, ctx):
         return 1 / 0

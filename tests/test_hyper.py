@@ -5,7 +5,13 @@ import random
 import mpmath as mp
 import pytest
 
-from qkl.errors import DenominatorPoleError, DivergenceError, ParamError, VWPoleError
+from qkl.errors import (
+    DenominatorPoleError,
+    DivergenceError,
+    ParamError,
+    RangeError,
+    VWPoleError,
+)
 from qkl.hyper import (
     SeriesStatus,
     TruncationPolicy,
@@ -14,9 +20,10 @@ from qkl.hyper import (
     detect_termination,
     gauss_2f1,
     hyp_pfq,
+    stable_eval,
     vwp_8w7,
 )
-from qkl.numerics import EXTENDED
+from qkl.numerics import EXTENDED, STANDARD
 from qkl.series import qpoch
 
 
@@ -230,3 +237,15 @@ def test_default_policy_env_override(monkeypatch):
     assert default_policy().max_terms == 37
     monkeypatch.delenv("QKL_MAX_TERMS")
     assert default_policy().max_terms == 10000
+
+
+def test_stable_eval_overflow_on_every_attempt_is_a_range_error():
+    attempts = []
+
+    def build(c):
+        attempts.append(c.dps)
+        raise OverflowError("too large")
+
+    with pytest.raises(RangeError):
+        stable_eval(build, STANDARD)
+    assert len(attempts) == 4

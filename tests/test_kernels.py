@@ -130,8 +130,9 @@ def test_ac_kernel_spectral_window_enforced():
 
 
 def test_extended_kernel_sums_leave_mpmath_precision_alone():
-    # the recurrence streams hold their own precision guard while suspended,
-    # so a sum must close them before leaving its guard
+    # extended values carry their own mpmath context: neither the kernel sums,
+    # which drop their recurrence streams once converged, nor a case set
+    # mpmath's global precision
     dps = mp.mp.dps
     mp_kernel_sum(1.0, 1.0, KernelPoint(0.3, 0.5, -0.2), ctx=EXTENDED)
     assert mp.mp.dps == dps

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from qkl.errors import DomainError, PoleError, RangeError
-from qkl.numerics import EXTENDED, STANDARD
+from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
     QBase,
     bessel_j,
@@ -84,12 +84,11 @@ def test_qpoch_many_over_divides_factor_by_factor():
     den = [0.15 - 0.2j, 0.6, -0.35j]
     for ctx in (STANDARD, EXTENDED):
         for n in (None, 5):
-            with ctx.guard():
-                pref = ctx.cnum(1)
-                for u in num:
-                    pref *= qpoch(u, 0.5, n, ctx=ctx)
-                for l in den:
-                    pref /= qpoch(l, 0.5, n, ctx=ctx)
+            pref = ctx.cnum(1)
+            for u in num:
+                pref *= qpoch(u, 0.5, n, ctx=ctx)
+            for l in den:
+                pref /= qpoch(l, 0.5, n, ctx=ctx)
             assert qpoch_many(num, 0.5, n, over=den, ctx=ctx) == pref
 
 
@@ -203,3 +202,12 @@ def test_bessel_range_errors():
         bessel_j(0, 31.0)
     with pytest.raises(RangeError):
         bessel_j(-1.5, 1.0)
+
+
+def test_extended_context_ladder():
+    # escalations share one context per rung of ten digits
+    assert extended_context(12).dps == 30
+    assert extended_context(40) is EXTENDED
+    assert extended_context(41) is extended_context(50)
+    assert extended_context(41).dps == 50
+    assert str(extended_context(41).rnum(1) / 3) == "0." + "3" * 50
