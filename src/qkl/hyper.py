@@ -334,18 +334,25 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
 
 def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
     """Run ``build(c) -> (value, SeriesEval)`` escalating precision until the
-    cancellation-adjusted digit count is adequate (or attempts run out).
+    cancellation-adjusted digit count is adequate, the value vanishes, or
+    attempts run out; returns the value, its SeriesEval and the context of the
+    attempt that produced them.
 
     Used by every terminating-series polynomial evaluation: the definitional
     sums lose digits like q^(-n(n-1)/2) (q-families) or (1+|z|)^n (classical),
     so fixed precision cannot honour the accuracy contracts at high degree.
-    Raises RangeError when the last attempt overflows.
+    A value that keeps no significant digit on two successive attempts (an
+    exact 0 included) vanishes to the working precision; the second of them
+    runs at least 20 digits past ``predicted_lost``.  Raises RangeError when
+    the last attempt overflows.
     """
     c = ctx
     if not ctx.extended and predicted_lost > 15.95 - _KEEP_STANDARD:
         c = extended_context(int(predicted_lost) + 20)
-    value, ev = None, None
-    for _ in range(4):
+    vanished = False
+    for attempt in range(4):
+        if attempt:
+            c = extended_context(max(nxt, c.dps + 10, int(predicted_lost) + 20))
         try:
             value, ev = build(c)
             finite = c.is_finite(value)
@@ -353,14 +360,14 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
             value, ev, finite = None, None, False
         if finite:
             lost = ev.cancellation_digits()
-            digits = 15.95 if not c.extended else c.dps
+            kept = (15.95 if not c.extended else c.dps) - lost
             keep = _KEEP_STANDARD if not c.extended else _KEEP_EXTENDED
-            if digits - lost >= keep:
+            if kept >= keep or (vanished and kept < 1):
                 return value, ev, c
+            vanished = kept < 1
         else:
-            lost = float("inf")
+            lost, vanished = float("inf"), False
         nxt = int(lost) + 22 if math.isfinite(lost) else 2 * c.dps + 20
-        c = extended_context(max(nxt, c.dps + 10, int(predicted_lost) + 20))
     if value is None:
         raise RangeError("series evaluation failed to produce a finite value")
     return value, ev, c

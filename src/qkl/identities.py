@@ -52,6 +52,7 @@ from .polys import (
     MPParams,
     _aw_coefficients,
     _aw_slots,
+    _mp_coefficients,
     aw_poly,
     aw_stream,
     chahn_poly,
@@ -254,20 +255,17 @@ def _mp_rec_validate(p):
 
 def _mp_rec_lhs(p, policy, ctx):
     mpp = MPParams(p["k"], p["phi"])
-    n = int(p["n"])
-    v = 2 * p["y"] * math.sin(p["phi"]) * mp_poly(mpp, n, p["y"], True, ctx)
-    return v, {}
+    two_y = 2 * ctx.rnum(p["y"]) * ctx.sin(ctx.rnum(p["phi"]))
+    return two_y * mp_poly(mpp, int(p["n"]), p["y"], True, ctx), {}
 
 
 def _mp_rec_rhs(p, policy, ctx):
     mpp = MPParams(p["k"], p["phi"])
-    k, y, n = p["k"], p["y"], int(p["n"])
-    a_n = math.sqrt((n + 1) * (n + 2 * k))
-    a_nm1 = math.sqrt(n * (n - 1 + 2 * k)) if n > 0 else 0.0
-    v = (a_n * mp_poly(mpp, n + 1, y, True, ctx)
-         - 2 * (n + k) * math.cos(p["phi"]) * mp_poly(mpp, n, y, True, ctx))
+    y, n = p["y"], int(p["n"])
+    up, mid, low = _mp_coefficients(p["k"], ctx.cos(ctx.rnum(p["phi"])), n, ctx)
+    v = up * mp_poly(mpp, n + 1, y, True, ctx) + mid * mp_poly(mpp, n, y, True, ctx)
     if n > 0:
-        v += a_nm1 * mp_poly(mpp, n - 1, y, True, ctx)
+        v += low * mp_poly(mpp, n - 1, y, True, ctx)
     return v, {}
 
 

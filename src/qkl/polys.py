@@ -5,22 +5,28 @@ Terminating q-series suffer catastrophic cancellation that grows like
 q^(-n(n-1)/2) with the degree, and the classical families lose digits at a
 slower but still fatal rate; every definitional evaluation here therefore
 monitors the largest summand and transparently re-runs at escalated precision
-until the result carries ~15 trustworthy digits.
+until the result carries ~15 trustworthy digits.  Al-Salam-Chihara is the
+Askey-Wilson family at c = d = 0 and is evaluated as such by ``aw_poly``.
 
 Three families also have recurrence streams, which yield p_0, p_1, ... at
-one point by forward three-term recurrence, stable on the orthogonality
-support: Meixner-Pollaczek and Al-Salam-Chihara (orthonormal, backing the
+one point: Meixner-Pollaczek and Al-Salam-Chihara (orthonormal, backing the
 kernel sums) and Askey-Wilson (``aw_stream``, in ``aw_poly``'s normalisation,
-with ``sj_ac_stream`` on top of it; these back the q-bilinear j-sums).  The
-definitions stay as the oracles the streams are tested against.  A stream's
-values are numbers of its context and carry their precision with them, so a
-stream holds no state beyond its recurrence and may be dropped anywhere.
+with ``sj_ac_stream`` on top of it; these back the q-bilinear j-sums).  Each
+is a coefficient generator yielding (U_n, B_n, L_n), n = 0, 1, ..., plus a
+thin wrapper that runs it on the one forward recurrence ``_recurrence``; a
+new stream follows the same recipe.  The orthonormal Al-Salam-Chihara
+coefficients stay apart from the Askey-Wilson ones, so the two sides of
+``ac_spoisson`` share no family formula.  The definitions stay as the oracles
+the streams are tested against.  A stream's values are numbers of its context
+and carry their precision with them, so a stream holds no state beyond its
+recurrence and may be dropped anywhere.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import DegreeError, DomainError, ParamError, RealityError
 from .hyper import bhs_rphis, hyp_pfq, stable_eval
@@ -133,6 +139,22 @@ def _enforce_real(value, where: str):
 
 
 # --------------------------------------------------------------------------
+# three-term recurrence
+
+
+def _recurrence(two_x, coefficients, p0):
+    """Yields p_0 = p0, p_1, ... of 2x p_n = U_n p_{n+1} + B_n p_n + L_n p_{n-1}
+    (p_{-1} = 0) by forward recurrence, which is stable on the orthogonality
+    support (Gautschi, SIAM Rev. 9 (1967)); ``coefficients`` yields
+    (U_n, B_n, L_n) for n = 0, 1, ... in the backend of ``two_x`` and ``p0``."""
+    prev, cur = 0, p0
+    yield cur
+    for up, mid, low in coefficients:
+        prev, cur = cur, ((two_x - mid) * cur - low * prev) / up
+        yield cur
+
+
+# --------------------------------------------------------------------------
 # Meixner-Pollaczek
 
 
@@ -164,27 +186,24 @@ def mp_poly(p: MPParams, n: int, x: float, orthonormal: bool = False,
 def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float:
     """Orthonormal MP value by upward three-term recurrence from
     p_{-1} = 0, p_0 = 1/sqrt(Gamma(2k))."""
-    gen = mp_orthonormal_stream(p, y, ctx)
-    for _ in range(n):
-        next(gen)
-    return ctx.rnum(next(gen))
+    return ctx.rnum(next(islice(mp_orthonormal_stream(p, y, ctx), n, None)))
 
 
 def mp_orthonormal_stream(p: MPParams, y: float, ctx: Context = STANDARD):
     """Yields the orthonormal MP values p_0(y), p_1(y), ... (stable stream)."""
-    k, phi = p.k, p.phi
-    two_y_sin = 2 * ctx.rnum(y) * ctx.sin(ctx.rnum(phi))
-    cosphi = ctx.cos(ctx.rnum(phi))
-    prev = ctx.rnum(0)
-    cur = ctx.rexp(-log_gamma_real(2 * k, ctx) / 2)
-    n = 0
-    while True:
-        yield cur
-        a_n = ctx.rsqrt((n + 1) * (n + 2 * k))
-        a_nm1 = ctx.rsqrt(n * (n - 1 + 2 * k)) if n > 0 else ctx.rnum(0)
-        nxt = ((two_y_sin + 2 * (n + k) * cosphi) * cur - a_nm1 * prev) / a_n
-        prev, cur = cur, nxt
-        n += 1
+    cosphi = ctx.cos(ctx.rnum(p.phi))
+    return _recurrence(2 * ctx.rnum(y) * ctx.sin(ctx.rnum(p.phi)),
+                       (_mp_coefficients(p.k, cosphi, n, ctx) for n in count()),
+                       ctx.rexp(-log_gamma_real(2 * p.k, ctx) / 2))
+
+
+def _mp_coefficients(k: float, cosphi, n: int, ctx: Context):
+    """(U_n, B_n, L_n) of the orthonormal MP recurrence in the variable
+    2y sin(phi): 2y sin(phi) p_n = a_n p_{n+1} - 2(n+k) cos(phi) p_n
+    + a_{n-1} p_{n-1}, a_n = sqrt((n+1)(n+2k)), computed in ``ctx``."""
+    k = ctx.rnum(k)
+    low = ctx.rsqrt(n * (n - 1 + 2 * k)) if n > 0 else ctx.rnum(0)
+    return ctx.rsqrt((n + 1) * (n + 2 * k)), -2 * (n + k) * cosphi, low
 
 
 # --------------------------------------------------------------------------
@@ -316,30 +335,14 @@ def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
 
 def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
              ctx: Context = STANDARD) -> complex:
-    """Al-Salam-Chihara R_n(x; a, b | q) = a^{-n} (ab; q)_n *
-    3phi2(q^{-n}, a e^{i theta}, a e^{-i theta}; ab, 0; q, q); the orthonormal
+    """Al-Salam-Chihara R_n(x; a, b | q): the Askey-Wilson p_n(x; a, b, 0, 0 | q)
+    of ``aw_poly`` (KLS 14.8.1 is 14.1.1 at c = d = 0); the orthonormal
     variant divides by sqrt((q, ab; q)_n)."""
-    x = _unit_arg(x, "asc_poly")
-    a, b = (p.a, p.b) if abs(complex(p.a)) >= abs(complex(p.b)) else (p.b, p.a)
-    q = p.q
-    if complex(a) == 0:
-        value = _cont_q_hermite(n, x, q, ctx)
-    else:
-
-        def build(c: Context):
-            qc = c.rnum(q)
-            ca, cb = c.cnum(a), c.cnum(b)
-            theta = c.acos(c.rnum(x))
-            ev = bhs_rphis([qc ** (-n), ca * c.expi(theta), ca * c.expi(-theta)],
-                           [ca * cb, 0], q, qc, ctx=c)
-            return ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * ev.value, ev
-
-        value, _, _ = _stable_eval(build, ctx,
-                                   predicted_lost=_aw_predicted_lost(n, q, abs(complex(a))))
+    value = aw_poly(p.as_aw(), n, x, ctx)
     if orthonormal:
-        norm = ctx.sqrt(qpoch(p.q, q, n, ctx=ctx) * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), q, n, ctx=ctx))
-        value = ctx.adopt(value) / norm
-    return ctx.cnum(value)
+        value /= ctx.sqrt(qpoch(p.q, p.q, n, ctx=ctx)
+                          * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), p.q, n, ctx=ctx))
+    return value
 
 
 def _aw_coefficients(a, b, c, d, q, n: int):
@@ -373,50 +376,36 @@ def _aw_coefficients(a, b, c, d, q, n: int):
 
 
 def aw_stream(p: AWParams, x: float, ctx: Context = STANDARD):
-    """Yields the Askey-Wilson values p_0(x), p_1(x), ... of ``aw_poly`` by
-    forward three-term recurrence (``_aw_coefficients``), which is stable on
-    the orthogonality support x in [-1, 1] (Gautschi, SIAM Rev. 9 (1967)).
-
-    """
+    """Yields the Askey-Wilson values p_0(x), p_1(x), ... of ``aw_poly`` on
+    the coefficients of ``_aw_coefficients``."""
     x = _unit_arg(x, "aw_stream")
-    return _aw_values(_aw_slots(p), p.q, x, ctx)
-
-
-def _aw_values(slots, q: float, x: float, ctx: Context):
-    a, b, c, d = (ctx.cnum(v) for v in slots)
-    qc = ctx.rnum(q)
-    two_x = 2 * ctx.rnum(x)
-    prev, cur = ctx.cnum(0), ctx.cnum(1)
-    n = 0
-    while True:
-        yield cur
-        up, mid, low = _aw_coefficients(a, b, c, d, qc, n)
-        prev, cur = cur, ((two_x - mid) * cur - low * prev) / up
-        n += 1
+    a, b, c, d = (ctx.cnum(v) for v in _aw_slots(p))
+    qc = ctx.rnum(p.q)
+    return _recurrence(2 * ctx.rnum(x),
+                       (_aw_coefficients(a, b, c, d, qc, n) for n in count()),
+                       ctx.cnum(1))
 
 
 def asc_orthonormal_stream(a, b, q, x: float, ctx: Context = STANDARD):
-    """Orthonormal Al-Salam-Chihara values r_0(x), r_1(x), ... by the
-    recurrence 2x r_n = sqrt((1-q^{n+1})(1-a b q^n)) r_{n+1} + (a+b) q^n r_n
-    + sqrt((1-q^n)(1-a b q^{n-1})) r_{n-1}, derived from the n = 1 structure
-    R_1 = 2x - a - b and the orthonormalisation."""
-    qq = _qval(q)
-    ca, cb = ctx.cnum(a), ctx.cnum(b)
-    ab = ca * cb
-    s = ca + cb
-    xx = ctx.rnum(x)
-    prev = ctx.cnum(0)
-    cur = ctx.cnum(1)
-    n = 0
+    """Orthonormal Al-Salam-Chihara values r_0(x), r_1(x), ... on the
+    coefficients of ``_asc_coefficients``."""
+    return _recurrence(2 * ctx.rnum(x),
+                       _asc_coefficients(ctx.cnum(a), ctx.cnum(b), _qval(q), ctx),
+                       ctx.cnum(1))
+
+
+def _asc_coefficients(a, b, q: float, ctx: Context):
+    """Yields (U_n, B_n, L_n), n = 0, 1, ..., of the orthonormal
+    Al-Salam-Chihara recurrence 2x r_n = sqrt((1-q^{n+1})(1-ab q^n)) r_{n+1}
+    + (a+b) q^n r_n + sqrt((1-q^n)(1-ab q^{n-1})) r_{n-1}, derived from the
+    n = 1 structure R_1 = 2x - a - b and the orthonormalisation."""
+    ab, s = a * b, a + b
     qn = ctx.rnum(1)
+    low = ctx.cnum(0)
     while True:
-        yield cur
-        a_n = ctx.sqrt((1 - qn * qq) * (1 - ab * qn))
-        a_nm1 = ctx.sqrt((1 - qn) * (1 - ab * qn / qq)) if n > 0 else ctx.cnum(0)
-        nxt = ((2 * xx - s * qn) * cur - a_nm1 * prev) / a_n
-        prev, cur = cur, nxt
-        qn *= qq
-        n += 1
+        yield ctx.sqrt((1 - qn * q) * (1 - ab * qn)), s * qn, low
+        qn *= q
+        low = ctx.sqrt((1 - qn) * (1 - ab * qn / q))
 
 
 # --------------------------------------------------------------------------

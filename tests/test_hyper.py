@@ -12,7 +12,9 @@ from qkl.errors import (
     RangeError,
     VWPoleError,
 )
+from qkl import numerics
 from qkl.hyper import (
+    SeriesEval,
     SeriesStatus,
     TruncationPolicy,
     bhs_rphis,
@@ -249,3 +251,42 @@ def test_stable_eval_overflow_on_every_attempt_is_a_range_error():
     with pytest.raises(RangeError):
         stable_eval(build, STANDARD)
     assert len(attempts) == 4
+
+
+@pytest.mark.parametrize("vanishing", [lambda c: 0, lambda c: c.rnum(10) ** -c.dps],
+                         ids=["zero", "noise"])
+def test_stable_eval_stops_on_a_vanishing_value(vanishing):
+    # a value that keeps no significant digit twice (an exact 0, or noise at
+    # the working precision under terms of size 1) is returned after two
+    # attempts, the second at least 20 digits past the predicted loss
+    attempts = []
+
+    def build(c):
+        attempts.append(c.dps)
+        value = vanishing(c)
+        return value, SeriesEval(value, 8, 0.0, SeriesStatus.TERMINATED_FINITE,
+                                 c.mode, 0.0)
+
+    value, _, used = stable_eval(build, STANDARD, predicted_lost=3.0)
+    assert len(attempts) == 2
+    assert attempts[1] >= 3 + 20
+    assert used.dps == attempts[-1]
+    assert value == vanishing(used)
+
+
+def test_stable_eval_returns_the_context_it_ran():
+    # a build that keeps 5 digits at every precision never meets its target:
+    # the last attempt's context comes back, and no rung above it is built
+    attempts = []
+
+    def build(c):
+        attempts.append(c.dps)
+        digits = c.dps if c.extended else 15.95
+        return 1.0, SeriesEval(1.0, 1, 0.0, SeriesStatus.TERMINATED_FINITE,
+                               c.mode, digits - 5)
+
+    before = set(numerics._LADDER)
+    _, _, used = stable_eval(build, STANDARD)
+    assert len(attempts) == 4
+    assert used.dps == attempts[-1]
+    assert all(dps <= attempts[-1] for dps in set(numerics._LADDER) - before)

@@ -1,4 +1,5 @@
 """Polynomial families: definitions, recurrences, and structural invariants."""
+import cmath
 import math
 import random
 from itertools import islice
@@ -22,6 +23,7 @@ from qkl.polys import (
     chahn_poly,
     hahn_poly,
     jacobi_poly,
+    mp_orthonormal_stream,
     mp_poly,
     mp_poly_rec,
     sj_ac,
@@ -181,18 +183,6 @@ def test_asc_basic():
     assert abs(asc_poly(p, n, 0.3, orthonormal=True) - asc_poly(p, n, 0.3) / norm) < 1e-13
 
 
-def test_asc_equals_aw_with_cd_zero():
-    rng = random.Random(9)
-    for _ in range(4):
-        q = rng.choice([0.3, 0.5, 0.7])
-        a, b = rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9)
-        x = math.cos(rng.uniform(0.2, math.pi - 0.2))
-        for n in range(9):
-            va = asc_poly(ASCParams(q, a, b), n, x)
-            vw = aw_poly(AWParams(q, a, b, 0.0, 0.0), n, x)
-            assert abs(va - vw) <= 1e-12 * max(1.0, abs(vw))
-
-
 def test_asc_definition_vs_derived_recurrence():
     rng = random.Random(10)
     for _ in range(4):
@@ -238,23 +228,70 @@ def _sampled_aw_points(ident, seed):
             for u, v, s in (("x1", "x2", "s"), ("y1", "y2", "sigma"))]
 
 
-@pytest.mark.parametrize("ident", ["aw_bilinear", "cdqh_bilinear", "asc_bilinear",
-                                   "cbqh_reduction", "ac_spoisson"])
-def test_aw_stream_matches_definition(ident):
+def _assert_matches_definition(ref, std, ext):
     # the recurrence stream, in standard and in extended precision, against
     # definitional values summed at >= 120 digits (which promise 16 correct
     # digits), relative to the largest neighbouring value: a value near a
     # zero of p_n carries the rounding of its neighbours
+    for n in range(len(std)):
+        scale = max(abs(v) for v in ref[max(n - 1, 0):n + 2])
+        assert abs(std[n] - ref[n]) <= 1e-12 * scale, n
+        assert abs(complex(ext[n]) - ref[n]) <= 1e-12 * scale, n
+
+
+@pytest.mark.parametrize("ident", ["aw_bilinear", "cdqh_bilinear", "asc_bilinear",
+                                   "cbqh_reduction", "ac_spoisson"])
+def test_aw_stream_matches_definition(ident):
     ref_ctx = extended_context(120)
     for seed in range(2):
         for aw, x in _sampled_aw_points(ident, seed):
-            ref = [complex(aw_poly(aw, n, x, ref_ctx)) for n in range(31)]
-            std = list(islice(aw_stream(aw, x), 30))
-            ext = list(islice(aw_stream(aw, x, EXTENDED), 30))
-            for n in range(30):
-                scale = max(abs(v) for v in ref[max(n - 1, 0):n + 2])
-                assert abs(std[n] - ref[n]) <= 1e-12 * scale, (seed, n)
-                assert abs(complex(ext[n]) - ref[n]) <= 1e-12 * scale, (seed, n)
+            _assert_matches_definition(
+                [complex(aw_poly(aw, n, x, ref_ctx)) for n in range(31)],
+                list(islice(aw_stream(aw, x), 30)),
+                list(islice(aw_stream(aw, x, EXTENDED), 30)))
+
+
+def _sampled_kernel_points(ident, seed):
+    """The (parameters, point) pairs whose orthonormal streams one case of a
+    Poisson-kernel identity sums: MPParams for the Meixner-Pollaczek ones,
+    ASCParams (q, q^k s, q^k / s) for the Al-Salam-Chihara ones."""
+    p = sample_params(ident, seed).params
+    if ident == "mp_poisson":
+        return [(MPParams(p["k"], p["phi"]), p[v]) for v in ("x", "y")]
+    if ident == "mp_spoisson":
+        return [(MPParams(p[k], p["phi"]), p[v])
+                for k, v in (("k1", "x1"), ("k1", "y1"), ("k2", "x2"), ("k2", "y2"))]
+    q = p["q"]
+    if ident == "ac_poisson":
+        spec = [(p["k"], p["s"], p["x"]), (p["k"], p["sigma"], p["y"])]
+    else:
+        spec = [(p["k1"], cmath.exp(1j * math.acos(p["x2"])), p["x1"]),
+                (p["k1"], cmath.exp(1j * math.acos(p["y2"])), p["y1"]),
+                (p["k2"], p["s"], p["x2"]), (p["k2"], p["sigma"], p["y2"])]
+    return [(ASCParams(q, q ** k * complex(s), q ** k / complex(s)), x)
+            for k, s, x in spec]
+
+
+@pytest.mark.parametrize("ident", ["mp_poisson", "mp_spoisson"])
+def test_mp_stream_matches_definition(ident):
+    ref_ctx = extended_context(120)
+    for seed in range(2):
+        for mp, y in _sampled_kernel_points(ident, seed):
+            _assert_matches_definition(
+                [float(mp_poly(mp, n, y, True, ref_ctx)) for n in range(31)],
+                list(islice(mp_orthonormal_stream(mp, y), 30)),
+                list(islice(mp_orthonormal_stream(mp, y, EXTENDED), 30)))
+
+
+@pytest.mark.parametrize("ident", ["ac_poisson", "ac_spoisson"])
+def test_asc_stream_matches_definition(ident):
+    ref_ctx = extended_context(120)
+    for seed in range(2):
+        for asc, x in _sampled_kernel_points(ident, seed):
+            _assert_matches_definition(
+                [complex(asc_poly(asc, n, x, True, ref_ctx)) for n in range(31)],
+                list(islice(asc_orthonormal_stream(asc.a, asc.b, asc.q, x), 30)),
+                list(islice(asc_orthonormal_stream(asc.a, asc.b, asc.q, x, EXTENDED), 30)))
 
 
 def test_aw_stream_special_parameters():
