@@ -50,17 +50,19 @@ from .polys import (
     CHahnParams,
     HahnParams,
     MPParams,
+    _2f1_stream,
+    _3f2_stream,
     _aw_coefficients,
     _aw_slots,
     _mp_coefficients,
     aw_poly,
     aw_stream,
-    chahn_poly,
+    chahn_stream,
     hahn_poly,
-    jacobi_poly,
+    jacobi_stream,
     mp_poly,
     sj_ac_stream,
-    sj_mp,
+    sj_mp_stream,
 )
 from .series import bessel_j, log_gamma_real, pochhammer, qpoch, qpoch_many
 
@@ -305,18 +307,16 @@ def _hahn_product_rhs(p, policy, ctx):
     def terms():
         rr = ctx.cnum(r)
         coef = ctx.cnum(1)
-        for j in count():
+        px = chahn_stream(CHahnParams(k1, complex(k2, -X), k1, complex(k2, X)), x1, ctx)
+        py = chahn_stream(CHahnParams(k1, complex(k2, -Y), k1, complex(k2, Y)), y1, ctx)
+        for j, vx, vy in zip(count(), px, py):
             if j > 0:
                 coef = coef * (-rr) * j / (
                     (2 * k1 + j - 1) * (2 * k2 + j - 1)
                     * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
             kk = k1 + k2 + j
             f = gauss_2f1(complex(kk, X), complex(kk, Y), 2 * kk, r, policy, ctx)
-            px = chahn_poly(CHahnParams(k1, complex(k2, -X), k1, complex(k2, X)),
-                            j, x1, ctx)
-            py = chahn_poly(CHahnParams(k1, complex(k2, -Y), k1, complex(k2, Y)),
-                            j, y1, ctx)
-            yield coef * f.value * px * py
+            yield coef * f.value * vx * vy
 
     return _sum_j(terms(), policy, ctx)
 
@@ -364,15 +364,15 @@ def _chahn_bilinear_lhs(p, policy, ctx):
     def terms():
         rr = ctx.cnum(r)
         coef = ctx.cnum(1)
-        for j in count():
+        px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
+        py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
+        for j, vx, vy in zip(count(), px, py):
             if j > 0:
                 coef = coef * (-1) * j / (
                     (2 * a + j - 1) * (bd + j - 1)
                     * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
             f = gauss_2f1(a + d + j, a + d2 + j, 2 * a + bd + 2 * j, r, policy, ctx)
-            px = chahn_poly(CHahnParams(a, b, a, d), j, x, ctx)
-            py = chahn_poly(CHahnParams(a, b2, a, d2), j, y, ctx)
-            yield coef * f.value * px * py * rr ** j
+            yield coef * f.value * vx * vy * rr ** j
 
     return _sum_j(terms(), policy, ctx)
 
@@ -409,18 +409,21 @@ def _jacobi_bessel_validate(p):
 def _jacobi_bessel_lhs(p, policy, ctx):
     al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
 
-    def term(j):
-        nu = al + be + 2 * j + 1
-        logc = (log_gamma_real(j + 1, ctx) + log_gamma_real(al + be + j + 1, ctx)
-                - log_gamma_real(al + j + 1, ctx) - log_gamma_real(be + j + 1, ctx))
-        coef = (-1) ** j * (al + be + 2 * j + 1) * ctx.rexp(logc)
-        bj = bessel_j(nu, z, ctx)
-        if abs(bj) < 1e-18:
-            return ctx.cnum(0)
-        return ctx.cnum(coef * jacobi_poly(al, be, j, x, ctx)
-                        * jacobi_poly(al, be, j, y, ctx) * bj)
+    def terms():
+        px = jacobi_stream(al, be, x, ctx)
+        py = jacobi_stream(al, be, y, ctx)
+        for j, vx, vy in zip(count(), px, py):
+            nu = al + be + 2 * j + 1
+            logc = (log_gamma_real(j + 1, ctx) + log_gamma_real(al + be + j + 1, ctx)
+                    - log_gamma_real(al + j + 1, ctx) - log_gamma_real(be + j + 1, ctx))
+            coef = (-1) ** j * (al + be + 2 * j + 1) * ctx.rexp(logc)
+            bj = bessel_j(nu, z, ctx)
+            if abs(bj) < 1e-18:
+                yield ctx.cnum(0)
+            else:
+                yield ctx.cnum(coef * vx * vy * bj)
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=60)
+    return _sum_j(terms(), policy, ctx, jmax=60)
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
@@ -461,15 +464,15 @@ def _chahn_finite_lhs(p, policy, ctx):
     bd = (b + d).real
     S = 2 * a + bd
     total = ctx.cnum(0)
-    for j in range(K + 1):
+    px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
+    py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
+    for j, vx, vy in zip(range(K + 1), px, py):
         num = (pochhammer(-K, j, ctx) * pochhammer(S, 2 * j, ctx)
                * ctx.rexp(log_gamma_real(j + 1, ctx)))
         den = (pochhammer(2 * a, j, ctx) * pochhammer(bd, j, ctx)
                * pochhammer(S + j - 1, j, ctx) * pochhammer(a + d, j, ctx)
                * pochhammer(a + d2, j, ctx) * pochhammer(S + K, j, ctx))
-        px = chahn_poly(CHahnParams(a, b, a, d), j, x, ctx)
-        py = chahn_poly(CHahnParams(a, b2, a, d2), j, y, ctx)
-        total += num / den * px * py
+        total += num / den * vx * vy
     return total, {"terms": K + 1}
 
 
@@ -602,20 +605,21 @@ def _mult_2f1_rhs(p, policy, ctx):
     def terms():
         zc = ctx.cnum(z)
         coef = ctx.cnum(1)
+        s, cc = ctx.cnum(c + c2), ctx.cnum(c)
+        f3a = _3f2_stream(s, ctx.cnum(a), ctx.cnum(A), cc, ctx)
+        f3b = _3f2_stream(s, ctx.cnum(b), ctx.cnum(B), cc, ctx)
         for j in count():
             if j > 0:
                 jm = j - 1
                 coef = coef * (c + jm) * (A + jm) * (B + jm) / (
                     j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
             if coef == 0:
+                # a vanished coefficient stays 0, and past it the streams
+                # may divide by A + j = 0 or B + j = 0: pull them no further
                 yield ctx.cnum(0)
                 continue
-            f3a = hyp_pfq_stable([-j, a, c + c2 + j - 1], [A, c], 1, ctx,
-                                 lost_hint=0.45 * j)
-            f3b = hyp_pfq_stable([-j, b, c + c2 + j - 1], [B, c], 1, ctx,
-                                 lost_hint=0.45 * j)
             f = gauss_2f1(A + j, B + j, c + c2 + 2 * j, z, policy, ctx)
-            yield coef * f3a * f3b * f.value * zc ** j
+            yield coef * next(f3a) * next(f3b) * f.value * zc ** j
 
     return _sum_j(terms(), policy, ctx)
 
@@ -683,20 +687,20 @@ def _conf_rhs(p, policy, ctx):
 
     def terms():
         coef = ctx.cnum(1)
+        cs, cc = ctx.cnum(c + c2), ctx.cnum(c)
+        f3 = _3f2_stream(cs, ctx.cnum(a), ctx.cnum(A), cc, ctx)
+        f2a = _2f1_stream(cs, cc, ctx.cnum(x) / s, ctx)
         for j in count():
             if j > 0:
                 jm = j - 1
                 coef = coef * (c + jm) * (A + jm) / (
                     j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
             if coef == 0:
+                # as in _mult_2f1_rhs: past here A + j may be 0
                 yield ctx.cnum(0)
                 continue
-            f3 = hyp_pfq_stable([-j, a, c + c2 + j - 1], [A, c], 1, ctx,
-                                lost_hint=0.45 * j)
-            f2a = hyp_pfq_stable([-j, c + c2 + j - 1], [c], x / s, ctx,
-                                 lost_hint=0.4 * j)
             f1b = hyp_pfq([a + a2 + j], [c + c2 + 2 * j], s, policy, ctx)
-            yield coef * f3 * f2a * f1b.value * ctx.cnum(s) ** j
+            yield coef * next(f3) * next(f2a) * f1b.value * ctx.cnum(s) ** j
 
     return _sum_j(terms(), policy, ctx)
 
@@ -1204,14 +1208,14 @@ def _mp_spoisson_rhs(p, policy, ctx):
     k1, k2, phi, t = p["k1"], p["k2"], p["phi"], p["t"]
     X, Y = p["x1"] + p["x2"], p["y1"] + p["y2"]
 
-    def term(j):
-        kk = k1 + k2 + j
-        v = mp_kernel_closed(kk, phi, KernelPoint(t, X, Y), policy, ctx)
-        sx = sj_mp(k1, k2, j, p["x1"], p["x2"], phi, ctx)
-        sy = sj_mp(k1, k2, j, p["y1"], p["y2"], phi, ctx)
-        return ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(sx) * ctx.cnum(sy)
+    def terms():
+        sx = sj_mp_stream(k1, k2, p["x1"], p["x2"], phi, ctx)
+        sy = sj_mp_stream(k1, k2, p["y1"], p["y2"], phi, ctx)
+        for j, vx, vy in zip(count(), sx, sy):
+            v = mp_kernel_closed(k1 + k2 + j, phi, KernelPoint(t, X, Y), policy, ctx)
+            yield ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(vx) * ctx.cnum(vy)
 
-    return _sum_j(map(term, count()), policy, ctx, jmax=250)
+    return _sum_j(terms(), policy, ctx, jmax=250)
 
 
 _register("mp_spoisson",

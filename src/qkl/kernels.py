@@ -86,7 +86,8 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     2F1(k+ix, k+iy; 2k; r) with r = -4 t sin^2 phi / (1-t)^2.
 
     All powers are principal-branch; for |t| < 1 both power bases have
-    positive real part, so no branch cut is crossed (asserted).
+    positive real part, so no branch cut is crossed; a point where either
+    base has not (possible only for |t| >= 1) raises DomainError.
     """
     MPParams(k, phi)
     policy = policy or default_policy()
@@ -97,7 +98,8 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     r = -4 * t * sinphi * sinphi / (1 - t) ** 2
     base1 = 1 - t * ctx.expi(2 * ctx.rnum(phi))
     base2 = 1 - t
-    assert base1.real > 0 and base2.real > 0, "principal branch violated"
+    if not (base1.real > 0 and base2.real > 0):
+        raise DomainError(f"mp_kernel_closed: principal branch violated at t = {pt.t}")
     f = gauss_2f1(k + i * x, k + i * y, 2 * ctx.rnum(k), r, policy, ctx)
     logpref = (-log_gamma_real(2 * k, ctx)
                + i * (x + y) * ctx.log(base1)

@@ -8,18 +8,25 @@ monitors the largest summand and transparently re-runs at escalated precision
 until the result carries ~15 trustworthy digits.  Al-Salam-Chihara is the
 Askey-Wilson family at c = d = 0 and is evaluated as such by ``aw_poly``.
 
-Three families also have recurrence streams, which yield p_0, p_1, ... at
-one point: Meixner-Pollaczek and Al-Salam-Chihara (orthonormal, backing the
-kernel sums) and Askey-Wilson (``aw_stream``, in ``aw_poly``'s normalisation,
-with ``sj_ac_stream`` on top of it; these back the q-bilinear j-sums).  Each
-is a coefficient generator yielding (U_n, B_n, L_n), n = 0, 1, ..., plus a
-thin wrapper that runs it on the one forward recurrence ``_recurrence``; a
-new stream follows the same recipe.  The orthonormal Al-Salam-Chihara
-coefficients stay apart from the Askey-Wilson ones, so the two sides of
-``ac_spoisson`` share no family formula.  The definitions stay as the oracles
-the streams are tested against.  A stream's values are numbers of its context
-and carry their precision with them, so a stream holds no state beyond its
-recurrence and may be dropped anywhere.
+Recurrence streams yield p_0, p_1, ... at one point: Meixner-Pollaczek and
+Al-Salam-Chihara (orthonormal, backing the kernel sums), Askey-Wilson
+(``aw_stream``, in ``aw_poly``'s normalisation, with ``sj_ac_stream`` on top
+of it; these back the q-bilinear j-sums), and the classical shapes
+3F2(-n, n+s-1, z; u, v; 1) (``_3f2_stream``, KLS 9.4.4) and
+2F1(-n, n+s-1; u; y) (``_2f1_stream``, KLS 9.8.4), with ``chahn_stream``,
+``jacobi_stream`` and ``sj_mp_stream`` on top of them; these back the
+classical j-sums.  Each is a coefficient source yielding (U_n, B_n, L_n),
+n = 0, 1, ..., plus a thin wrapper that runs it on the one forward
+recurrence ``_recurrence``; a new stream follows the same recipe.  The
+orthonormal Al-Salam-Chihara coefficients stay apart from the Askey-Wilson
+ones, so the two sides of ``ac_spoisson`` share no family formula.  The
+definitions stay as the oracles the streams are tested against.  A stream's
+values are numbers of its context and carry their precision with them, so a
+stream holds no state beyond its recurrence and may be dropped anywhere.
+
+``sj_mp`` and ``sj_mp_stream`` take their weight in log form for every j, so
+both still raise ValueError at j = 0 when k1 + k2 < 1/2 (the logarithm of
+2k1 + 2k2 - 1); a weight carried by its ratio in j would not.
 """
 from __future__ import annotations
 
@@ -228,6 +235,75 @@ def chahn_poly(p: CHahnParams, n: int, x: float, ctx: Context = STANDARD) -> com
     return ctx.cnum(value)
 
 
+def _3f2_coefficients(s, u, v, n: int):
+    """(U_n, B_n, L_n) of F_n = 3F2(-n, n+s-1, z; u, v; 1) in the variable z:
+    z F_n = A_n F_{n+1} - (A_n + C_n) F_n + C_n F_{n-1}, with
+    A_n = -(n+s-1)(n+u)(n+v) / ((2n+s-1)(2n+s)) and
+    C_n = n(n+s-u-1)(n+s-v-1) / ((2n+s-2)(2n+s-1)) (KLS 9.4.4 for the
+    continuous Hahn p_n at s = a+b+c+d, z = a+ix, u = a+c, v = a+d), in the
+    backend of the arguments."""
+    if n == 0:
+        # the factor (s - 1) of A_0 cancels; C_0 = 0
+        big_a, big_c = -u * v / s, 0
+    else:
+        big_a = -(n + s - 1) * (n + u) * (n + v) / ((2 * n + s - 1) * (2 * n + s))
+        big_c = (n * (n + s - u - 1) * (n + s - v - 1)
+                 / ((2 * n + s - 2) * (2 * n + s - 1)))
+    return big_a, -(big_a + big_c), big_c
+
+
+def _2f1_coefficients(s, u, n: int):
+    """(U_n, B_n, L_n) of G_n = 2F1(-n, n+s-1; u; y) in the variable -y:
+    -y G_n = A_n G_{n+1} - (A_n + C_n) G_n + C_n G_{n-1}, with
+    A_n = (n+s-1)(n+u) / ((2n+s-1)(2n+s)) and
+    C_n = n(n+s-u-1) / ((2n+s-2)(2n+s-1)) (KLS 9.8.4 for the Jacobi
+    P_n^(alpha,beta) at s = alpha+beta+2, u = alpha+1, y = (1-x)/2), in the
+    backend of the arguments."""
+    if n == 0:
+        big_a, big_c = u / s, 0
+    else:
+        big_a = (n + s - 1) * (n + u) / ((2 * n + s - 1) * (2 * n + s))
+        big_c = n * (n + s - u - 1) / ((2 * n + s - 2) * (2 * n + s - 1))
+    return big_a, -(big_a + big_c), big_c
+
+
+def _3f2_stream(s, z, u, v, ctx: Context = STANDARD):
+    """Yields 3F2(-n, n+s-1, z; u, v; 1), n = 0, 1, ..., for arguments in the
+    backend of ``ctx``.  F_{n+1} divides by n + u and n + v: where one of them
+    vanishes, pull no further."""
+    return _recurrence(z, (_3f2_coefficients(s, u, v, n) for n in count()),
+                       ctx.rnum(1))
+
+
+def _2f1_stream(s, u, y, ctx: Context = STANDARD):
+    """Yields 2F1(-n, n+s-1; u; y), n = 0, 1, ..., for arguments in the
+    backend of ``ctx``."""
+    return _recurrence(-y, (_2f1_coefficients(s, u, n) for n in count()),
+                       ctx.rnum(1))
+
+
+def chahn_stream(p: CHahnParams, x: float, ctx: Context = STANDARD):
+    """Yields ``chahn_poly(p, n, x)``, n = 0, 1, ...: the ``_3f2_stream`` at
+    z = a + ix times the running prefactor i^n (a+c)_n (a+d)_n / n!."""
+    a, b, c, d = (ctx.cnum(v) for v in (p.a, p.b, p.c, p.d))
+    u, v = a + c, a + d
+    i = ctx.cnum(1j)
+    pref = ctx.rnum(1)
+    for n, f in enumerate(_3f2_stream(a + b + c + d, a + i * ctx.rnum(x), u, v, ctx)):
+        yield pref * f
+        pref = pref * i * (u + n) * (v + n) / (n + 1)
+
+
+def jacobi_stream(alpha: float, beta: float, x: float, ctx: Context = STANDARD):
+    """Yields ``jacobi_poly(alpha, beta, n, x)``, n = 0, 1, ...: the
+    ``_2f1_stream`` at y = (1-x)/2 times the running prefactor (alpha+1)_n / n!."""
+    al, be = ctx.rnum(alpha), ctx.rnum(beta)
+    pref = ctx.rnum(1)
+    for n, g in enumerate(_2f1_stream(al + be + 2, al + 1, (1 - ctx.rnum(x)) / 2, ctx)):
+        yield pref * g
+        pref = pref * (al + 1 + n) / (n + 1)
+
+
 def hahn_poly(p: HahnParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     """Hahn Q_n(x; alpha, beta, N) = 3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1)."""
     if n > p.N:
@@ -417,17 +493,40 @@ def sj_mp(k1: float, k2: float, j: int, x1: float, x2: float, phi: float,
     """Coupling coefficient of the Meixner-Pollaczek tensor-product basis:
     (-2 sin phi)^j sqrt(j! (2j+2k1+2k2-1) Gamma(j+2k1+2k2-1) /
     (Gamma(2k1+j) Gamma(2k2+j))) times a continuous Hahn value at x1."""
+    ph = chahn_poly(_sj_mp_params(k1, k2, x1, x2), j, x1, ctx)
+    ph = _enforce_real(ph, f"sj_mp(j={j})")
+    return ctx.rnum(_sj_mp_weight(k1, k2, j, phi, ctx) * ph)
+
+
+def sj_mp_stream(k1: float, k2: float, x1: float, x2: float, phi: float,
+                 ctx: Context = STANDARD):
+    """Yields ``sj_mp(k1, k2, j, x1, x2, phi)`` for j = 0, 1, ...: one
+    ``chahn_stream`` at x1 times the weight of ``sj_mp``."""
+    vals = chahn_stream(_sj_mp_params(k1, k2, x1, x2), x1, ctx)
+    return (ctx.rnum(_sj_mp_weight(k1, k2, j, phi, ctx)
+                     * _enforce_real(ph, f"sj_mp_stream(j={j})"))
+            for j, ph in enumerate(vals))
+
+
+def _sj_mp_params(k1: float, k2: float, x1: float, x2: float) -> CHahnParams:
+    """The continuous Hahn parameters (k1, k2 - iX, k1, k2 + iX), X = x1 + x2,
+    of ``sj_mp``, after its check on k1, k2."""
     if k1 <= 0 or k2 <= 0:
         raise ParamError("sj_mp requires k1, k2 > 0")
     X = x1 + x2
-    ph = chahn_poly(CHahnParams(k1, complex(k2, -X), k1, complex(k2, X)), j, x1, ctx)
-    ph = _enforce_real(ph, f"sj_mp(j={j})")
+    return CHahnParams(k1, complex(k2, -X), k1, complex(k2, X))
+
+
+def _sj_mp_weight(k1: float, k2: float, j: int, phi: float, ctx: Context):
+    """(-2 sin phi)^j sqrt(j! (2j+2K-1) Gamma(j+2K-1) / (Gamma(2k1+j)
+    Gamma(2k2+j))), K = k1 + k2, from its logarithm; the log of 2K - 1 at
+    j = 0 raises ValueError when K < 1/2."""
     two = 2 * (k1 + k2)
     logw = 0.5 * (log_gamma_real(j + 1, ctx) + math.log(2 * j + two - 1)
                   + log_gamma_real(j + two - 1, ctx)
                   - log_gamma_real(2 * k1 + j, ctx)
                   - log_gamma_real(2 * k2 + j, ctx))
-    return ctx.rnum((-2 * ctx.sin(ctx.rnum(phi))) ** j * ctx.rexp(logw) * ph)
+    return (-2 * ctx.sin(ctx.rnum(phi))) ** j * ctx.rexp(logw)
 
 
 def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,

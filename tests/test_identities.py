@@ -182,6 +182,32 @@ def test_mult_2f1_polynomial_case_floating():
     assert rep.passed
 
 
+def test_burchnall_chaundy_polynomial_case_floating():
+    # a = -1: 2F1(-1, b; c; z) = 1 - b z / c, squared; the 3F2 streams of
+    # the expansion would divide by A + j = 0 at j = 2, beyond the last
+    # nonzero coefficient, so they are never pulled there
+    rep = run_case(IdentityCase("burchnall_chaundy",
+                                {"a": -1.0, "b": 0.5, "c": 1.5, "z": 0.5}))
+    ref = (1 - 0.5 * 0.5 / 1.5) ** 2
+    assert abs(rep.lhs - ref) < 1e-14
+    assert abs(rep.rhs - ref) < 1e-14
+    assert rep.passed
+    assert rep.terms["rhs"] == {"terms": 6, "status": "Converged"}
+
+
+def test_conf_1f1_polynomial_case_floating():
+    # a = -1, a' = -2: both 1F1 are polynomials and the expansion stops at
+    # j = 3, where A + j = 0 would stop the 3F2 stream
+    x, y, c, c2 = 0.7, 1.2, 1.5, 2.5
+    rep = run_case(IdentityCase("conf_1f1", {"a": -1.0, "c": c, "a2": -2.0,
+                                             "c2": c2, "x": x, "y": y}))
+    ref = (1 - x / c) * (1 - 2 * y / c2 + y * y / (c2 * (c2 + 1)))
+    assert abs(rep.lhs - ref) < 1e-14
+    assert abs(rep.rhs - ref) < 1e-14
+    assert rep.passed
+    assert rep.terms["rhs"] == {"terms": 7, "status": "Converged"}
+
+
 def test_jsum_reports_term_cap():
     value, meta = _sum_j(map(lambda j: 1.0, count()), TruncationPolicy(), STANDARD,
                          jmax=7)

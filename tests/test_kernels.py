@@ -1,6 +1,11 @@
 """Poisson kernels: bilinear sums against the printed closed forms."""
 import cmath
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -24,6 +29,27 @@ def test_kernel_point_validation():
         KernelPoint(1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         KernelPoint(0.5, 1.5, 0.0, s=1.0, sigma=1.0).thetas()
+
+
+def test_mp_kernel_closed_branch_violation_is_a_domain_error():
+    # KernelPoint refuses |t| >= 1; a point that skips its check (a plain
+    # namespace at t = 1.5, where 1 - t < 0) meets the principal-branch
+    # check, which python -O keeps
+    with pytest.raises(DomainError, match="principal branch"):
+        mp_kernel_closed(0.8, 1.1, types.SimpleNamespace(t=1.5, x=0.3, y=-0.2))
+    code = ("import types\n"
+            "from qkl.errors import DomainError\n"
+            "from qkl.kernels import mp_kernel_closed\n"
+            "try:\n"
+            "    mp_kernel_closed(0.8, 1.1, types.SimpleNamespace(t=1.5, x=0.3, y=-0.2))\n"
+            "except DomainError:\n"
+            "    print('DomainError')\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.strip() == "DomainError"
 
 
 def test_mp_kernel_t0():

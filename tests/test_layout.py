@@ -1,4 +1,5 @@
-"""Package layout: the precision decision stays behind ``qkl.numerics``."""
+"""Package layout: the precision decision stays behind ``qkl.numerics``, and
+the classical j-sums stay on recurrence streams."""
 import ast
 import re
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_no_global_precision_mechanism():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert hits == []
+
+
+def test_identities_sum_classical_families_on_streams():
+    # the definitional continuous Hahn, Jacobi and MP coupling values stay
+    # oracles of the streams; no identity side sums them
+    tree = ast.parse((SRC / "identities.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert imported & {"chahn_poly", "jacobi_poly", "sj_mp"} == set()

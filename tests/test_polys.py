@@ -7,28 +7,35 @@ from itertools import islice
 import pytest
 
 from qkl.errors import DegreeError, DomainError, ParamError, RealityError
+from qkl.hyper import hyp_pfq_stable
 from qkl.identities import sample_params
-from qkl.numerics import EXTENDED, extended_context
+from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.polys import (
     ASCParams,
     AWParams,
     CHahnParams,
     HahnParams,
     MPParams,
+    _2f1_stream,
+    _3f2_stream,
     _sj_ac_params,
+    _sj_mp_params,
     asc_orthonormal_stream,
     asc_poly,
     aw_poly,
     aw_stream,
     chahn_poly,
+    chahn_stream,
     hahn_poly,
     jacobi_poly,
+    jacobi_stream,
     mp_orthonormal_stream,
     mp_poly,
     mp_poly_rec,
     sj_ac,
     sj_ac_stream,
     sj_mp,
+    sj_mp_stream,
 )
 
 
@@ -330,6 +337,72 @@ def test_sj_ac_stream_matches_sj_ac():
         sj_ac_stream(0.5, 0.7, 0.2, -0.1, 9.0, 0.5)
     with pytest.raises(ParamError):
         sj_ac_stream(0.0, 0.7, 0.2, -0.1, 1.1, 0.5)
+
+
+def _sampled_classical_streams(ident, seed):
+    """(definition of n in a context, stream in a context) pairs for the
+    streams one case of a classical j-sum identity sums."""
+    p = sample_params(ident, seed).params
+    if ident == "jacobi_bessel":
+        al, be = p["alpha"], p["beta"]
+        return [(lambda n, c, x=p[v]: float(jacobi_poly(al, be, n, x, c)),
+                 lambda c, x=p[v]: jacobi_stream(al, be, x, c))
+                for v in ("x", "y")]
+    if ident in ("mult_2f1", "conf_1f1"):
+        # 3F2(-n, n+s-1, z; u, c; 1) at z = a, u = a + a' (and z = b,
+        # u = b + b'), and conf_1f1's 2F1(-n, n+s-1; c; x / (x + y))
+        s, cc = p["c"] + p["c2"], p["c"]
+        shapes = [(p[z], p[z] + p[z + "2"])
+                  for z in (("a", "b") if ident == "mult_2f1" else ("a",))]
+        out = [(lambda n, c, z=z, u=u: complex(hyp_pfq_stable(
+                    [-n, c.rnum(s) + (n - 1), z], [u, cc], 1, c)),
+                lambda c, z=z, u=u: _3f2_stream(*(c.cnum(v) for v in (s, z, u, cc)), c))
+               for z, u in shapes]
+        if ident == "conf_1f1":
+            y = p["x"] / (p["x"] + p["y"])
+            out.append((lambda n, c: complex(hyp_pfq_stable(
+                            [-n, c.rnum(s) + (n - 1)], [cc], y, c)),
+                        lambda c: _2f1_stream(c.cnum(s), c.cnum(cc), c.cnum(y), c)))
+        return out
+    if ident in ("hahn_product", "mp_spoisson"):
+        spec = [(_sj_mp_params(p["k1"], p["k2"], p[u], p[v]), p[u])
+                for u, v in (("x1", "x2"), ("y1", "y2"))]
+    else:
+        a, beta = p["a"], p["beta"]
+        spec = [(CHahnParams(a, complex(beta, w), a, complex(beta, -w)), p[v])
+                for w, v in ((p["u"], "x"), (p["v"], "y"))]
+    return [(lambda n, c, ch=ch, x=x: complex(chahn_poly(ch, n, x, c)),
+             lambda c, ch=ch, x=x: chahn_stream(ch, x, c))
+            for ch, x in spec]
+
+
+@pytest.mark.parametrize("ident", ["hahn_product", "chahn_bilinear", "chahn_finite",
+                                   "mp_spoisson", "mult_2f1", "conf_1f1",
+                                   "jacobi_bessel"])
+def test_classical_stream_matches_definition(ident):
+    ref_ctx = extended_context(120)
+    for seed in range(2):
+        for definition, stream in _sampled_classical_streams(ident, seed):
+            _assert_matches_definition(
+                [definition(n, ref_ctx) for n in range(31)],
+                list(islice(stream(STANDARD), 30)),
+                list(islice(stream(EXTENDED), 30)))
+
+
+def test_sj_mp_stream_matches_sj_mp():
+    p = sample_params("mp_spoisson", 0).params
+    cases = [(0.6, 0.9, 0.3, -0.2, 1.0), (0.25, 0.3, -1.4, 2.2, 2.5),
+             (p["k1"], p["k2"], p["x1"], p["x2"], p["phi"])]
+    for k1, k2, x1, x2, phi in cases:
+        vals = list(islice(sj_mp_stream(k1, k2, x1, x2, phi), 21))
+        for j, v in enumerate(vals):
+            scale = max(abs(w) for w in vals[max(j - 1, 0):j + 2])
+            assert abs(v - sj_mp(k1, k2, j, x1, x2, phi)) <= 1e-12 * scale, (k1, k2, j)
+    with pytest.raises(ParamError):
+        sj_mp_stream(0.0, 0.7, 0.2, -0.1, 1.0)
+    # the log-form weight of sj_mp is kept: 2 k1 + 2 k2 - 1 < 0 at j = 0
+    with pytest.raises(ValueError):
+        next(sj_mp_stream(0.2, 0.2, 0.2, -0.1, 1.0))
 
 
 # ---------------------------------------------------------------- degree
