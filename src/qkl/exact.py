@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .errors import ParamError, PoleError
 
@@ -128,6 +129,18 @@ def coeff_2f1(a, b, c, k: int) -> GaussianRational:
     return poch_exact(a, k) * poch_exact(b, k) / (den * factorial_exact(k))
 
 
+def _coeffs_2f1(a, b, c):
+    """Yields the Taylor coefficients of 2F1(a, b; c; z), k = 0, 1, ..., each
+    from the last by the term ratio; raises PoleError where (c)_k = 0, as
+    ``coeff_2f1`` does."""
+    term = GR_ONE
+    for m in count():
+        yield term
+        if (c + m).is_zero():
+            raise PoleError(f"(c)_{m + 1} = 0 for c = {c}")
+        term = term * (a + m) * (b + m) / ((c + m) * (m + 1))
+
+
 def _pfq_exact(upper, lower, z, nmax: int) -> GaussianRational:
     """Terminating pFq(upper; lower; z) summed exactly through z^nmax; a
     vanishing numerator ends the sum before any denominator zero is touched."""
@@ -149,6 +162,12 @@ def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
     """Coefficient-of-z^k equality of the 2F1 multiplication formula, exactly,
     for k = 0..K.  Returns (True, None) or (False, first failing k).
 
+    The coefficient of z^k on the right is sum_j C_j [z^(k-j)] 2F1(A+j, B+j;
+    c+c'+2j), A = a+a', B = b+b'.  Every Taylor coefficient, every C_j with
+    its two terminating 3F2 factors, and every coefficient of each
+    2F1(A+j, ...) is computed once, at the first k that needs it, so poles
+    are met in the same order as by the per-k formula.
+
     Parameter sets where a+a' (or b+b') is a nonpositive integer are rejected
     unless both summands are themselves nonpositive integers (the only case in
     which the expansion coefficients stay well defined and eventually vanish).
@@ -163,23 +182,33 @@ def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
                 raise ParamError(
                     f"{name}+{name}' nonpositive integer needs both {name}, "
                     f"{name}' nonpositive integers")
-    A, B = a + a2, b + b2
+    A, B, s = a + a2, b + b2, c + c2
+    left, right = _coeffs_2f1(a, b, c), _coeffs_2f1(a2, b2, c2)
+    lc, rc = [], []
+    # (C_j, coefficient stream of 2F1(A+j, B+j; c+c'+2j)) for each nonzero
+    # C_j; each stream advances by one coefficient per k
+    rhs_terms = []
     for k in range(K + 1):
+        lc.append(next(left))
+        rc.append(next(right))
         lhs = GR_ZERO
         for i in range(k + 1):
-            lhs = lhs + coeff_2f1(a, b, c, i) * coeff_2f1(a2, b2, c2, k - i)
+            lhs = lhs + lc[i] * rc[k - i]
         rhs = GR_ZERO
-        for j in range(k + 1):
-            cden = poch_exact(c2, j) * poch_exact(c + c2 + j - 1, j)
-            if cden.is_zero():
-                raise PoleError("C_j prefactor pole")
-            cj = (poch_exact(c, j) * poch_exact(A, j) * poch_exact(B, j)
-                  / (cden * factorial_exact(j)))
-            if not cj.is_zero():
-                cj = cj * _pfq_exact([gr(-j), a, c + c2 + j - 1], [A, c], GR_ONE, j)
-                cj = cj * _pfq_exact([gr(-j), b, c + c2 + j - 1], [B, c], GR_ONE, j)
-            if not cj.is_zero():
-                rhs = rhs + cj * coeff_2f1(A + j, B + j, c + c2 + 2 * j, k - j)
+        for cj, coeffs in rhs_terms:
+            rhs = rhs + cj * next(coeffs)
+        cden = poch_exact(c2, k) * poch_exact(s + k - 1, k)
+        if cden.is_zero():
+            raise PoleError("C_j prefactor pole")
+        cj = (poch_exact(c, k) * poch_exact(A, k) * poch_exact(B, k)
+              / (cden * factorial_exact(k)))
+        if not cj.is_zero():
+            cj = cj * _pfq_exact([gr(-k), a, s + k - 1], [A, c], GR_ONE, k)
+            cj = cj * _pfq_exact([gr(-k), b, s + k - 1], [B, c], GR_ONE, k)
+        if not cj.is_zero():
+            coeffs = _coeffs_2f1(A + k, B + k, s + 2 * k)
+            rhs = rhs + cj * next(coeffs)
+            rhs_terms.append((cj, coeffs))
         if lhs != rhs:
             return False, k
     return True, None

@@ -18,6 +18,8 @@ of it; these back the q-bilinear j-sums), and the classical shapes
 classical j-sums.  Each is a coefficient source yielding (U_n, B_n, L_n),
 n = 0, 1, ..., plus a thin wrapper that runs it on the one forward
 recurrence ``_recurrence``; a new stream follows the same recipe.  The
+orthonormal MP and Al-Salam-Chihara recurrences also run on a numpy vector of
+quadrature nodes (``mp_orthonormal_nodes``, ``asc_orthonormal_nodes``).  The
 orthonormal Al-Salam-Chihara coefficients stay apart from the Askey-Wilson
 ones, so the two sides of ``ac_spoisson`` share no family formula.  The
 definitions stay as the oracles the streams are tested against.  A stream's
@@ -198,8 +200,17 @@ def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float
 
 def mp_orthonormal_stream(p: MPParams, y: float, ctx: Context = STANDARD):
     """Yields the orthonormal MP values p_0(y), p_1(y), ... (stable stream)."""
+    return mp_orthonormal_nodes(p, ctx.rnum(y), ctx)
+
+
+def mp_orthonormal_nodes(p: MPParams, y, ctx: Context = STANDARD):
+    """The recurrence of ``mp_orthonormal_stream`` at a backend real ``y`` or,
+    in standard precision, at a float array of nodes.  On nodes each
+    coefficient is computed once for all of them, p_1, p_2, ... are arrays
+    whose entries equal the scalar stream's values bit for bit, and p_0 stays
+    the scalar 1/sqrt(Gamma(2k))."""
     cosphi = ctx.cos(ctx.rnum(p.phi))
-    return _recurrence(2 * ctx.rnum(y) * ctx.sin(ctx.rnum(p.phi)),
+    return _recurrence(2 * y * ctx.sin(ctx.rnum(p.phi)),
                        (_mp_coefficients(p.k, cosphi, n, ctx) for n in count()),
                        ctx.rexp(-log_gamma_real(2 * p.k, ctx) / 2))
 
@@ -465,7 +476,14 @@ def aw_stream(p: AWParams, x: float, ctx: Context = STANDARD):
 def asc_orthonormal_stream(a, b, q, x: float, ctx: Context = STANDARD):
     """Orthonormal Al-Salam-Chihara values r_0(x), r_1(x), ... on the
     coefficients of ``_asc_coefficients``."""
-    return _recurrence(2 * ctx.rnum(x),
+    return asc_orthonormal_nodes(a, b, q, ctx.rnum(x), ctx)
+
+
+def asc_orthonormal_nodes(a, b, q, x, ctx: Context = STANDARD):
+    """The recurrence of ``asc_orthonormal_stream`` at a backend real ``x`` or,
+    in standard precision, at a float array of nodes (as in
+    ``mp_orthonormal_nodes``; r_0 stays the scalar 1)."""
+    return _recurrence(2 * x,
                        _asc_coefficients(ctx.cnum(a), ctx.cnum(b), _qval(q), ctx),
                        ctx.cnum(1))
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError, ParamError, RangeError
 from .numerics import STANDARD, Context
-from .polys import ASCParams, MPParams, asc_orthonormal_stream, mp_orthonormal_stream
+from .polys import ASCParams, MPParams, asc_orthonormal_nodes, mp_orthonormal_nodes
 from .series import log_abs_gamma, qpoch
 
 # Gauss-Kronrod 15-point nodes / weights, with the embedded Gauss-7 rule
@@ -27,6 +28,8 @@ _WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
         0.204432940075298, 0.209482141084728)
 _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
        0.417959183673469)
+# the seven off-centre abscissae, for all nodes of a panel at once
+_XGK_LR = np.array(_XGK[:7])
 _MAX_PANELS = 2000
 
 
@@ -54,57 +57,65 @@ def mp_weight(k: float, phi: float, x: float, ctx: Context = STANDARD) -> float:
     return math.exp(logw)
 
 
-def aw_weight(params, x: float, ctx: Context = STANDARD) -> float:
+def aw_weight(params, x):
     """Askey-Wilson-type weight w(x) = h(x,1) h(x,-1) h(x,q^(1/2)) h(x,-q^(1/2))
     / prod over nonzero parameters of h(x,p), with
-    h(x,alpha) = (alpha e^(i theta), alpha e^(-i theta); q)_inf, x = cos theta.
+    h(x,alpha) = (alpha e^(i theta), alpha e^(-i theta); q)_inf
+               = prod_m (1 - 2 alpha x q^m + alpha^2 q^(2m)), x = cos theta;
+    ``x`` is a float or, elementwise, a float array.
 
     Accepts ASCParams (two-parameter denominator) or AWParams (up to four).
+    The numerator is one product, (e^(2 i theta), e^(-2 i theta); q)_inf,
+    since (a, -a, q^(1/2) a, -q^(1/2) a; q)_inf = (a^2; q)_inf.  Each factor
+    is written as a sum over sin^2 theta = (1 - x)(1 + x), which keeps its
+    relative accuracy up to x = +-1, where the numerator vanishes.  The
+    products stop where max(1, |p|) q^m < 1e-17 (1 - q), as ``qpoch`` does;
+    what they leave out is below double rounding.
     """
     if isinstance(params, ASCParams):
         q, denom_params = params.q, (params.a, params.b)
     else:
         q, denom_params = params.q, (params.a, params.b, params.c, params.d)
-    if abs(x) >= 1.0:
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) >= 1.0):
         raise RangeError("aw_weight is evaluated strictly inside (-1, 1)")
-    theta = math.acos(x)
-    eit = complex(math.cos(theta), math.sin(theta))
-
-    def h(alpha) -> complex:
-        return complex(qpoch(alpha * eit, q, ctx=ctx)
-                       * qpoch(alpha * eit.conjugate(), q, ctx=ctx))
-
+    alphas = [complex(p_) for p_ in denom_params if complex(p_) != 0]
+    top = max([1.0] + [abs(p_) for p_ in alphas])
+    qm = q ** np.arange(1 + int(math.log(1e-17 * (1 - q) / top) / math.log(q)))
+    x = x[..., None]
+    s2 = (1 - x) * (1 + x)
+    # 1 - 2 cos(2 theta) q^m + q^2m = (1 - q^m)^2 + 4 q^m sin^2 theta
+    w = np.prod((1 - qm) ** 2 + 4 * qm * s2, axis=-1)
     # h(x, alpha) is complex for complex alpha; only the assembled ratio is
     # real (conjugate parameter pairs), so realness is taken at the end
-    w = h(1.0) * h(-1.0) * h(math.sqrt(q)) * h(-math.sqrt(q))
-    for p_ in denom_params:
-        if complex(p_) != 0:
-            w /= h(complex(p_))
+    for alpha in alphas:
+        # 1 - 2 a x + a^2 = (1 - a x)^2 + a^2 sin^2 theta, a = alpha q^m
+        aq = alpha * qm
+        w = w / np.prod((1 - aq * x) ** 2 + aq * aq * s2, axis=-1)
     return w.real
 
 
 def _kronrod_panel(f, a: float, b: float):
-    """Apply G7/K15 on [a, b] to a vector-valued integrand f(x) -> ndarray.
+    """Apply G7/K15 on [a, b] to an integrand f evaluated once on the vector
+    of all 15 nodes (centre, then left and right halves); f returns one value
+    per node along its first axis.
 
     Returns (K15 integral, elementwise |K15 - G7| estimate, evaluations).
     """
     h = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    fc = f(mid)
+    dx = h * _XGK_LR
+    fx = f(np.concatenate(([mid], mid - dx, mid + dx)))
+    fc, fl, fr = fx[0], fx[1:8], fx[8:]
     k15 = _WGK[7] * fc
     g7 = _WG[3] * fc
-    n_eval = 1
     for i in range(7):
-        dx = h * _XGK[i]
-        fl = f(mid - dx)
-        fr = f(mid + dx)
-        n_eval += 2
-        k15 = k15 + _WGK[i] * (fl + fr)
+        k15 = k15 + _WGK[i] * (fl[i] + fr[i])
         if i % 2 == 1:
-            g7 = g7 + _WG[i // 2] * (fl + fr)
+            g7 = g7 + _WG[i // 2] * (fl[i] + fr[i])
     k15 = k15 * h
     g7 = g7 * h
-    return k15, np.abs(k15 - g7), n_eval
+    return k15, np.abs(k15 - g7), len(fx)
 
 
 def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8):
@@ -158,23 +169,41 @@ def _mp_support(k: float, phi: float, nmax: int):
     return lo, hi
 
 
-def ortho_gram(family: str, params: dict, nmax: int = 8, tol: float = 1e-9,
-               ctx: Context = STANDARD) -> QuadratureResult:
+def _gram_integrand(w, vals):
+    """w(x) p_m(x) p_n(x) per node, as an array [node, m, n], from the weights
+    ``w`` [node] and the values ``vals`` [n, node]."""
+    v = vals.T
+    return w[:, None, None] * (v[:, :, None] * v[:, None, :])
+
+
+def _node_table(values, nodes, nmax: int) -> np.ndarray:
+    """The first nmax + 1 values of a recurrence run on ``nodes``, one row per
+    degree (p_0 is broadcast to every node)."""
+    rows = list(islice(values, nmax + 1))
+    rows[0] = np.full(nodes.shape, rows[0])
+    return np.array(rows)
+
+
+def ortho_gram(family: str, params: dict, nmax: int = 8,
+               tol: float = 1e-9) -> QuadratureResult:
     """Gram matrix G[m][n] = integral of p_m p_n against the printed measure,
     for the orthonormal Meixner-Pollaczek ("mp") or Al-Salam-Chihara ("asc")
     family; exact orthonormality means G = I.
+
+    Each Gauss-Kronrod panel evaluates the integrand once on its 15 nodes:
+    one recurrence over the node vector, and the weight at every node.
     """
     if nmax > 12:
         raise ParamError("ortho_gram supports nmax <= 12")
     if family == "mp":
         k, phi = params["k"], params["phi"]
-        MPParams(k, phi)
+        mpp = MPParams(k, phi)
         lo, hi = _mp_support(k, phi, nmax)
 
-        def f(x):
-            gen = mp_orthonormal_stream(MPParams(k, phi), x, ctx)
-            vec = np.array([float(next(gen)) for _ in range(nmax + 1)])
-            return mp_weight(k, phi, x, ctx) * np.outer(vec, vec)
+        def f(xs):
+            vals = _node_table(mp_orthonormal_nodes(mpp, xs), xs, nmax)
+            w = np.array([mp_weight(k, phi, float(x)) for x in xs])
+            return _gram_integrand(w, vals)
 
         value, err, n_eval = _adaptive(f, lo, hi, tol,
                                        initial_panels=max(16, int((hi - lo) / 4)))
@@ -186,14 +215,13 @@ def ortho_gram(family: str, params: dict, nmax: int = 8, tol: float = 1e-9,
             raise ParamError(
                 "ASC parameters must be real or conjugate with moduli < 1 "
                 "(absolutely continuous measure regime)")
-        const = float(complex(qpoch(q, q, ctx=ctx)).real
-                      * complex(qpoch(complex(a) * complex(b), q, ctx=ctx)).real) / (2 * math.pi)
+        const = float(complex(qpoch(q, q)).real
+                      * complex(qpoch(complex(a) * complex(b), q)).real) / (2 * math.pi)
 
-        def f(theta):
-            x = math.cos(theta)
-            gen = asc_orthonormal_stream(a, b, q, x, ctx)
-            vec = np.array([complex(next(gen)).real for _ in range(nmax + 1)])
-            return const * aw_weight(asc, x, ctx) * np.outer(vec, vec)
+        def f(thetas):
+            xs = np.cos(thetas)
+            vals = _node_table(asc_orthonormal_nodes(a, b, q, xs), xs, nmax)
+            return _gram_integrand(const * aw_weight(asc, xs), vals.real)
 
         value, err, n_eval = _adaptive(f, 1e-13, math.pi - 1e-13, tol)
         return QuadratureResult(value, err, n_eval)

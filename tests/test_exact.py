@@ -1,13 +1,19 @@
 """Exact rational verification over the Gaussian rationals."""
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from qkl.errors import ParamError, PoleError
 from qkl.exact import (
+    GR_ONE,
+    GR_ZERO,
     GaussianRational,
+    _pfq_exact,
     coeff_2f1,
+    factorial_exact,
     gr,
+    poch_exact,
     verify_hahn_exact,
     verify_mult_2f1_exact,
 )
@@ -113,3 +119,70 @@ def test_exact_is_deterministic():
     args = (gr(F(1, 2)), gr(F(1, 3)), gr(F(5, 4)),
             gr(F(2, 3)), gr(F(3, 5)), gr(F(7, 6)))
     assert verify_mult_2f1_exact(*args, K=6) == verify_mult_2f1_exact(*args, K=6)
+
+
+def _mult_2f1_per_k(a, b, c, a2, b2, c2, K):
+    """Reference: the multiplication formula checked coefficient by
+    coefficient, every Taylor coefficient, C_j and 3F2 factor recomputed for
+    each k (the guards are those of ``verify_mult_2f1_exact``)."""
+    a, b, c, a2, b2, c2 = (GaussianRational.of(v) for v in (a, b, c, a2, b2, c2))
+    for v in (c, c2):
+        if v.is_nonpositive_integer():
+            raise PoleError("c or c' is a nonpositive integer")
+    for u, u2 in ((a, a2), (b, b2)):
+        if (u + u2).is_nonpositive_integer():
+            if not (u.is_nonpositive_integer() and u2.is_nonpositive_integer()):
+                raise ParamError("sum is a nonpositive integer")
+    A, B = a + a2, b + b2
+    for k in range(K + 1):
+        lhs = GR_ZERO
+        for i in range(k + 1):
+            lhs = lhs + coeff_2f1(a, b, c, i) * coeff_2f1(a2, b2, c2, k - i)
+        rhs = GR_ZERO
+        for j in range(k + 1):
+            cden = poch_exact(c2, j) * poch_exact(c + c2 + j - 1, j)
+            if cden.is_zero():
+                raise PoleError("C_j prefactor pole")
+            cj = (poch_exact(c, j) * poch_exact(A, j) * poch_exact(B, j)
+                  / (cden * factorial_exact(j)))
+            if not cj.is_zero():
+                cj = cj * _pfq_exact([gr(-j), a, c + c2 + j - 1], [A, c], GR_ONE, j)
+                cj = cj * _pfq_exact([gr(-j), b, c + c2 + j - 1], [B, c], GR_ONE, j)
+            if not cj.is_zero():
+                rhs = rhs + cj * coeff_2f1(A + j, B + j, c + c2 + 2 * j, k - j)
+        if lhs != rhs:
+            return False, k
+    return True, None
+
+
+def _outcome(fn, args, K):
+    try:
+        return fn(*args, K=K)
+    except (PoleError, ParamError) as exc:
+        return type(exc)
+
+
+def test_mult_2f1_exact_matches_per_k_formula():
+    # c and c' are halves, so c + c' + j - 1 and c + c' + 2j often meet the
+    # nonpositive integers: poles inside the sum, beside the guarded ones
+    rng = random.Random(2024)
+
+    def rat(lo, hi):
+        den = rng.choice((1, 2, 2, 3))
+        return F(rng.randint(lo * den, hi * den), den)
+
+    seen = set()
+    for _ in range(100):
+        args = [gr(rat(-2, 2)), gr(rat(-2, 2)), gr(F(rng.randint(-3, 6), 2)),
+                gr(rat(-2, 2)), gr(rat(-2, 2)), gr(F(rng.randint(-3, 6), 2))]
+        if rng.random() < 0.4:
+            for i in rng.sample(range(6), 2):
+                args[i] = args[i] + gr(0, rat(-1, 1))
+        K = rng.randint(2, 8)
+        got = _outcome(verify_mult_2f1_exact, args, K)
+        assert got == _outcome(_mult_2f1_per_k, args, K), (args, K)
+        if got is PoleError and not (args[2].is_nonpositive_integer()
+                                     or args[5].is_nonpositive_integer()):
+            got = "pole inside the sum"
+        seen.add(got if not isinstance(got, tuple) else got[0])
+    assert seen == {True, PoleError, ParamError, "pole inside the sum"}

@@ -98,11 +98,11 @@ def test_gauss_contiguity_in_c():
 
 
 def test_gauss_2f1_pfaff_continuation():
-    mp.mp.dps = 30
     for z in (-15.0, -1.2, -0.95):
         got = gauss_2f1(complex(1.3, 2), complex(1.3, -1), 2.6, z).value
-        ref = complex(mp.hyp2f1(mp.mpc("1.3", "2"), mp.mpc("1.3", "-1"),
-                                mp.mpf("2.6"), z))
+        with mp.workdps(30):
+            ref = complex(mp.hyp2f1(mp.mpc("1.3", "2"), mp.mpc("1.3", "-1"),
+                                    mp.mpf("2.6"), z))
         assert abs(got - ref) <= 1e-12 * abs(ref)
     with pytest.raises(DivergenceError):
         gauss_2f1(0.5, 0.7, 1.9, 1.5)  # z/(z-1) = 3 > 1, z > 1
@@ -111,8 +111,8 @@ def test_gauss_2f1_pfaff_continuation():
 def test_near_boundary_escalation():
     ev = hyp_pfq([0.5, 0.7], [1.9], 0.95)
     assert ev.precision == "extended"
-    mp.mp.dps = 30
-    ref = complex(mp.hyp2f1(0.5, 0.7, 1.9, 0.95))
+    with mp.workdps(30):
+        ref = complex(mp.hyp2f1(0.5, 0.7, 1.9, 0.95))
     assert abs(ev.value - ref) <= 1e-12 * abs(ref)
 
 
@@ -219,15 +219,15 @@ def test_vwp_zero_numerator_parameter():
 
 def test_vwp_against_direct_extended_summation():
     a, bs, q, z = 0.2, [0.3, 0.4, 0.5, 0.15, 0.25], 0.5, 0.3
-    mp.mp.dps = 40
-    total = mp.mpc(0)
-    for n in range(500):
-        t = (1 - mp.mpf(a) * mp.mpf(q) ** (2 * n)) / (1 - mp.mpf(a))
-        t *= complex(qpoch(a, q, n)) / complex(qpoch(q, q, n))
-        for b in bs:
-            t *= complex(qpoch(b, q, n)) / complex(qpoch(a * q / b, q, n))
-        t *= mp.mpf(z) ** n
-        total += t
+    with mp.workdps(40):
+        total = mp.mpc(0)
+        for n in range(500):
+            t = (1 - mp.mpf(a) * mp.mpf(q) ** (2 * n)) / (1 - mp.mpf(a))
+            t *= complex(qpoch(a, q, n)) / complex(qpoch(q, q, n))
+            for b in bs:
+                t *= complex(qpoch(b, q, n)) / complex(qpoch(a * q / b, q, n))
+            t *= mp.mpf(z) ** n
+            total += t
     got = vwp_8w7(a, bs, q, z)
     assert abs(got.value - complex(total)) <= 1e-13 * abs(complex(total))
     got_ext = vwp_8w7(a, bs, q, z, ctx=EXTENDED)

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from qkl.errors import DegreeError, DomainError, ParamError, RealityError
@@ -20,6 +21,7 @@ from qkl.polys import (
     _3f2_stream,
     _sj_ac_params,
     _sj_mp_params,
+    asc_orthonormal_nodes,
     asc_orthonormal_stream,
     asc_poly,
     aw_poly,
@@ -29,6 +31,7 @@ from qkl.polys import (
     hahn_poly,
     jacobi_poly,
     jacobi_stream,
+    mp_orthonormal_nodes,
     mp_orthonormal_stream,
     mp_poly,
     mp_poly_rec,
@@ -299,6 +302,29 @@ def test_asc_stream_matches_definition(ident):
                 [complex(asc_poly(asc, n, x, True, ref_ctx)) for n in range(31)],
                 list(islice(asc_orthonormal_stream(asc.a, asc.b, asc.q, x), 30)),
                 list(islice(asc_orthonormal_stream(asc.a, asc.b, asc.q, x, EXTENDED), 30)))
+
+
+def test_orthonormal_nodes_match_scalar_streams():
+    # the node-vector recurrences against the scalar streams, node by node:
+    # MP runs the same real arithmetic and must agree bit for bit; the ASC
+    # coefficients are complex, and numpy divides complex numbers with other
+    # roundings than Python, so ASC agrees to rounding of the row's scale
+    ys = np.linspace(-12.0, 12.0, 25)
+    for k, phi in ((0.8, 1.1), (2.3, 0.4), (0.3, 2.8)):
+        p = MPParams(k, phi)
+        rows = list(islice(mp_orthonormal_nodes(p, ys), 13))
+        for i, y in enumerate(ys):
+            ref = list(islice(mp_orthonormal_stream(p, float(y)), 13))
+            assert rows[0] == ref[0]
+            assert [float(r[i]) for r in rows[1:]] == ref[1:]
+    xs = np.cos(np.linspace(0.01, math.pi - 0.01, 25))
+    for q, a, b in ((0.5, 0.4, 0.3), (0.7, 0.3 + 0.4j, 0.3 - 0.4j), (0.9, 0.9, -0.9)):
+        rows = list(islice(asc_orthonormal_nodes(a, b, q, xs), 30))
+        ref = np.array([list(islice(asc_orthonormal_stream(a, b, q, float(x)), 30))
+                        for x in xs]).T
+        assert rows[0] == ref[0][0] == 1
+        for n in range(1, 30):
+            assert np.abs(rows[n] - ref[n]).max() <= 1e-14 * np.abs(ref[n]).max()
 
 
 def test_aw_stream_special_parameters():

@@ -33,22 +33,57 @@ def test_mp_weight_k1_identity():
         assert abs(mp_weight(1.0, phi, x) - ref) <= 1e-12 * ref
 
 
+def _aw_weight_brute_force(q, params, x):
+    """The weight as the h(x, alpha) products of its definition, 220 factors
+    each, at 40 digits."""
+    with mp.workdps(40):
+        th = mp.acos(mp.mpf(x))
+        qq = mp.mpf(q)
+
+        def h(alpha):
+            r = mp.mpf(1)
+            for m in range(220):
+                r *= ((1 - alpha * mp.exp(1j * th) * qq ** m)
+                      * (1 - alpha * mp.exp(-1j * th) * qq ** m))
+            return r
+
+        num = h(1) * h(-1) * h(mp.sqrt(qq)) * h(-mp.sqrt(qq))
+        for p_ in params:
+            if p_ != 0:
+                num /= h(mp.mpc(p_))
+        return float(mp.re(num))
+
+
+# the double next below 1 (theta = 1.5e-8); the Al-Salam-Chihara integration
+# endpoint theta = 1e-13 itself has cos theta == 1.0, outside the domain
+_X_NEAR_ONE = math.nextafter(1.0, 0.0)
+
+
 def test_aw_weight_brute_force():
-    mp.mp.dps = 40
-    q, a, b, x = 0.5, 0.4, 0.3, 0.2
-    th = mp.acos(mp.mpf(x))
+    # a real pair, a conjugate pair, four parameters, and the nodes next to
+    # x = +-1, where the numerator vanishes
+    for params, x in ((ASCParams(0.5, 0.4, 0.3), 0.2),
+                      (ASCParams(0.7, 0.3 + 0.4j, 0.3 - 0.4j), -0.45),
+                      (AWParams(0.5, 0.4, 0.3, -0.2, 0.1), 0.2),
+                      (AWParams(0.3, 0.6 + 0.2j, 0.6 - 0.2j, -0.7, 0.5), 0.83),
+                      (ASCParams(0.5, 0.4, 0.3), _X_NEAR_ONE),
+                      (ASCParams(0.7, -0.8, 0.6), -_X_NEAR_ONE)):
+        if isinstance(params, ASCParams):
+            slots = (params.a, params.b)
+        else:
+            slots = (params.a, params.b, params.c, params.d)
+        ref = _aw_weight_brute_force(params.q, slots, x)
+        assert abs(aw_weight(params, x) - ref) <= 1e-13 * abs(ref), (params, x)
 
-    def h(alpha):
-        r = mp.mpf(1)
-        for m in range(220):
-            r *= ((1 - alpha * mp.exp(1j * th) * mp.mpf(q) ** m)
-                  * (1 - alpha * mp.exp(-1j * th) * mp.mpf(q) ** m)).real
-        return r
 
-    ref = (h(1) * h(-1) * h(mp.sqrt(mp.mpf(q))) * h(-mp.sqrt(mp.mpf(q)))
-           / (h(mp.mpf(a)) * h(mp.mpf(b))))
-    got = aw_weight(ASCParams(q, a, b), x)
-    assert abs(got - float(ref)) <= 1e-13 * float(ref)
+def test_aw_weight_on_node_array():
+    # one call on an array of nodes equals the scalar calls, node by node
+    xs = np.cos(np.linspace(0.01, math.pi - 0.01, 15))
+    for params in (ASCParams(0.5, 0.4, 0.3), ASCParams(0.7, 0.3 + 0.4j, 0.3 - 0.4j),
+                   AWParams(0.5, 0.4, 0.3, -0.2, 0.1)):
+        got = aw_weight(params, xs)
+        assert got.shape == xs.shape
+        assert list(got) == [aw_weight(params, float(x)) for x in xs]
 
 
 def test_aw_weight_depends_on_x_only():
@@ -70,6 +105,8 @@ def test_aw_weight_four_parameters():
 def test_aw_weight_range():
     with pytest.raises(RangeError):
         aw_weight(ASCParams(0.5, 0.4, 0.3), 1.0)
+    with pytest.raises(RangeError):
+        aw_weight(ASCParams(0.5, 0.4, 0.3), np.array([0.2, -1.0, 0.5]))
 
 
 def test_mp_gram_identity():

@@ -52,10 +52,10 @@ def test_qpoch_finite():
 
 def test_qpoch_infinite_vs_brute_force():
     # 60-digit brute-force product, m <= 200
-    mp.mp.dps = 60
-    oracle = mp.mpf(1)
-    for m in range(200):
-        oracle *= 1 - mp.mpf("0.9") * mp.mpf("0.5") ** m
+    with mp.workdps(60):
+        oracle = mp.mpf(1)
+        for m in range(200):
+            oracle *= 1 - mp.mpf("0.9") * mp.mpf("0.5") ** m
     got = qpoch(0.9, 0.5)
     assert abs(got - float(oracle)) <= 1e-15 * float(oracle)
 
@@ -120,24 +120,24 @@ def test_gamma_modulus_identity():
 
 
 def test_gamma_against_mpmath():
-    mp.mp.dps = 30
     for z in (1 + 1j, -3.3 + 2j, 4.2 - 11j, 0.2 + 45j, -20.7 - 30j, 30 + 0.5j):
-        ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+        with mp.workdps(30):
+            ref = complex(mp.gamma(mp.mpc(z.real, z.imag)))
         got = complex_gamma(z)
         assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_gamma_extended():
     got = complex_gamma(0.5 + 3j, EXTENDED)
-    mp.mp.dps = 40
-    ref = mp.gamma(mp.mpc(0.5, 3))
-    assert abs(complex(got - ref)) < 1e-30
+    with mp.workdps(40):
+        ref = mp.gamma(mp.mpc(0.5, 3))
+        assert abs(complex(got - ref)) < 1e-30
 
 
 def test_log_abs_gamma_large_imaginary():
-    mp.mp.dps = 30
     for z in (0.25 + 130j, 0.25 - 260j, 1.7 - 40j, 0.1 + 24j, 0.1 + 26j):
-        ref = float(mp.re(mp.loggamma(mp.mpc(z.real, z.imag))))
+        with mp.workdps(30):
+            ref = float(mp.re(mp.loggamma(mp.mpc(z.real, z.imag))))
         assert abs(log_abs_gamma(z) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -191,9 +191,9 @@ def test_bessel_half_order_closed_form():
 
 
 def test_bessel_large_argument_accuracy():
-    mp.mp.dps = 30
     for nu, z in ((0, 30.0), (3.7, 25.0), (0.2, 18.0)):
-        ref = float(mp.besselj(nu, z))
+        with mp.workdps(30):
+            ref = float(mp.besselj(nu, z))
         assert abs(bessel_j(nu, z) - ref) <= 1e-11 * max(abs(ref), 1e-3)
 
 
