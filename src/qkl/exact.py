@@ -90,9 +90,6 @@ class GaussianRational:
     def is_nonpositive_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1 and self.re <= 0
 
-    def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 

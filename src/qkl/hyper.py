@@ -396,7 +396,6 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
     the closed-form kernels, whose argument r runs far below -1), and keeps
     the summands near-positive for real z < 0.
     """
-    policy = policy or default_policy()
     if detect_termination([a, b]) is not None:
         return hyp_pfq([a, b], [c], z, policy, ctx)
     zc = complex(z)

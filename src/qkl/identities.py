@@ -59,10 +59,12 @@ from .polys import (
     aw_stream,
     chahn_stream,
     hahn_poly,
+    in_spectral_window,
     jacobi_stream,
     mp_poly,
     sj_ac_stream,
     sj_mp_stream,
+    unit_phase,
 )
 from .series import bessel_j, log_gamma_real, pochhammer, qpoch, qpoch_many
 
@@ -148,7 +150,7 @@ def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
     """Sum at most ``jmax`` composite bilinear terms from the iterator
     ``terms`` under the series stopping rule; the report carries the terms
     and the stop status."""
-    ev = accumulate(islice(terms, jmax), replace(policy, max_terms=jmax), ctx)
+    ev = accumulate(terms, replace(policy, max_terms=jmax), ctx)
     return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
 
 
@@ -417,11 +419,7 @@ def _jacobi_bessel_lhs(p, policy, ctx):
             logc = (log_gamma_real(j + 1, ctx) + log_gamma_real(al + be + j + 1, ctx)
                     - log_gamma_real(al + j + 1, ctx) - log_gamma_real(be + j + 1, ctx))
             coef = (-1) ** j * (al + be + 2 * j + 1) * ctx.rexp(logc)
-            bj = bessel_j(nu, z, ctx)
-            if abs(bj) < 1e-18:
-                yield ctx.cnum(0)
-            else:
-                yield ctx.cnum(coef * vx * vy * bj)
+            yield ctx.cnum(coef * vx * vy * bessel_j(nu, z, ctx))
 
     return _sum_j(terms(), policy, ctx, jmax=60)
 
@@ -787,8 +785,7 @@ def _ac_point_validate(p):
     _require(k > 0, "k > 0")
     _require_conv(abs(complex(p["t"])) < 1, "|t| < 1")
     for name in ("s", "sigma"):
-        m = abs(complex(p[name]))
-        _require(q ** k < m < q ** (-k) or abs(m - 1) <= 1e-12,
+        _require(in_spectral_window(p[name], q, k),
                  f"|{name}| in (q^k, q^-k) or |{name}| = 1")
     _require(abs(p["x"]) <= 1 and abs(p["y"]) <= 1, "x, y in [-1, 1]")
 
@@ -851,10 +848,9 @@ def _ac_spoisson_validate(p):
 
 
 def _ac_spoisson_lhs(p, policy, ctx):
-    th2 = math.acos(p["x2"])
-    ph2 = math.acos(p["y2"])
     pt1 = KernelPoint(p["t"], p["x1"], p["y1"],
-                      s=cmath.exp(1j * th2), sigma=cmath.exp(1j * ph2))
+                      s=unit_phase(p["x2"], "ac_spoisson x2", ctx),
+                      sigma=unit_phase(p["y2"], "ac_spoisson y2", ctx))
     pt2 = KernelPoint(p["t"], p["x2"], p["y2"], s=p["s"], sigma=p["sigma"])
     e1 = ac_kernel_sum(p["k1"], p["q"], pt1, policy, ctx)
     e2 = ac_kernel_sum(p["k2"], p["q"], pt2, policy, ctx)
@@ -944,8 +940,7 @@ def _aw_bilinear_rhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
     b2, d2 = _aw_primed(p)
-    theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    eit, emt, eip, emp = unit_phases(p["x"], p["y"], ctx)
     num = [b * t * eip, b * t * emp, c * t * emp, d * t * emp,
            b2 * t * eit, b2 * t * emt, c2 * t * emt, d2 * t * emt]
     den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp,
@@ -1057,8 +1052,7 @@ def _cdqh_rhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, a2, c2 = (p[k] for k in ("a", "b", "c", "a2", "c2"))
     b2 = a * b / a2
-    theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    eit, emt, eip, emp = unit_phases(p["x"], p["y"], ctx)
     num = [b * t * eip, b * t * emp, c * t * emp,
            b2 * t * eit, b2 * t * emt, c2 * t * emt]
     den = [b * b2 * t, t * eit * emp, t * emt * eip, t * emt * emp]
@@ -1113,8 +1107,7 @@ def _asc_bilinear_lhs(p, policy, ctx):
 def _asc_bilinear_rhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, c, a2, c2 = (p[k] for k in ("a", "c", "a2", "c2"))
-    theta, phi = math.acos(p["x"]), math.acos(p["y"])
-    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    eit, emt, eip, emp = unit_phases(p["x"], p["y"], ctx)
     num = [c * t * emp, c2 * t * emt, a * t * eip, a2 * t * eit]
     den = [t * eit * emp, t * emt * eip, c2 * t / c, a2 * c * t]
     pref = qpoch_many(num, q, over=den, ctx=ctx)

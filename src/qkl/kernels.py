@@ -9,7 +9,6 @@ has two printed closed forms related by a Bailey transform; both are exposed.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
@@ -22,7 +21,13 @@ from .hyper import (
     vwp_8w7,
 )
 from .numerics import STANDARD, Context
-from .polys import MPParams, asc_orthonormal_stream, mp_orthonormal_stream
+from .polys import (
+    MPParams,
+    asc_orthonormal_stream,
+    in_spectral_window,
+    mp_orthonormal_stream,
+    unit_phase,
+)
 from .series import _qval, log_gamma_real, qpoch_many
 
 
@@ -41,17 +46,12 @@ class KernelPoint:
         if abs(complex(self.t)) >= 1.0:
             raise DivergenceError(f"kernel point requires |t| < 1, got {self.t}")
 
-    def thetas(self):
-        """theta = arccos x, phi = arccos y on the [0, pi] branch (q-case)."""
-        if abs(self.x) > 1 or abs(self.y) > 1:
-            raise DomainError("q-kernel points need x, y in [-1, 1]")
-        return math.acos(self.x), math.acos(self.y)
 
-
-def unit_phases(theta, phi, ctx: Context):
-    """(e^{i theta}, e^{-i theta}, e^{i phi}, e^{-i phi}) in the backend of
-    ``ctx``."""
-    return ctx.expi(theta), ctx.expi(-theta), ctx.expi(phi), ctx.expi(-phi)
+def unit_phases(x, y, ctx: Context):
+    """(e^{i theta}, e^{-i theta}, e^{i phi}, e^{-i phi}) at x = cos theta,
+    y = cos phi in the backend of ``ctx``, by ``polys.unit_phase``."""
+    eit, eip = unit_phase(x, "q-kernel x", ctx), unit_phase(y, "q-kernel y", ctx)
+    return eit, eit.conjugate(), eip, eip.conjugate()
 
 
 def mp_kernel_sum(k: float, phi: float, pt: KernelPoint,
@@ -90,7 +90,6 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     base has not (possible only for |t| >= 1) raises DomainError.
     """
     MPParams(k, phi)
-    policy = policy or default_policy()
     i = ctx.cnum(1j)
     t = ctx.cnum(pt.t)
     x, y = ctx.rnum(pt.x), ctx.rnum(pt.y)
@@ -115,10 +114,11 @@ def ac_kernel_sum(k: float, q, pt: KernelPoint,
     orthonormal Al-Salam-Chihara recurrence streams."""
     qq = _qval(q)
     _check_spectral(k, qq, pt)
-    s, sg = complex(pt.s), complex(pt.sigma)
+    s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
+    qk = ctx.rnum(qq) ** k
     return _bilinear_sum(
-        asc_orthonormal_stream(qq ** k * s, qq ** k / s, qq, pt.x, ctx),
-        asc_orthonormal_stream(qq ** k * sg, qq ** k / sg, qq, pt.y, ctx),
+        asc_orthonormal_stream(qk * s, qk / s, qq, pt.x, ctx),
+        asc_orthonormal_stream(qk * sg, qk / sg, qq, pt.y, ctx),
         pt.t, policy, ctx)
 
 
@@ -126,10 +126,19 @@ def _check_spectral(k: float, q: float, pt: KernelPoint):
     if pt.s is None or pt.sigma is None:
         raise DomainError("q-kernel point requires spectral parameters s, sigma")
     for name, v in (("s", pt.s), ("sigma", pt.sigma)):
-        m = abs(complex(v))
-        if not (q ** k < m < q ** (-k) or abs(m - 1.0) <= 1e-12):
-            raise DomainError(
-                f"|{name}| = {m} outside (q^k, q^-k) and not on the unit circle")
+        if not in_spectral_window(v, q, k):
+            raise DomainError(f"|{name}| = {abs(complex(v))} outside (q^k, q^-k) "
+                              "and not on the unit circle")
+
+
+def _ac_closed_point(k: float, q, pt: KernelPoint, ctx: Context):
+    """What both closed forms start from, after the spectral check:
+    (q, t, s, sigma, q^k, e^{i theta}, e^{-i theta}, e^{i phi}, e^{-i phi}),
+    all but q in the backend of ``ctx``."""
+    qq = _qval(q)
+    _check_spectral(k, qq, pt)
+    return (qq, ctx.cnum(pt.t), ctx.cnum(pt.s), ctx.cnum(pt.sigma),
+            ctx.rnum(qq) ** k, *unit_phases(pt.x, pt.y, ctx))
 
 
 def ac_kernel_closed(k: float, q, pt: KernelPoint,
@@ -137,14 +146,7 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
                      ctx: Context = STANDARD) -> complex:
     """Closed form of the nonsymmetric Al-Salam-Chihara Poisson kernel:
     q-infinite-product prefactor times 8W7 with argument t e^{i(theta+phi)}."""
-    policy = policy or default_policy()
-    qq = _qval(q)
-    _check_spectral(k, qq, pt)
-    theta, phi = pt.thetas()
-    t = ctx.cnum(pt.t)
-    s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
-    qk = ctx.rnum(qq) ** k
-    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
+    qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
     num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
     den = [t * eit * emp, t * emt * eip, t * emt * emp,
            ctx.rnum(qq) ** (2 * k) * t * emt * emp]
@@ -162,16 +164,9 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
                          ctx: Context = STANDARD) -> complex:
     """The Bailey-transformed variant of :func:`ac_kernel_closed`, an 8W7 in
     the argument q^k e^{-i theta} / s (requires |s| > q^k)."""
-    policy = policy or default_policy()
-    qq = _qval(q)
-    _check_spectral(k, qq, pt)
+    qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
     if abs(complex(pt.s)) <= qq ** k:
         raise DivergenceError("alt kernel form needs |s| > q^k")
-    theta, phi = pt.thetas()
-    t = ctx.cnum(pt.t)
-    s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
-    qk = ctx.rnum(qq) ** k
-    eit, emt, eip, emp = unit_phases(theta, phi, ctx)
     num = [t * t, qk * emt / s, qk * t * eit * sg, qk * t * eit / sg,
            qk * t * s * eip, qk * t * s * emp]
     den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,

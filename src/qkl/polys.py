@@ -32,7 +32,6 @@ both still raise ValueError at j = 0 when k1 + k2 < 1/2 (the logarithm of
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import count, islice
@@ -93,15 +92,12 @@ class AWParams:
     def __post_init__(self):
         QBase(self.q)
 
-    def max_modulus(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def in_measure_regime(self) -> bool:
         """Real or conjugate-pair parameters of modulus < 1 (absolutely
         continuous orthogonality measure)."""
-        if self.max_modulus() >= 1.0:
-            return False
         vals = [complex(self.a), complex(self.b), complex(self.c), complex(self.d)]
+        if max(map(abs, vals)) >= 1.0:
+            return False
         rest = vals[:]
         while rest:
             v = rest.pop()
@@ -379,8 +375,23 @@ def _aw_predicted_lost(n: int, q: float, base_mod: float) -> float:
 def _unit_arg(x: float, where: str) -> float:
     """x clamped to [-1, 1]; DomainError beyond a 1e-12 slack."""
     if abs(x) > 1 + 1e-12:
-        raise DomainError(f"{where} argument x = {x} outside [-1, 1]")
+        raise DomainError(f"{where}: x = {x} outside [-1, 1]")
     return min(1.0, max(-1.0, x))
+
+
+def unit_phase(x: float, where: str, ctx: Context = STANDARD):
+    """e^{i theta} at x = cos theta, theta in [0, pi], in the backend of
+    ``ctx``; x is clamped as by ``_unit_arg``.  e^{-i theta} is its
+    ``.conjugate()``.  This is the one route from a point x of the q-families
+    to its phases."""
+    return ctx.expi(ctx.acos(_unit_arg(x, where)))
+
+
+def in_spectral_window(s, q: float, k: float) -> bool:
+    """|s| in (q^k, q^-k), or |s| = 1 within 1e-12: the spectral parameters
+    of the q-kernels and of ``sj_ac``.  Each caller raises its own error."""
+    m = abs(complex(s))
+    return q ** k < m < q ** (-k) or abs(m - 1.0) <= 1e-12
 
 
 def _aw_slots(p: AWParams) -> list:
@@ -406,9 +417,8 @@ def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     def build(c: Context):
         qc = c.rnum(q)
         ca, cb, cc, cd = (c.cnum(v) for v in (a, b, c_, d))
-        theta = c.acos(c.rnum(x))
-        eit = c.expi(theta)
-        emt = c.expi(-theta)
+        eit = unit_phase(x, "aw_poly", c)
+        emt = eit.conjugate()
         ev = bhs_rphis([qc ** (-n), ca * cb * cc * cd * qc ** (n - 1), ca * eit, ca * emt],
                        [ca * cb, ca * cc, ca * cd], q, qc, ctx=c)
         pref = ca ** (-n) * qpoch(ca * cb, q, n, ctx=c) * qpoch(ca * cc, q, n, ctx=c) \
@@ -552,7 +562,7 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
     """Coupling coefficient of the Al-Salam-Chihara tensor-product basis: an
     Askey-Wilson value at x2 with a-parameters built from theta_1 = arccos x1,
     normalised by sqrt((q, q^{2k1}, q^{2k2}, q^{2k1+2k2+j-1}; q)_j)."""
-    qq, aw = _sj_ac_params(k1, k2, k1 + k2 + j, x1, s, q)
+    qq, aw = _sj_ac_params(k1, k2, k1 + k2 + j, x1, s, q, ctx)
     pj = aw_poly(aw, j, x2, ctx)
     norm = ctx.rsqrt(qpoch(qq, qq, j, ctx=ctx).real
                      * qpoch(qq ** (2 * k1), qq, j, ctx=ctx).real
@@ -561,16 +571,17 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
     return pj / norm
 
 
-def _sj_ac_params(k1: float, k2: float, k: float, x1: float, s, q):
+def _sj_ac_params(k1: float, k2: float, k: float, x1: float, s, q,
+                  ctx: Context):
     """(q, Askey-Wilson parameters) of ``sj_ac``, after its checks at
-    k = k1 + k2 + j; the parameters do not depend on j."""
+    k = k1 + k2 + j; the parameters do not depend on j, and e^{i theta_1} is
+    a value of ``ctx``."""
     if k1 <= 0 or k2 <= 0:
         raise ParamError("sj_ac requires k1, k2 > 0")
     qq = _qval(q)
-    mod_s = abs(complex(s))
-    if not (qq ** k < mod_s < qq ** (-k) or abs(mod_s - 1.0) <= 1e-12):
+    if not in_spectral_window(s, qq, k):
         raise ParamError(f"sj_ac requires |s| in (q^k, q^-k) or |s| = 1 at k = {k}")
-    eith1 = cmath.exp(1j * math.acos(x1))
+    eith1 = unit_phase(x1, "sj_ac x1", ctx)
     sc = complex(s)
     return qq, AWParams(qq, qq ** k1 * eith1, qq ** k1 * eith1.conjugate(),
                         qq ** k2 * sc, qq ** k2 / sc)
@@ -581,7 +592,7 @@ def sj_ac_stream(k1: float, k2: float, x1: float, x2: float, s, q,
     """Yields ``sj_ac(k1, k2, j, x1, x2, s, q)`` for j = 0, 1, ...: one
     ``aw_stream`` at x2 over a running norm.  Only the j = 0 check on |s|
     binds, since the window (q^{k1+k2+j}, q^{-k1-k2-j}) widens with j."""
-    qq, aw = _sj_ac_params(k1, k2, k1 + k2, x1, s, q)
+    qq, aw = _sj_ac_params(k1, k2, k1 + k2, x1, s, q, ctx)
     return _sj_ac_values(aw_stream(aw, x2, ctx), qq, k1, k2, ctx)
 
 

@@ -6,7 +6,7 @@ from itertools import count
 import mpmath as mp
 import pytest
 
-from qkl.errors import HypothesisError
+from qkl.errors import DomainError, HypothesisError
 from qkl.hyper import TruncationPolicy
 from qkl.identities import (
     IdentityCase,
@@ -68,6 +68,22 @@ def test_hypothesis_violation_raises():
                                        "a": 1.5})
     with pytest.raises(HypothesisError):
         run_case(bad)
+
+
+@pytest.mark.parametrize("ident", ["aw_bilinear", "cdqh_bilinear", "asc_bilinear",
+                                   "cbqh_reduction"])
+def test_q_bilinear_point_on_the_slack(ident):
+    # both sides clamp x = cos theta within 1e-12 of [-1, 1] and refuse a
+    # point beyond it with a DomainError, the right side included
+    base = sample_params(ident, 0).params
+    for key in ("x", "y"):
+        for v in (1 + 1e-13, -1 - 1e-13):
+            assert run_case(IdentityCase(ident, {**base, key: v})).passed, (key, v)
+        bad = {**base, key: 1.5}
+        with pytest.raises(DomainError):
+            run_case(IdentityCase(ident, bad))
+        with pytest.raises(DomainError):
+            get_entry(ident).eval_rhs(bad, TruncationPolicy(), STANDARD)
 
 
 def test_convergence_violation_is_divergence():

@@ -27,8 +27,9 @@ from qkl.numerics import EXTENDED
 def test_kernel_point_validation():
     with pytest.raises(DivergenceError):
         KernelPoint(1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        KernelPoint(0.5, 1.5, 0.0, s=1.0, sigma=1.0).thetas()
+    for closed in (ac_kernel_closed, ac_kernel_closed_alt):
+        with pytest.raises(DomainError):
+            closed(0.7, 0.5, KernelPoint(0.5, 1.5, 0.0, s=1.0, sigma=1.0))
 
 
 def test_mp_kernel_closed_branch_violation_is_a_domain_error():

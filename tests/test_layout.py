@@ -1,5 +1,6 @@
-"""Package layout: the precision decision stays behind ``qkl.numerics``, and
-the classical j-sums stay on recurrence streams."""
+"""Package layout: the precision decision stays behind ``qkl.numerics``, the
+q-kernel point behind ``polys.unit_phase``, and the classical j-sums stay on
+recurrence streams."""
 import ast
 import re
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_identities_sum_classical_families_on_streams():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert imported & {"chahn_poly", "jacobi_poly", "sj_mp"} == set()
+
+
+def test_q_kernel_point_has_one_owner():
+    # x = cos theta becomes e^{i theta} only through polys.unit_phase, whose
+    # acos is the context's: no module but numerics calls math.acos, and a
+    # kernel point does not compute its own angles
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "numerics.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "acos"
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"]
+    assert calls == []
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    point = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "KernelPoint")
+    assert "thetas" not in {node.name for node in point.body
+                            if isinstance(node, ast.FunctionDef)}

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import islice
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -39,6 +40,7 @@ from qkl.polys import (
     sj_ac_stream,
     sj_mp,
     sj_mp_stream,
+    unit_phase,
 )
 
 
@@ -234,7 +236,7 @@ def _sampled_aw_points(ident, seed):
         return [(AWParams(q, p["c"], 0.0, 0.0, 0.0), x),
                 (AWParams(q, p["c2"], 0.0, 0.0, 0.0), y)]
     k1, k2 = p["k1"], p["k2"]
-    return [(_sj_ac_params(k1, k2, k1 + k2, p[u], p[s], q)[1], p[v])
+    return [(_sj_ac_params(k1, k2, k1 + k2, p[u], p[s], q, STANDARD)[1], p[v])
             for u, v, s in (("x1", "x2", "s"), ("y1", "y2", "sigma"))]
 
 
@@ -490,6 +492,29 @@ def test_sj_ac_basics():
         assert abs(v.imag) <= 1e-10 * max(1.0, abs(v.real))
     with pytest.raises(ParamError):
         sj_ac(0.5, 0.7, 0, 0.2, -0.1, 9.0, 0.5)
+    # x1 within the 1e-12 slack of [-1, 1] is clamped like x2, not refused
+    assert (sj_ac(0.5, 0.7, 2, 1 + 1e-13, 0.3, 1.0, 0.5)
+            == sj_ac(0.5, 0.7, 2, 1.0, 0.3, 1.0, 0.5))
+    with pytest.raises(DomainError):
+        sj_ac(0.5, 0.7, 2, 1.5, 0.3, 1.0, 0.5)
+
+
+def test_unit_phase():
+    rng = random.Random(11)
+    xs = [-1.0, -0.0, 0.0, 1.0] + [rng.uniform(-1, 1) for _ in range(2000)]
+    for x in xs:
+        e = unit_phase(x, "test")
+        assert e == cmath.exp(1j * math.acos(x)), x
+        assert e.conjugate() == STANDARD.expi(-math.acos(x)), x
+    assert unit_phase(1 + 1e-13, "test") == unit_phase(1.0, "test") == 1
+    assert unit_phase(-1 - 1e-13, "test") == unit_phase(-1.0, "test")
+    for x in (1.5, -1 - 1e-9):
+        with pytest.raises(DomainError):
+            unit_phase(x, "test")
+    with mp.workdps(60):
+        for x in xs[:4] + xs[-50:]:
+            e = unit_phase(x, "test", EXTENDED)
+            assert abs(mp.mpc(e) - mp.exp(1j * mp.acos(mp.mpf(x)))) <= 1e-38, x
 
 
 def test_extended_context_round_trip():
