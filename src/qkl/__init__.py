@@ -19,6 +19,7 @@ from .errors import (
     HypothesisError,
     ParamError,
     PoleError,
+    PrecisionError,
     QKLError,
     RangeError,
     RealityError,

@@ -21,6 +21,10 @@ class RangeError(QKLError):
     """Argument outside the supported numerical range."""
 
 
+class PrecisionError(QKLError):
+    """An evaluation missed its digit target at every precision it tried."""
+
+
 class DivergenceError(QKLError):
     """A non-terminating series was requested outside its convergence region."""
 

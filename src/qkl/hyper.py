@@ -17,6 +17,7 @@ from .errors import (
     DenominatorPoleError,
     DivergenceError,
     ParamError,
+    PrecisionError,
     RangeError,
     VWPoleError,
 )
@@ -92,7 +93,7 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     """
     total = ctx.cnum(0)
     quiet = 0
-    max_term_log = float("-inf")
+    max_abs = 0
     prev_abs = None
     recent_ratio = 0.0
     n = -1
@@ -101,7 +102,8 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     for n, term in enumerate(term_iter):
         total += term
         a = abs(term)
-        max_term_log = max(max_term_log, log10_abs(term))
+        if a > max_abs:
+            max_abs = a
         if stop_index is not None:
             if n >= stop_index:
                 status = SeriesStatus.TERMINATED_FINITE
@@ -129,7 +131,7 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
             status = SeriesStatus.MAX_TERMS_REACHED
             tail = _safe_float(a)
             break
-    return SeriesEval(total, n + 1, tail, status, ctx.mode, max_term_log)
+    return SeriesEval(total, n + 1, tail, status, ctx.mode, log10_abs(max_abs))
 
 
 def _safe_float(x) -> float:
@@ -229,7 +231,7 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
         yield term
         n = 0
         while True:
-            num = ctx.cnum(1)
+            num = 1
             for u in up:
                 num *= u + n
             den = ctx.cnum(n + 1)
@@ -265,10 +267,10 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
         yield term
         qn = ctx.cnum(1)
         while True:
-            num = ctx.cnum(1)
+            num = 1
             for u in up:
                 num *= 1 - u * qn
-            den = ctx.cnum(1 - qc * qn)
+            den = 1 - qc * qn
             for l in lo:
                 den *= 1 - l * qn
             factor = num / den * zc
@@ -317,7 +319,7 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
         q2n = ctx.cnum(1)
         while True:
             num = (1 - aa * qn) * zc
-            den = ctx.cnum(1 - qc * qn)
+            den = 1 - qc * qn
             for b, d in zip(bs, ds):
                 num *= 1 - b * qn
                 den *= 1 - d * qn
@@ -333,10 +335,10 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
 
 
 def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
-    """Run ``build(c) -> (value, SeriesEval)`` escalating precision until the
-    cancellation-adjusted digit count is adequate, the value vanishes, or
-    attempts run out; returns the value, its SeriesEval and the context of the
-    attempt that produced them.
+    """Run ``build(c) -> (value, SeriesEval)`` escalating precision, at most
+    four attempts, until the cancellation-adjusted digit count is adequate or
+    the value vanishes; returns the value, its SeriesEval and the context of
+    the attempt that produced them.
 
     Used by every terminating-series polynomial evaluation: the definitional
     sums lose digits like q^(-n(n-1)/2) (q-families) or (1+|z|)^n (classical),
@@ -344,7 +346,8 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
     A value that keeps no significant digit on two successive attempts (an
     exact 0 included) vanishes to the working precision; the second of them
     runs at least 20 digits past ``predicted_lost``.  Raises RangeError when
-    the last attempt overflows.
+    the last attempt overflows, and PrecisionError when it is finite but
+    still misses its digit target.
     """
     c = ctx
     if not ctx.extended and predicted_lost > 15.95 - _KEEP_STANDARD:
@@ -368,9 +371,10 @@ def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
         else:
             lost, vanished = float("inf"), False
         nxt = int(lost) + 22 if math.isfinite(lost) else 2 * c.dps + 20
-    if value is None:
+    if not finite:
         raise RangeError("series evaluation failed to produce a finite value")
-    return value, ev, c
+    raise PrecisionError(f"series evaluation kept {kept:.1f} of {keep} digits "
+                         f"after 4 attempts, the last at {c.dps} digits")
 
 
 def hyp_pfq_stable(upper: Sequence, lower: Sequence, z, ctx: Context = STANDARD,

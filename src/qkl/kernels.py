@@ -146,17 +146,39 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
                      ctx: Context = STANDARD) -> complex:
     """Closed form of the nonsymmetric Al-Salam-Chihara Poisson kernel:
     q-infinite-product prefactor times 8W7 with argument t e^{i(theta+phi)}."""
+    return next(ac_kernel_closed_ladder(k, q, pt, policy, ctx))
+
+
+def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
+                            policy: TruncationPolicy | None = None,
+                            ctx: Context = STANDARD):
+    """The closed forms K_k, K_{k+1}, K_{k+2}, ... of :func:`ac_kernel_closed`
+    at one point, as an unbounded generator.
+
+    q^k and the prefactor are carried in ``ctx`` from one k to the next: each
+    numerator base moves by q, (a q; q)_inf = (a; q)_inf / (1 - a), and the
+    one k-dependent denominator base by q^2, so the prefactor takes six new
+    factors per step; only the 8W7 is summed anew.
+    """
     qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
+    qc = ctx.rnum(qq)
     num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
-    den = [t * eit * emp, t * emt * eip, t * emt * emp,
-           ctx.rnum(qq) ** (2 * k) * t * emt * emp]
+    low = qc ** (2 * k) * t * emt * emp
+    den = [t * eit * emp, t * emt * eip, t * emt * emp, low]
     pref = qpoch_many(num, qq, over=den, ctx=ctx)
-    w = vwp_8w7(ctx.rnum(qq) ** (2 * k - 1) * t * emt * emp,
-                [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
-                 t * emt * emp],
-                qq, t * eit * eip, policy, ctx)
-    out = pref * w.value
-    return ctx.cnum(out)
+    a8 = qc ** (2 * k - 1) * t * emt * emp
+    while True:
+        w = vwp_8w7(a8, [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
+                         t * emt * emp],
+                    qq, t * eit * eip, policy, ctx)
+        yield ctx.cnum(pref * w.value)
+        for b in num:
+            pref /= 1 - b
+        pref *= (1 - low) * (1 - low * qc)
+        num = [b * qc for b in num]
+        low *= qc * qc
+        a8 *= qc * qc
+        qk *= qc
 
 
 def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,

@@ -9,6 +9,8 @@ from qkl.errors import (
     DenominatorPoleError,
     DivergenceError,
     ParamError,
+    PrecisionError,
+    QKLError,
     RangeError,
     VWPoleError,
 )
@@ -274,19 +276,38 @@ def test_stable_eval_stops_on_a_vanishing_value(vanishing):
     assert value == vanishing(used)
 
 
-def test_stable_eval_returns_the_context_it_ran():
-    # a build that keeps 5 digits at every precision never meets its target:
-    # the last attempt's context comes back, and no rung above it is built
-    attempts = []
+def _keeps_five_digits(attempts, until=None):
+    """A build that keeps 5 digits on every attempt before the ``until``-th,
+    and all of them from that one on."""
 
     def build(c):
         attempts.append(c.dps)
         digits = c.dps if c.extended else 15.95
+        lost = 0.0 if until and len(attempts) >= until else digits - 5
         return 1.0, SeriesEval(1.0, 1, 0.0, SeriesStatus.TERMINATED_FINITE,
-                               c.mode, digits - 5)
+                               c.mode, lost)
 
+    return build
+
+
+def test_stable_eval_returns_the_context_it_ran():
+    # a build that meets its target on the third attempt: that attempt's
+    # context comes back, and no rung above it is built
+    attempts = []
     before = set(numerics._LADDER)
-    _, _, used = stable_eval(build, STANDARD)
-    assert len(attempts) == 4
+    _, _, used = stable_eval(_keeps_five_digits(attempts, until=3), STANDARD)
+    assert len(attempts) == 3
     assert used.dps == attempts[-1]
     assert all(dps <= attempts[-1] for dps in set(numerics._LADDER) - before)
+
+
+def test_stable_eval_missing_its_target_raises_precision_error():
+    # a build that keeps 5 digits at every precision never meets its target:
+    # the fourth attempt gives up with a PrecisionError, not a value
+    attempts = []
+    before = set(numerics._LADDER)
+    with pytest.raises(PrecisionError, match="after 4 attempts"):
+        stable_eval(_keeps_five_digits(attempts), STANDARD)
+    assert len(attempts) == 4
+    assert all(dps <= attempts[-1] for dps in set(numerics._LADDER) - before)
+    assert issubclass(PrecisionError, QKLError)

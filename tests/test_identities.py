@@ -1,22 +1,27 @@
 """Identity registry: samplers, validators, degenerate anchors, and seeded
 verification sweeps."""
+import sys
 import threading
-from itertools import count
+from itertools import count, islice
 
 import mpmath as mp
 import pytest
 
+import qkl.identities as identities
 from qkl.errors import DomainError, HypothesisError
 from qkl.hyper import TruncationPolicy
 from qkl.identities import (
     IdentityCase,
+    _aw_bilinear_coefficients,
+    _q_coefficients,
     _sum_j,
     get_entry,
     identity_ids,
     run_case,
     sample_params,
 )
-from qkl.numerics import STANDARD
+from qkl.numerics import EXTENDED, STANDARD
+from qkl.series import qpoch
 
 ALL_IDS = identity_ids()
 
@@ -289,3 +294,119 @@ def test_run_case_is_thread_safe():
     assert got_standard == want_standard
     assert got_extended
     assert got_extended == want_extended * (len(got_extended) // len(extended))
+
+
+# The q-products of the q j-sums, rebuilt from scratch by qpoch at each j as
+# the sums once computed them: the oracle of the carried coefficients.
+
+def _aw_rebuilt(p, j, ctx):
+    q, t = p["q"], p["t"]
+    a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
+    b2, d2 = a * b / a2, c * d / c2
+    qj = q ** j
+    num = qpoch(b * c2 * qj * t, q, ctx=ctx) * qpoch(b2 * c * qj * t, q, ctx=ctx) \
+        * qpoch(b * d2 * qj * t, q, ctx=ctx) * qpoch(b2 * d * qj * t, q, ctx=ctx)
+    den = qpoch(b * b2 * c * d * q ** (2 * j) * t, q, ctx=ctx) \
+        * qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx) \
+        * qpoch(c * d, q, j, ctx=ctx) \
+        * qpoch(a * b * c * d * q ** (j - 1), q, j, ctx=ctx)
+    return ctx.cnum(t) ** j * num / den
+
+
+def _cdqh_rebuilt(p, j, ctx):
+    q, t, a, b, c, a2, c2 = (p[k] for k in ("q", "t", "a", "b", "c", "a2", "c2"))
+    b2, qj = a * b / a2, q ** j
+    return ctx.cnum(t) ** j * qpoch(b * c2 * qj * t, q, ctx=ctx) \
+        * qpoch(b2 * c * qj * t, q, ctx=ctx) \
+        / (qpoch(q, q, j, ctx=ctx) * qpoch(a * b, q, j, ctx=ctx))
+
+
+def _asc_rebuilt(p, j, ctx):
+    q, t = p["q"], p["t"]
+    return ctx.cnum(t) ** j / (qpoch(q, q, j, ctx=ctx)
+                               * qpoch(p["a2"] * p["c"] * t, q, j, ctx=ctx))
+
+
+def _cbqh_rebuilt(p, j, ctx):
+    return ctx.cnum(p["t"]) ** j / qpoch(p["q"], p["q"], j, ctx=ctx)
+
+
+def _cdqh_carried(p, ctx):
+    q, t, a, b, c, a2, c2 = (p[k] for k in ("q", "t", "a", "b", "c", "a2", "c2"))
+    b2 = a * b / a2
+    return _q_coefficients(q, t, (b * c2 * t, b2 * c * t), (q, a * b), ctx)
+
+
+def _asc_carried(p, ctx):
+    return _q_coefficients(p["q"], p["t"], (), (p["q"], p["a2"] * p["c"] * p["t"]), ctx)
+
+
+def _cbqh_carried(p, ctx):
+    return _q_coefficients(p["q"], p["t"], (), (p["q"],), ctx)
+
+
+_CARRIED = {
+    "aw_bilinear": (_aw_bilinear_coefficients, _aw_rebuilt),
+    "cdqh_bilinear": (_cdqh_carried, _cdqh_rebuilt),
+    "asc_bilinear": (_asc_carried, _asc_rebuilt),
+    "cbqh_reduction": (_cbqh_carried, _cbqh_rebuilt),
+}
+
+
+@pytest.mark.parametrize("ident", sorted(_CARRIED))
+def test_carried_q_coefficients_match_qpoch(ident):
+    # the coefficient carried from j to j + 1 against the same q-products
+    # rebuilt from scratch, j = 0..40, on every draw of seeds 0..9; three
+    # draws also in extended precision, at every fifth j
+    carried, rebuilt = _CARRIED[ident]
+    for ctx, seeds, step in ((STANDARD, range(10), 1), (EXTENDED, range(3), 5)):
+        for seed in seeds:
+            p = sample_params(ident, seed).params
+            for j, co in islice(enumerate(carried(p, ctx)), 0, 41, step):
+                want = rebuilt(p, j, ctx)
+                assert abs(co - want) <= 1e-12 * abs(want), (ctx, seed, j)
+
+
+@pytest.mark.parametrize("ident, side", [
+    ("aw_bilinear", "lhs"), ("cdqh_bilinear", "lhs"), ("ac_spoisson", "rhs"),
+    ("asc_bilinear", "lhs"), ("cbqh_reduction", "lhs")])
+def test_q_jsum_qpoch_calls_do_not_grow_with_terms(ident, side, monkeypatch):
+    # every q-product of a q j-sum is computed once, before the sum; only the
+    # carry runs per term, so the qpoch calls of a case are one count
+    # however many terms its j-sum takes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return qpoch(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qkl") and getattr(mod, "qpoch", None) is qpoch:
+            monkeypatch.setattr(mod, "qpoch", counted)
+    seen = {}
+    for seed in range(30):
+        calls.clear()
+        rep = run_case(sample_params(ident, seed), precision="standard")
+        seen[rep.terms[side]["terms"]] = len(calls)
+    assert max(seen) - min(seen) >= 10, seen
+    assert len(set(seen.values())) == 1, seen
+    assert max(seen.values()) <= 20, seen
+    if ident in ("aw_bilinear", "cdqh_bilinear", "ac_spoisson"):
+        assert max(seen) >= 40, seen
+
+
+def test_capped_jsum_fails_its_case(monkeypatch):
+    # a j-sum stopped by its term cap one term before the stopping rule
+    # would have ended it fails the case, although its residual is small
+    case = sample_params("aw_bilinear", 0)
+    full = run_case(case, precision="standard")
+    assert full.passed and full.terms["lhs"]["status"] == "Converged"
+    cap = full.terms["lhs"]["terms"] - 1
+    sum_j = identities._sum_j
+    monkeypatch.setattr(identities, "_sum_j",
+                        lambda terms, policy, ctx, jmax=400: sum_j(terms, policy, ctx, cap))
+    rep = run_case(case)
+    assert rep.terms["lhs"] == {"terms": cap, "status": "MaxTermsReached"}
+    assert rep.rel_err <= case.tol_rel
+    assert not rep.passed
+    assert rep.precision_used == "standard" and rep.note is None

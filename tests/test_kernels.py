@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+from itertools import islice
 from pathlib import Path
 
 import mpmath as mp
@@ -17,11 +18,12 @@ from qkl.kernels import (
     KernelPoint,
     ac_kernel_closed,
     ac_kernel_closed_alt,
+    ac_kernel_closed_ladder,
     ac_kernel_sum,
     mp_kernel_closed,
     mp_kernel_sum,
 )
-from qkl.numerics import EXTENDED
+from qkl.numerics import EXTENDED, STANDARD
 
 
 def test_kernel_point_validation():
@@ -133,6 +135,31 @@ def test_ac_kernel_unit_circle_spectral_parameter():
     a = ac_kernel_sum(0.6, 0.5, pt).value
     b = ac_kernel_closed(0.6, 0.5, pt)
     assert abs(a - b) <= 1e-11 * abs(b)
+
+
+def _ladder_points(seeds):
+    """(k, q, KernelPoint) of the ac_poisson and ac_spoisson draws."""
+    for seed in seeds:
+        p = sample_params("ac_poisson", seed).params
+        yield p["k"], p["q"], KernelPoint(p["t"], p["x"], p["y"], s=p["s"],
+                                          sigma=p["sigma"])
+        p = sample_params("ac_spoisson", seed).params
+        yield p["k1"] + p["k2"], p["q"], KernelPoint(p["t"], p["x1"], p["y1"],
+                                                     s=p["s"], sigma=p["sigma"])
+
+
+@pytest.mark.parametrize("ctx, seeds, js", [(STANDARD, range(10), range(41)),
+                                            (EXTENDED, range(2), range(0, 21, 5))],
+                         ids=["standard", "extended"])
+def test_ac_kernel_closed_ladder_matches_closed_form(ctx, seeds, js):
+    # K_{k+j} carried from K_k against the closed form evaluated afresh at
+    # k + j; the first rung is ac_kernel_closed itself, bit for bit
+    for k, q, pt in _ladder_points(seeds):
+        ladder = list(islice(ac_kernel_closed_ladder(k, q, pt, ctx=ctx), js[-1] + 1))
+        assert ladder[0] == ac_kernel_closed(k, q, pt, ctx=ctx)
+        for j in js:
+            want = ac_kernel_closed(k + j, q, pt, ctx=ctx)
+            assert abs(ladder[j] - want) <= 1e-12 * abs(want), (k, q, j)
 
 
 def test_ac_kernel_symmetry():
