@@ -11,8 +11,9 @@ and a hypothesis validator that raises :class:`HypothesisError` naming the
 violated constraint.
 
 A side that is a j-sum yields its composite terms j = 0, 1, ...; ``_sum_j``
-owns the loop and the term cap, so a running coefficient lives in the
-generator.
+owns the loop and the term cap.  Its coefficient is declared, as the printed
+formula reads, to ``series.pochhammer_ladder``, which carries it from one j
+to the next.
 """
 from __future__ import annotations
 
@@ -68,7 +69,14 @@ from .polys import (
     sj_mp_stream,
     unit_phase,
 )
-from .series import bessel_j, log_gamma_real, pochhammer, qpoch, qpoch_many
+from .series import (
+    bessel_j,
+    log_gamma_real,
+    pochhammer,
+    pochhammer_ladder,
+    qpoch,
+    qpoch_many,
+)
 
 _TINY = 1e-300
 
@@ -159,27 +167,6 @@ def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
 def _ev_meta(ev):
     return {"terms": ev.terms_used, "status": ev.status.value,
             "tail": ev.tail_estimate}
-
-
-def _q_coefficients(q, t, shifted, orders, ctx: Context):
-    """t^j prod_X (X q^j; q)_inf / prod_B (B; q)_j in ``ctx``, for
-    j = 0, 1, ...; X runs over ``shifted`` and B over ``orders``.
-
-    Each value is carried from the last (Gasper-Rahman, Basic Hypergeometric
-    Series, section 1.2): (X q^{j+1}; q)_inf = (X q^j; q)_inf / (1 - X q^j)
-    and (B; q)_{j+1} = (B; q)_j (1 - B q^j), so both kinds divide by one new
-    factor per step, and only j = 0 computes a q-product.
-    """
-    qc, tc = ctx.rnum(q), ctx.cnum(t)
-    bases = [ctx.cnum(v) for v in (*shifted, *orders)]
-    co = qpoch_many(shifted, q, ctx=ctx)
-    while True:
-        yield co
-        den = 1
-        for v in bases:
-            den *= 1 - v
-        co = co * tc / den
-        bases = [v * qc for v in bases]
 
 
 # ---------------------------------------------------------------------------
@@ -316,39 +303,17 @@ def _hahn_product_validate(p):
     _require_conv(abs(complex(p["r"])) < 1, "|r| < 1")
 
 
-def _hahn_product_lhs(p, policy, ctx):
-    k1, k2, r = p["k1"], p["k2"], p["r"]
-    f1 = gauss_2f1(complex(k1, p["x1"]), complex(k1, p["y1"]), 2 * k1, r, policy, ctx)
-    f2 = gauss_2f1(complex(k2, p["x2"]), complex(k2, p["y2"]), 2 * k2, r, policy, ctx)
-    return f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
-
-
-def _hahn_product_rhs(p, policy, ctx):
-    k1, k2, r = p["k1"], p["k2"], p["r"]
-    x1, x2, y1, y2 = p["x1"], p["x2"], p["y1"], p["y2"]
-    X, Y = x1 + x2, y1 + y2
-    A = 2 * k1 + 2 * k2 - 1
-
-    def terms():
-        rr = ctx.cnum(r)
-        coef = ctx.cnum(1)
-        px = chahn_stream(CHahnParams(k1, complex(k2, -X), k1, complex(k2, X)), x1, ctx)
-        py = chahn_stream(CHahnParams(k1, complex(k2, -Y), k1, complex(k2, Y)), y1, ctx)
-        for j, vx, vy in zip(count(), px, py):
-            if j > 0:
-                coef = coef * (-rr) * j / (
-                    (2 * k1 + j - 1) * (2 * k2 + j - 1)
-                    * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
-            kk = k1 + k2 + j
-            f = gauss_2f1(complex(kk, X), complex(kk, Y), 2 * kk, r, policy, ctx)
-            yield coef * f.value * vx * vy
-
-    return _sum_j(terms(), policy, ctx)
+def _hahn_as_chahn(p):
+    """The continuous Hahn bilinear parameters of a product of two 2F1:
+    a = k1, beta = k2, u = -(x1 + x2), v = -(y1 + y2), x = x1, y = y1."""
+    return {"a": p["k1"], "beta": p["k2"], "u": -(p["x1"] + p["x2"]),
+            "v": -(p["y1"] + p["y2"]), "x": p["x1"], "y": p["y1"], "r": p["r"]}
 
 
 _register("hahn_product", "product of two 2F1 as continuous-Hahn bilinear sum",
           _hahn_product_sample, _hahn_product_validate,
-          _hahn_product_lhs, _hahn_product_rhs)
+          lambda p, pol, ctx: _chahn_bilinear_rhs(_hahn_as_chahn(p), pol, ctx),
+          lambda p, pol, ctx: _chahn_bilinear_lhs(_hahn_as_chahn(p), pol, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +349,18 @@ def _chahn_bilinear_lhs(p, policy, ctx):
     a, b, d, b2, d2 = _chahn_abcd(p)
     r, x, y = p["r"], p["x"], p["y"]
     bd = (b + d).real
-    A = 2 * a + bd - 1
+    # (-r)^j j! / ((2a)_j (b+d)_j (2a+b+d-1+j)_j)
+    coefs = pochhammer_ladder(-r, [(1, 0, 1)],
+                              [(2 * a, 0, 1), (bd, 0, 1), (2 * a + bd - 1, 1, 1)],
+                              ctx=ctx)
+    px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
+    py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
 
-    def terms():
-        rr = ctx.cnum(r)
-        coef = ctx.cnum(1)
-        px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
-        py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
-        for j, vx, vy in zip(count(), px, py):
-            if j > 0:
-                coef = coef * (-1) * j / (
-                    (2 * a + j - 1) * (bd + j - 1)
-                    * (A + 2 * (j - 1)) * (A + 2 * j - 1) / (A + j - 1))
-            f = gauss_2f1(a + d + j, a + d2 + j, 2 * a + bd + 2 * j, r, policy, ctx)
-            yield coef * f.value * vx * vy * rr ** j
+    def term(j, co, vx, vy):
+        f = gauss_2f1(a + d + j, a + d2 + j, 2 * a + bd + 2 * j, r, policy, ctx)
+        return co * f.value * vx * vy
 
-    return _sum_j(terms(), policy, ctx)
+    return _sum_j(map(term, count(), coefs, px, py), policy, ctx)
 
 
 def _chahn_bilinear_rhs(p, policy, ctx):
@@ -433,18 +394,21 @@ def _jacobi_bessel_validate(p):
 
 def _jacobi_bessel_lhs(p, policy, ctx):
     al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
+    s = al + be + 1
+    # (-1)^j (s + 2j) Gamma(j+1) Gamma(s+j) / (Gamma(al+j+1) Gamma(be+j+1))
+    # = (-1)^j (s + 2j) g j! (s)_j / ((al+1)_j (be+1)_j)
+    g = ctx.rexp(log_gamma_real(s, ctx) - log_gamma_real(al + 1, ctx)
+                 - log_gamma_real(be + 1, ctx))
+    coefs = pochhammer_ladder(-1, [(1, 0, 1), (s, 0, 1)],
+                              [(al + 1, 0, 1), (be + 1, 0, 1)], ctx=ctx)
+    px = jacobi_stream(al, be, x, ctx)
+    py = jacobi_stream(al, be, y, ctx)
 
-    def terms():
-        px = jacobi_stream(al, be, x, ctx)
-        py = jacobi_stream(al, be, y, ctx)
-        for j, vx, vy in zip(count(), px, py):
-            nu = al + be + 2 * j + 1
-            logc = (log_gamma_real(j + 1, ctx) + log_gamma_real(al + be + j + 1, ctx)
-                    - log_gamma_real(al + j + 1, ctx) - log_gamma_real(be + j + 1, ctx))
-            coef = (-1) ** j * (al + be + 2 * j + 1) * ctx.rexp(logc)
-            yield ctx.cnum(coef * vx * vy * bessel_j(nu, z, ctx))
+    def term(j, co, vx, vy):
+        nu = al + be + 2 * j + 1
+        return co * (nu * g) * vx * vy * bessel_j(nu, z, ctx)
 
-    return _sum_j(terms(), policy, ctx, jmax=60)
+    return _sum_j(map(term, count(), coefs, px, py), policy, ctx, jmax=60)
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
@@ -484,16 +448,16 @@ def _chahn_finite_lhs(p, policy, ctx):
     x, y, K = p["x"], p["y"], int(p["K"])
     bd = (b + d).real
     S = 2 * a + bd
+    # (-K)_j (S)_{2j} j! / ((2a)_j (b+d)_j (S+j-1)_j (a+d)_j (a+d')_j (S+K)_j)
+    coefs = pochhammer_ladder(
+        1, [(-K, 0, 1), (S, 0, 2), (1, 0, 1)],
+        [(2 * a, 0, 1), (bd, 0, 1), (S - 1, 1, 1), (a + d, 0, 1), (a + d2, 0, 1),
+         (S + K, 0, 1)], ctx=ctx)
     total = ctx.cnum(0)
     px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
     py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
-    for j, vx, vy in zip(range(K + 1), px, py):
-        num = (pochhammer(-K, j, ctx) * pochhammer(S, 2 * j, ctx)
-               * ctx.rexp(log_gamma_real(j + 1, ctx)))
-        den = (pochhammer(2 * a, j, ctx) * pochhammer(bd, j, ctx)
-               * pochhammer(S + j - 1, j, ctx) * pochhammer(a + d, j, ctx)
-               * pochhammer(a + d2, j, ctx) * pochhammer(S + K, j, ctx))
-        total += num / den * vx * vy
+    for _, co, vx, vy in zip(range(K + 1), coefs, px, py):
+        total += co * vx * vy
     return total, {"terms": K + 1}
 
 
@@ -622,25 +586,22 @@ def _mult_2f1_lhs(p, policy, ctx):
 def _mult_2f1_rhs(p, policy, ctx):
     a, b, c, a2, b2, c2, z = (p[k] for k in ("a", "b", "c", "a2", "b2", "c2", "z"))
     A, B, C = a + a2, b + b2, c + c2 - 1
+    # z^j (c)_j (A)_j (B)_j / (j! (c')_j (C+j)_j)
+    coefs = pochhammer_ladder(z, [(c, 0, 1), (A, 0, 1), (B, 0, 1)],
+                              [(1, 0, 1), (c2, 0, 1), (C, 1, 1)], ctx=ctx)
 
     def terms():
-        zc = ctx.cnum(z)
-        coef = ctx.cnum(1)
         s, cc = ctx.cnum(c + c2), ctx.cnum(c)
         f3a = _3f2_stream(s, ctx.cnum(a), ctx.cnum(A), cc, ctx)
         f3b = _3f2_stream(s, ctx.cnum(b), ctx.cnum(B), cc, ctx)
-        for j in count():
-            if j > 0:
-                jm = j - 1
-                coef = coef * (c + jm) * (A + jm) * (B + jm) / (
-                    j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
-            if coef == 0:
+        for j, co in enumerate(coefs):
+            if co == 0:
                 # a vanished coefficient stays 0, and past it the streams
                 # may divide by A + j = 0 or B + j = 0: pull them no further
-                yield ctx.cnum(0)
+                yield co
                 continue
             f = gauss_2f1(A + j, B + j, c + c2 + 2 * j, z, policy, ctx)
-            yield coef * next(f3a) * next(f3b) * f.value * zc ** j
+            yield co * next(f3a) * next(f3b) * f.value
 
     return _sum_j(terms(), policy, ctx)
 
@@ -705,23 +666,21 @@ def _conf_rhs(p, policy, ctx):
     a, c, a2, c2, x, y = (p[k] for k in ("a", "c", "a2", "c2", "x", "y"))
     A, C = a + a2, c + c2 - 1
     s = x + y
+    # s^j (c)_j (A)_j / (j! (c')_j (C+j)_j)
+    coefs = pochhammer_ladder(s, [(c, 0, 1), (A, 0, 1)],
+                              [(1, 0, 1), (c2, 0, 1), (C, 1, 1)], ctx=ctx)
 
     def terms():
-        coef = ctx.cnum(1)
         cs, cc = ctx.cnum(c + c2), ctx.cnum(c)
         f3 = _3f2_stream(cs, ctx.cnum(a), ctx.cnum(A), cc, ctx)
         f2a = _2f1_stream(cs, cc, ctx.cnum(x) / s, ctx)
-        for j in count():
-            if j > 0:
-                jm = j - 1
-                coef = coef * (c + jm) * (A + jm) / (
-                    j * (c2 + jm) * (C + 2 * jm) * (C + 2 * jm + 1) / (C + jm))
-            if coef == 0:
+        for j, co in enumerate(coefs):
+            if co == 0:
                 # as in _mult_2f1_rhs: past here A + j may be 0
-                yield ctx.cnum(0)
+                yield co
                 continue
             f1b = hyp_pfq([a + a2 + j], [c + c2 + 2 * j], s, policy, ctx)
-            yield coef * next(f3) * next(f2a) * f1b.value * ctx.cnum(s) ** j
+            yield co * next(f3) * next(f2a) * f1b.value
 
     return _sum_j(terms(), policy, ctx)
 
@@ -755,18 +714,16 @@ def _hahn_disc_lhs(p, policy, ctx):
     al, be = p["alpha"], p["beta"]
     M, N, x, y, z = int(p["M"]), int(p["N"]), int(p["x"]), int(p["y"]), p["z"]
     jmax = min(M, N)
+    # z^j (alpha+1)_j (-M)_j (-N)_j / (j! (beta+1)_j (alpha+beta+j+1)_j)
+    coefs = pochhammer_ladder(z, [(al + 1, 0, 1), (-M, 0, 1), (-N, 0, 1)],
+                              [(1, 0, 1), (be + 1, 0, 1), (al + be + 1, 1, 1)], ctx=ctx)
     total = ctx.cnum(0)
-    for j in range(jmax + 1):
-        coef = (pochhammer(al + 1, j, ctx) * pochhammer(-M, j, ctx)
-                * pochhammer(-N, j, ctx)
-                / (ctx.rexp(log_gamma_real(j + 1, ctx))
-                   * pochhammer(be + 1, j, ctx)
-                   * pochhammer(al + be + j + 1, j, ctx)))
+    for j, co in zip(range(jmax + 1), coefs):
         qx = hahn_poly(HahnParams(al, be, M), j, x, ctx)
         qy = hahn_poly(HahnParams(al, be, N), j, y, ctx)
         f = hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
                            lost_hint=0.4 * (jmax - j))
-        total += coef * qx * qy * f * ctx.cnum(z) ** j
+        total += co * qx * qy * f
     return total, {"terms": jmax + 1}
 
 
@@ -889,10 +846,8 @@ def _ac_spoisson_rhs(p, policy, ctx):
         k1 + k2, q, KernelPoint(t, p["x1"], p["y1"], s=s, sigma=sg), policy, ctx)
 
     def terms():
-        tj, tc = ctx.cnum(1), ctx.cnum(t)
-        for v, vx, vy in zip(ks, sx, sy):
+        for tj, v, vx, vy in zip(pochhammer_ladder(t, ctx=ctx), ks, sx, sy):
             yield tj * v * vx * vy
-            tj *= tc
 
     return _sum_j(terms(), policy, ctx, jmax=200)
 
@@ -936,33 +891,6 @@ def _aw_bilinear_validate(p):
              "cd = c'd'")
 
 
-def _aw_bilinear_coefficients(p, ctx):
-    """The q-products of H_j times t^j, for j = 0, 1, ...:
-
-        t^j (b c' q^j t, b' c q^j t, b d' q^j t, b' d q^j t; q)_inf
-        / ((q, ab, cd; q)_j (b b' c d q^{2j} t; q)_inf (abcd q^{j-1}; q)_j),
-
-    carried in j. :func:`_q_coefficients` carries all but the last two
-    products; (b b' c d q^{2j} t; q)_inf loses two factors per step, and
-    (abcd q^{j-1}; q)_j = (g; q)_{2j} / (g; q)_j with g = abcd / q gains two
-    and loses one.
-    """
-    q, t = p["q"], p["t"]
-    a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
-    b2, d2 = _aw_primed(p)
-    qc = ctx.rnum(q)
-    low = ctx.cnum(b * b2 * c * d * t)
-    lo = hi = ctx.cnum(a * b * c * d) / qc
-    rest = 1 / qpoch(low, q, ctx=ctx)
-    for co in _q_coefficients(q, t, (b * c2 * t, b2 * c * t, b * d2 * t, b2 * d * t),
-                              (q, a * b, c * d), ctx):
-        yield co * rest
-        rest *= (1 - low) * (1 - low * qc) * (1 - lo) / ((1 - hi) * (1 - hi * qc))
-        low *= qc * qc
-        lo *= qc
-        hi *= qc * qc
-
-
 def _aw_bilinear_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
@@ -970,6 +898,14 @@ def _aw_bilinear_lhs(p, policy, ctx):
     z87 = a2 * t / b
     px = aw_stream(AWParams(q, a, b, c, d), p["x"], ctx)
     py = aw_stream(AWParams(q, a2, b2, c2, d2), p["y"], ctx)
+    # the q-products of H_j times t^j:
+    # t^j (b c' q^j t, b' c q^j t, b d' q^j t, b' d q^j t; q)_inf
+    # / ((q, ab, cd; q)_j (b b' c d q^{2j} t; q)_inf (abcd q^{j-1}; q)_j)
+    coefs = pochhammer_ladder(
+        t, [(b * c2 * t, 1, math.inf), (b2 * c * t, 1, math.inf),
+            (b * d2 * t, 1, math.inf), (b2 * d * t, 1, math.inf)],
+        [(q, 0, 1), (a * b, 0, 1), (c * d, 0, 1), (b * b2 * c * d * t, 2, math.inf),
+         (a * b * c * d / q, 1, 1)], q, ctx)
 
     def term(j, co, vx, vy):
         qj = q ** j
@@ -978,8 +914,7 @@ def _aw_bilinear_lhs(p, policy, ctx):
                     q, z87, policy, ctx)
         return co * w.value * vx * vy
 
-    return _sum_j(map(term, count(), _aw_bilinear_coefficients(p, ctx), px, py),
-                  policy, ctx, jmax=200)
+    return _sum_j(map(term, count(), coefs, px, py), policy, ctx, jmax=200)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -1082,7 +1017,8 @@ def _cdqh_lhs(p, policy, ctx):
     px = aw_stream(AWParams(q, a, b, c, 0.0), p["x"], ctx)
     py = aw_stream(AWParams(q, a2, b2, c2, 0.0), p["y"], ctx)
     # t^j (b c' q^j t, b' c q^j t; q)_inf / (q, ab; q)_j
-    gs = _q_coefficients(q, t, (b * c2 * t, b2 * c * t), (q, a * b), ctx)
+    gs = pochhammer_ladder(t, [(b * c2 * t, 1, math.inf), (b2 * c * t, 1, math.inf)],
+                           [(q, 0, 1), (a * b, 0, 1)], q, ctx)
 
     def term(j, gj, vx, vy):
         qj = q ** j
@@ -1140,7 +1076,7 @@ def _asc_bilinear_lhs(p, policy, ctx):
     rx = aw_stream(ASCParams(q, a, c).as_aw(), p["x"], ctx)
     ry = aw_stream(ASCParams(q, a2, c2).as_aw(), p["y"], ctx)
     # t^j / (q, a' c t; q)_j
-    coeffs = _q_coefficients(q, t, (), (q, a2 * c * t), ctx)
+    coeffs = pochhammer_ladder(t, (), [(q, 0, 1), (a2 * c * t, 0, 1)], q, ctx)
 
     def term(j, co, vx, vy):
         f = bhs_rphis([c * t / c2, a * c * q ** j], [a2 * c * t * q ** j],
@@ -1198,7 +1134,7 @@ def _cbqh_lhs(p, policy, ctx):
         hx = aw_stream(AWParams(q, c, 0.0, 0.0, 0.0), p["x"], ctx)
         hy = aw_stream(AWParams(q, c2, 0.0, 0.0, 0.0), p["y"], ctx)
         # t^j / (q; q)_j
-        for co, vx, vy in zip(_q_coefficients(q, t, (), (q,), ctx), hx, hy):
+        for co, vx, vy in zip(pochhammer_ladder(t, (), [(q, 0, 1)], q, ctx), hx, hy):
             yield pref * co * vx * vy
 
     return _sum_j(terms(), policy, ctx, jmax=200)
@@ -1249,9 +1185,9 @@ def _mp_spoisson_rhs(p, policy, ctx):
     def terms():
         sx = sj_mp_stream(k1, k2, p["x1"], p["x2"], phi, ctx)
         sy = sj_mp_stream(k1, k2, p["y1"], p["y2"], phi, ctx)
-        for j, vx, vy in zip(count(), sx, sy):
+        for j, tj, vx, vy in zip(count(), pochhammer_ladder(t, ctx=ctx), sx, sy):
             v = mp_kernel_closed(k1 + k2 + j, phi, KernelPoint(t, X, Y), policy, ctx)
-            yield ctx.cnum(t) ** j * ctx.cnum(v) * ctx.cnum(vx) * ctx.cnum(vy)
+            yield tj * ctx.cnum(v) * ctx.cnum(vx) * ctx.cnum(vy)
 
     return _sum_j(terms(), policy, ctx, jmax=250)
 

@@ -9,6 +9,7 @@ has two printed closed forms related by a Bailey transform; both are exposed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
@@ -28,7 +29,7 @@ from .polys import (
     mp_orthonormal_stream,
     unit_phase,
 )
-from .series import _qval, log_gamma_real, qpoch_many
+from .series import _qval, log_gamma_real, pochhammer_ladder, qpoch_many
 
 
 @dataclass(frozen=True)
@@ -155,28 +156,24 @@ def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
     """The closed forms K_k, K_{k+1}, K_{k+2}, ... of :func:`ac_kernel_closed`
     at one point, as an unbounded generator.
 
-    q^k and the prefactor are carried in ``ctx`` from one k to the next: each
-    numerator base moves by q, (a q; q)_inf = (a; q)_inf / (1 - a), and the
-    one k-dependent denominator base by q^2, so the prefactor takes six new
-    factors per step; only the 8W7 is summed anew.
+    The prefactor of K_{k+j} is declared to ``series.pochhammer_ladder``: four
+    numerator bases move by q and one denominator base by q^2 per step, so
+    only the 8W7 is summed anew; its arguments q^k and a8 are carried too.
     """
     qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
     qc = ctx.rnum(qq)
-    num = [qk * t * emp * s, qk * t * emp / s, qk * t * emt * sg, qk * t * emt / sg]
-    low = qc ** (2 * k) * t * emt * emp
-    den = [t * eit * emp, t * emt * eip, t * emt * emp, low]
-    pref = qpoch_many(num, qq, over=den, ctx=ctx)
+    inf = math.inf
+    prefs = pochhammer_ladder(
+        1, [(qk * t * emp * s, 1, inf), (qk * t * emp / s, 1, inf),
+            (qk * t * emt * sg, 1, inf), (qk * t * emt / sg, 1, inf)],
+        [(t * eit * emp, 0, inf), (t * emt * eip, 0, inf), (t * emt * emp, 0, inf),
+         (qc ** (2 * k) * t * emt * emp, 2, inf)], qq, ctx)
     a8 = qc ** (2 * k - 1) * t * emt * emp
-    while True:
+    for pref in prefs:
         w = vwp_8w7(a8, [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
                          t * emt * emp],
                     qq, t * eit * eip, policy, ctx)
         yield ctx.cnum(pref * w.value)
-        for b in num:
-            pref /= 1 - b
-        pref *= (1 - low) * (1 - low * qc)
-        num = [b * qc for b in num]
-        low *= qc * qc
         a8 *= qc * qc
         qk *= qc
 

@@ -39,7 +39,7 @@ from itertools import count, islice
 from .errors import DegreeError, DomainError, ParamError, RealityError
 from .hyper import bhs_rphis, hyp_pfq, stable_eval
 from .numerics import STANDARD, Context
-from .series import QBase, _qval, log_gamma_real, pochhammer, qpoch
+from .series import QBase, _qval, log_gamma_real, pochhammer, pochhammer_ladder, qpoch
 
 _REALITY_REL = 1e-10
 
@@ -590,23 +590,13 @@ def _sj_ac_params(k1: float, k2: float, k: float, x1: float, s, q,
 def sj_ac_stream(k1: float, k2: float, x1: float, x2: float, s, q,
                  ctx: Context = STANDARD):
     """Yields ``sj_ac(k1, k2, j, x1, x2, s, q)`` for j = 0, 1, ...: one
-    ``aw_stream`` at x2 over a running norm.  Only the j = 0 check on |s|
-    binds, since the window (q^{k1+k2+j}, q^{-k1-k2-j}) widens with j."""
+    ``aw_stream`` at x2 over the square root of its norm, carried by
+    ``series.pochhammer_ladder``.  Only the j = 0 check on |s| binds, since
+    the window (q^{k1+k2+j}, q^{-k1-k2-j}) widens with j."""
     qq, aw = _sj_ac_params(k1, k2, k1 + k2, x1, s, q, ctx)
-    return _sj_ac_values(aw_stream(aw, x2, ctx), qq, k1, k2, ctx)
-
-
-def _sj_ac_values(pvals, qq: float, k1: float, k2: float, ctx: Context):
-    """pvals[j] / sqrt(N_j), N_j = (q, q^{2k1}, q^{2k2}, q^{2K+j-1}; q)_j,
-    K = k1 + k2; the last factor grows by (1 - q^{2K+2j-2}) and, from j = 2,
-    by (1 - q^{2K+2j-3}) / (1 - q^{2K+j-2})."""
-    two_k = 2 * (k1 + k2)
     q = ctx.rnum(qq)
-    norm = ctx.rnum(1)
-    for j, pj in enumerate(pvals):
-        if j > 0:
-            norm *= ((1 - q ** j) * (1 - q ** (2 * k1 + j - 1))
-                     * (1 - q ** (2 * k2 + j - 1)) * (1 - q ** (two_k + 2 * j - 2)))
-        if j > 1:
-            norm *= (1 - q ** (two_k + 2 * j - 3)) / (1 - q ** (two_k + j - 2))
-        yield pj / ctx.rsqrt(norm)
+    # N_j = (q, q^{2k1}, q^{2k2}, q^{2k1+2k2-1} q^j; q)_j
+    norms = pochhammer_ladder(
+        1, [(q, 0, 1), (q ** (2 * k1), 0, 1), (q ** (2 * k2), 0, 1),
+            (q ** (2 * (k1 + k2) - 1), 1, 1)], (), qq, ctx)
+    return (pj / ctx.rsqrt(norm.real) for pj, norm in zip(aw_stream(aw, x2, ctx), norms))

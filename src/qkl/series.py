@@ -1,5 +1,7 @@
-"""Scalar building blocks: Pochhammer symbols, q-shifted factorials,
-complex Gamma, principal-branch complex powers, and Bessel J.
+"""Scalar building blocks: Pochhammer symbols, q-shifted factorials, the
+(q-)Pochhammer ladder ``pochhammer_ladder`` on which every j-sum coefficient
+steps from one j to the next, complex Gamma, principal-branch complex
+powers, and Bessel J.
 
 Everything here is pure and re-entrant.  Functions accept an optional
 ``Context`` selecting standard (double) or extended (mpmath) arithmetic;
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, ParamError, PoleError, RangeError
@@ -133,6 +136,68 @@ def qpoch_many(bases, q, n: int | None = None, *, over=(),
     for l in over:
         out /= qpoch(l, q, n, ctx=ctx)
     return out
+
+
+def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
+    """Yields c_j = z^j prod_top P(a, s, l; j) / prod_bottom P(b, s, l; j) for
+    j = 0, 1, ..., where an entry (a, s, l) is P = (a + s j)_{l j}, or
+    (a q^{s j}; q)_{l j} when a base q is given; s and l are nonnegative
+    integers, l >= 1, and l may be ``math.inf`` in the q-case.
+
+    The infinite q-products are taken once, at j = 0, by :func:`qpoch_many`.
+    From j to j + 1 an entry gains its factors of index (s+l) j, ...,
+    (s+l)(j+1) - 1 and drops those of index s j, ..., s j + s - 1, where the
+    factor of index m is a + m, or 1 - a q^m (Gasper-Rahman, Basic
+    Hypergeometric Series, section 1.2).  While l j < s a factor is both
+    gained and dropped in one step; it is left out of both, so (A + j)_j at
+    A = 0 and (g q^j; q)_j at g = 1 never form 0/0.  A step whose divisor
+    vanishes raises PoleError.
+    """
+    z = ctx.cnum(z)
+    # one slot per factor position of a step: (first step it enters, +1 to
+    # multiply or -1 to divide, base, index step, index offset)
+    slots = []
+    for sign, entries in ((1, top), (-1, bottom)):
+        for a, s, l in entries:
+            a = ctx.cnum(a)
+            if l == math.inf:
+                slots += [(0, -sign, a, s, i) for i in range(s)]
+                continue
+            slots += [(max(0, -((i - s) // l)), sign, a, s + l, i) for i in range(s + l)]
+            slots += [(i // l + 1, -sign, a, s, i) for i in range(s)]
+    if q is None:
+        co = ctx.cnum(1)
+    else:
+        qq = _qval(q)
+        qc = ctx.rnum(qq)
+        co = qpoch_many([ctx.cnum(a) for a, _, l in top if l == math.inf], qq,
+                        over=[ctx.cnum(b) for b, _, l in bottom if l == math.inf],
+                        ctx=ctx)
+    last = max((slot[0] for slot in slots), default=0)
+    # the factor positions of a step, the first ``nup`` multiplying
+    vals, steps, nup = [], [], 0
+    j = 0
+    while True:
+        yield co
+        if j <= last:
+            for first, sign, a, step, i in slots:
+                if first == j:
+                    at = nup if sign > 0 else len(vals)
+                    nup += sign > 0
+                    m = step * j + i
+                    vals.insert(at, a + m if q is None else a * qc ** m)
+                    steps.insert(at, step if q is None else qc ** step)
+        if q is None:
+            factors = vals
+            vals = list(map(operator.add, vals, steps))
+        else:
+            factors = [1 - v for v in vals]
+            vals = list(map(operator.mul, vals, steps))
+        down = math.prod(factors[nup:])
+        if down == 0:
+            raise PoleError(f"pochhammer_ladder: zero divisor from j = {j} to {j + 1}")
+        co = co * z * math.prod(factors[:nup]) / down
+        j += 1
 
 
 def _lanczos_sum(zz: complex) -> complex:

@@ -12,8 +12,6 @@ from qkl.errors import DomainError, HypothesisError
 from qkl.hyper import TruncationPolicy
 from qkl.identities import (
     IdentityCase,
-    _aw_bilinear_coefficients,
-    _q_coefficients,
     _sum_j,
     get_entry,
     identity_ids,
@@ -21,7 +19,7 @@ from qkl.identities import (
     sample_params,
 )
 from qkl.numerics import EXTENDED, STANDARD
-from qkl.series import qpoch
+from qkl.series import pochhammer, pochhammer_ladder, qpoch
 
 ALL_IDS = identity_ids()
 
@@ -130,6 +128,33 @@ def test_degenerate_anchor(ident):
     params = {**base, **_ANCHORS[ident]}
     rep = run_case(IdentityCase(ident, params, tol_rel=1e-13))
     assert rep.passed, (ident, rep.rel_err)
+
+
+# points where every coefficient is finite but a factor of a coefficient is
+# gained and dropped in the same step at small j (A + j - 1 = 0 at j = 1, or
+# 1 - abcd q^{j-1} = 0 at j = 0): a carry that divides the one by the other
+# raises ZeroDivisionError
+_COINCIDENT_FACTORS = [
+    ("chahn_bilinear", {"a": 0.2, "beta": 0.3, "u": 0.4, "v": -0.7, "x": 0.5,
+                        "y": -1.1, "r": 0.3}),
+    ("hahn_product", {"k1": 0.2, "k2": 0.3, "x1": 0.5, "x2": -0.4, "y1": 1.1,
+                      "y2": 0.2, "r": 0.3}),
+    ("mult_2f1", {"a": 0.3, "b": -0.7, "c": 0.4, "a2": 1.2, "b2": 0.9, "c2": 0.6,
+                  "z": 0.3}),
+    ("conf_1f1", {"a": 0.3, "c": 0.4, "a2": 1.2, "c2": 0.6, "x": 0.5, "y": 0.7}),
+    ("burchnall_chaundy", {"a": 0.3, "b": -0.7, "c": 0.5, "z": 0.3}),
+    ("aw_bilinear", {"q": 0.0625, "a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5,
+                     "a2": 0.5, "c2": 0.5, "t": 0.1, "x": 0.3, "y": -0.2}),
+]
+
+
+@pytest.mark.parametrize("ident, params", _COINCIDENT_FACTORS,
+                         ids=[ident for ident, _ in _COINCIDENT_FACTORS])
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_coincident_coefficient_factors_evaluate(ident, params, precision):
+    rep = run_case(IdentityCase(ident, params), precision=precision)
+    assert rep.passed, (ident, precision, rep.rel_err)
+    assert rep.precision_used == precision
 
 
 @pytest.mark.parametrize("ident", ALL_IDS)
@@ -296,8 +321,9 @@ def test_run_case_is_thread_safe():
     assert got_extended == want_extended * (len(got_extended) // len(extended))
 
 
-# The q-products of the q j-sums, rebuilt from scratch by qpoch at each j as
-# the sums once computed them: the oracle of the carried coefficients.
+# The coefficients of the j-sums, rebuilt from scratch by pochhammer or qpoch
+# at each j as the sums once computed them: the oracles of the ladder
+# declarations.
 
 def _aw_rebuilt(p, j, ctx):
     q, t = p["q"], p["t"]
@@ -331,38 +357,63 @@ def _cbqh_rebuilt(p, j, ctx):
     return ctx.cnum(p["t"]) ** j / qpoch(p["q"], p["q"], j, ctx=ctx)
 
 
-def _cdqh_carried(p, ctx):
-    q, t, a, b, c, a2, c2 = (p[k] for k in ("q", "t", "a", "b", "c", "a2", "c2"))
-    b2 = a * b / a2
-    return _q_coefficients(q, t, (b * c2 * t, b2 * c * t), (q, a * b), ctx)
+def _chahn_rebuilt(p, j, ctx):
+    # (-r)^j j! / ((2a)_j (b+d)_j (A+j)_j), A = 2a + b + d - 1
+    a, bd = p["a"], 2 * p["beta"]
+    A = 2 * a + bd - 1
+    return ctx.cnum(-p["r"]) ** j * pochhammer(1, j, ctx) / (
+        pochhammer(2 * a, j, ctx) * pochhammer(bd, j, ctx)
+        * pochhammer(A + j, j, ctx))
 
 
-def _asc_carried(p, ctx):
-    return _q_coefficients(p["q"], p["t"], (), (p["q"], p["a2"] * p["c"] * p["t"]), ctx)
+def _mult_rebuilt(p, j, ctx):
+    # z^j (c)_j (A)_j (B)_j / (j! (c')_j (C+j)_j), C = c + c' - 1
+    a, b, c, a2, b2, c2 = (p[k] for k in ("a", "b", "c", "a2", "b2", "c2"))
+    C = c + c2 - 1
+    return ctx.cnum(p["z"]) ** j * pochhammer(c, j, ctx) \
+        * pochhammer(a + a2, j, ctx) * pochhammer(b + b2, j, ctx) / (
+            pochhammer(1, j, ctx) * pochhammer(c2, j, ctx)
+            * pochhammer(C + j, j, ctx))
 
 
-def _cbqh_carried(p, ctx):
-    return _q_coefficients(p["q"], p["t"], (), (p["q"],), ctx)
-
-
-_CARRIED = {
-    "aw_bilinear": (_aw_bilinear_coefficients, _aw_rebuilt),
-    "cdqh_bilinear": (_cdqh_carried, _cdqh_rebuilt),
-    "asc_bilinear": (_asc_carried, _asc_rebuilt),
-    "cbqh_reduction": (_cbqh_carried, _cbqh_rebuilt),
+_LADDER_ORACLES = {
+    "aw_bilinear": ("lhs", _aw_rebuilt),
+    "cdqh_bilinear": ("lhs", _cdqh_rebuilt),
+    "asc_bilinear": ("lhs", _asc_rebuilt),
+    "cbqh_reduction": ("lhs", _cbqh_rebuilt),
+    "chahn_bilinear": ("lhs", _chahn_rebuilt),
+    "mult_2f1": ("rhs", _mult_rebuilt),
 }
 
 
-@pytest.mark.parametrize("ident", sorted(_CARRIED))
+def _declared_ladder(ident, side, p, ctx):
+    """A fresh ladder on the one declaration that ``side`` of ``ident`` makes
+    to ``pochhammer_ladder`` at ``p``."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return pochhammer_ladder(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "pochhammer_ladder", spy)
+        getattr(get_entry(ident), "eval_" + side)(p, TruncationPolicy(), ctx)
+    [(args, kwargs)] = calls
+    return pochhammer_ladder(*args, **kwargs)
+
+
+@pytest.mark.parametrize("ident", sorted(_LADDER_ORACLES))
 def test_carried_q_coefficients_match_qpoch(ident):
-    # the coefficient carried from j to j + 1 against the same q-products
-    # rebuilt from scratch, j = 0..40, on every draw of seeds 0..9; three
-    # draws also in extended precision, at every fifth j
-    carried, rebuilt = _CARRIED[ident]
+    # the coefficient a j-sum declares to the ladder, carried from j to j + 1,
+    # against the same products rebuilt from scratch, j = 0..40, on every
+    # draw of seeds 0..9; three draws also in extended precision, at every
+    # fifth j
+    side, rebuilt = _LADDER_ORACLES[ident]
     for ctx, seeds, step in ((STANDARD, range(10), 1), (EXTENDED, range(3), 5)):
         for seed in seeds:
             p = sample_params(ident, seed).params
-            for j, co in islice(enumerate(carried(p, ctx)), 0, 41, step):
+            carried = _declared_ladder(ident, side, p, ctx)
+            for j, co in islice(enumerate(carried), 0, 41, step):
                 want = rebuilt(p, j, ctx)
                 assert abs(co - want) <= 1e-12 * abs(want), (ctx, seed, j)
 

@@ -1,6 +1,7 @@
 """Package layout: the precision decision stays behind ``qkl.numerics``, the
-q-kernel point behind ``polys.unit_phase``, and the classical j-sums stay on
-recurrence streams."""
+q-kernel point behind ``polys.unit_phase``, the classical j-sums stay on
+recurrence streams, and a j-sum coefficient steps in j only in
+``series.pochhammer_ladder``."""
 import ast
 import re
 from pathlib import Path
@@ -60,3 +61,17 @@ def test_q_kernel_point_has_one_owner():
                  if isinstance(node, ast.ClassDef) and node.name == "KernelPoint")
     assert "thetas" not in {node.name for node in point.body
                             if isinstance(node, ast.FunctionDef)}
+
+
+def test_jsum_coefficients_step_on_the_one_ladder():
+    # the hand-written carries are gone, and the modules that declare j-sum
+    # coefficients import the ladder from series
+    tree = ast.parse((SRC / "identities.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert defined & {"_q_coefficients", "_aw_bilinear_coefficients"} == set()
+    for name in ("identities.py", "kernels.py", "polys.py"):
+        tree = ast.parse((SRC / name).read_text())
+        sources = {(node.module, node.level) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.name == "pochhammer_ladder"}
+        assert sources == {("series", 1)}, name

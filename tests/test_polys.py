@@ -351,7 +351,9 @@ def test_aw_stream_domain():
 
 
 def test_sj_ac_stream_matches_sj_ac():
-    cases = [(0.5, 0.7, 0.2, -0.1, 1.1, 0.5), (0.25, 0.25, -0.6, 0.9, 0.8, 0.3)]
+    # k1 + k2 = 1/2 puts the base q^{2k1+2k2-1} of the norm at exactly 1
+    cases = [(0.5, 0.7, 0.2, -0.1, 1.1, 0.5), (0.25, 0.25, -0.6, 0.9, 0.8, 0.3),
+             (0.25, 0.25, 0.3, -0.4, 1.0, 0.5)]
     p = sample_params("ac_spoisson", 0).params
     cases.append((p["k1"], p["k2"], p["x1"], p["x2"], p["s"], p["q"]))
     for k1, k2, x1, x2, s, q in cases:

@@ -3,6 +3,7 @@ Bessel J."""
 import cmath
 import math
 import random
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from qkl.series import (
     complex_pow_principal,
     log_abs_gamma,
     pochhammer,
+    pochhammer_ladder,
     qpoch,
     qpoch_many,
 )
@@ -90,6 +92,76 @@ def test_qpoch_many_over_divides_factor_by_factor():
             for l in den:
                 pref /= qpoch(l, 0.5, n, ctx=ctx)
             assert qpoch_many(num, 0.5, n, over=den, ctx=ctx) == pref
+
+
+def _ladder_rebuilt(z, top, bottom, q, j, ctx):
+    """c_j of ``pochhammer_ladder`` with every product taken afresh."""
+    def product(a, s, l):
+        if q is None:
+            return pochhammer(ctx.cnum(a) + s * j, l * j, ctx)
+        n = None if l == math.inf else l * j
+        return qpoch(ctx.cnum(a) * ctx.rnum(q) ** (s * j), q, n, ctx=ctx)
+
+    value = ctx.cnum(z) ** j
+    for entry in top:
+        value *= product(*entry)
+    for entry in bottom:
+        value /= product(*entry)
+    return value
+
+
+_INF = math.inf
+_A = 2 * 0.2 + 2 * 0.3 - 1   # exactly 0: a + beta = 1/2 in chahn_bilinear
+_LADDERS = {
+    # one entry kind per declaration, on top and on the bottom
+    "(a, 0, l)": (0.3, [(0.7, 0, 3), (-0.45 + 0.2j, 0, 2)], [(1.3, 0, 2)], None),
+    "(A, 1, 1)": (-0.4, [(0.35, 1, 1)], [(1.7 - 0.3j, 1, 1)], None),
+    "(A, 1, 1) at A = 0": (0.4, [(0.0, 1, 1)], [(_A, 1, 1)], None),
+    "(X, 0, inf)": (0.6, [(0.3 + 0.2j, 0, _INF)], [(-0.45, 0, _INF)], 0.5),
+    "(X, 1, inf)": (0.6, [(0.3 + 0.2j, 1, _INF)], [(-0.45, 1, _INF)], 0.7),
+    "(X, 2, inf)": (-0.5, [(0.3 + 0.2j, 2, _INF)], [(-0.45, 2, _INF)], 0.3),
+    "(B, 0, 1)": (0.5, [(0.6j, 0, 1)], [(0.3, 0, 1), (0.5, 0, 1)], 0.5),
+    "(g, 1, 1)": (0.5, [(-0.35, 1, 1)], [(0.8 + 0.1j, 1, 1)], 0.7),
+    "(g, 1, 1) at g = 1": (0.5, [(1.0, 1, 1)], [(0.3, 0, 1)], 0.0625),
+    # the coefficient of chahn_bilinear, (-r)^j j! / ((2a)_j (b+d)_j (A+j)_j)
+    "chahn_bilinear": (-0.3, [(1, 0, 1)], [(0.4, 0, 1), (0.6, 0, 1), (_A, 1, 1)], None),
+    # of mult_2f1, z^j (c)_j (A)_j (B)_j / (j! (c')_j (C+j)_j), C = 0
+    "mult_2f1": (0.3, [(0.4, 0, 1), (1.5, 0, 1), (0.2, 0, 1)],
+                 [(1, 0, 1), (0.6, 0, 1), (0.4 + 0.6 - 1, 1, 1)], None),
+    # of aw_bilinear at abcd = q, (abcd q^{j-1}; q)_j = (g q^j; q)_j, g = 1
+    "aw_bilinear": (0.1, [(0.5 ** 3 * 0.1, 1, _INF)] * 4,
+                    [(0.0625, 0, 1), (0.25, 0, 1), (0.25, 0, 1),
+                     (0.5 ** 4 * 0.1, 2, _INF), (0.5 ** 4 / 0.0625, 1, 1)], 0.0625),
+}
+
+
+@pytest.mark.parametrize("name", list(_LADDERS))
+def test_pochhammer_ladder_matches_rebuilt_products(name):
+    # j = 0..40 in standard precision, every fifth j in extended
+    z, top, bottom, q = _LADDERS[name]
+    for ctx, step, tol in ((STANDARD, 1, 1e-13), (EXTENDED, 5, 1e-30)):
+        ladder = pochhammer_ladder(z, top, bottom, q, ctx)
+        for j, co in islice(enumerate(ladder), 0, 41, step):
+            want = _ladder_rebuilt(z, top, bottom, q, j, ctx)
+            assert abs(co - want) <= tol * abs(want), (ctx, j)
+
+
+def test_pochhammer_ladder_first_value_is_qpoch_many():
+    top = [(0.3 + 0.1j, 1, _INF), (0.2j, 2, _INF), (0.4, 0, 1)]
+    bottom = [(0.15 - 0.2j, 0, _INF), (0.6, 1, _INF)]
+    for ctx in (STANDARD, EXTENDED):
+        first = next(pochhammer_ladder(0.7, top, bottom, 0.5, ctx))
+        assert first == qpoch_many([0.3 + 0.1j, 0.2j], 0.5, over=[0.15 - 0.2j, 0.6],
+                                   ctx=ctx)
+
+
+def test_pochhammer_ladder_vanishing_divisor_is_a_pole():
+    # (-2)_j on the bottom vanishes from j = 3 on; (-2)_j on top just stays 0
+    assert list(islice(pochhammer_ladder(1, [(-2, 0, 1)]), 5)) == [1, -2, 2, 0, 0]
+    ladder = pochhammer_ladder(1, (), [(-2, 0, 1)])
+    assert list(islice(ladder, 3)) == [1, -0.5, 0.5]
+    with pytest.raises(PoleError):
+        next(ladder)
 
 
 def test_gamma_basics():
