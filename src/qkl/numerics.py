@@ -1,9 +1,24 @@
 """Scalar arithmetic backends for standard and extended precision.
 
 All series and polynomial code in this package is written against the small
-facade below, so it runs unchanged on Python ``complex`` (standard mode,
-~16 significant digits) or on ``mpmath`` numbers (extended mode, >= 30
-significant digits, arbitrarily escalatable).
+facade of :class:`Context`, so it runs unchanged on Python ``complex``
+(standard mode, ~16 significant digits) or on ``mpmath`` numbers (extended
+mode, >= 30 significant digits, arbitrarily escalatable).  A context chooses
+its backend once, when it is built, and stores the backend's functions as its
+operations; no call asks for the mode again.  Per operation, standard /
+extended:
+
+- ``cnum``: ``complex`` / ``mpc``; an mpmath complex keeps its value, an
+  mpmath real is rounded to the context's precision.
+- ``rnum``: ``float`` / ``convert``; an mpmath real keeps its value.
+- ``exp``, ``log``, ``sqrt``: ``cmath``'s / mpmath's; ``log`` is the principal
+  branch, imaginary part in (-pi, pi].
+- ``rexp``, ``rlog``, ``rsqrt``, ``cos``, ``sin``, ``acos``: ``math``'s /
+  mpmath's, real argument (positive for ``rlog``), real backend type.
+- ``expi(theta)``: exp(i theta) for real theta.
+- ``gamma``, ``loggamma``: mpmath's in both modes (``series`` has the
+  standard-precision ones); ``loggamma`` is the principal branch.
+- ``is_finite``: neither part infinite nor nan.
 
 Precision is carried by values, not by a setting.  Each extended context owns
 an ``mpmath.MPContext`` at its dps; its numbers are of that context's types
@@ -36,40 +51,43 @@ class Context:
     Extended contexts carry a decimal-digit count ``dps`` and the mpmath
     context that computes at it; escalated contexts with higher dps come from
     :func:`extended_context`.  A standard context keeps a 53-bit mpmath
-    context for the values of ``adopt``.
+    context for ``gamma``, ``loggamma`` and the values of ``adopt``.
     """
 
-    __slots__ = ("mode", "dps", "_mpctx")
+    __slots__ = ("mode", "extended", "dps", "_mpctx", "cnum", "rnum", "exp",
+                 "log", "sqrt", "rexp", "rlog", "rsqrt", "cos", "sin", "acos",
+                 "expi", "gamma", "loggamma", "is_finite")
 
     def __init__(self, mode: str = STANDARD_MODE, dps: int = EXTENDED_DPS):
         if mode not in (STANDARD_MODE, EXTENDED_MODE):
             raise ValueError(f"unknown precision mode {mode!r}")
         self.mode = mode
-        self.dps = 16 if mode == STANDARD_MODE else max(int(dps), 30)
-        self._mpctx = mp.MPContext()
-        if mode == EXTENDED_MODE:
-            self._mpctx.dps = self.dps
+        self.extended = mode == EXTENDED_MODE
+        self.dps = max(int(dps), 30) if self.extended else 16
+        self._mpctx = mpc = mp.MPContext()
+        self.gamma, self.loggamma = mpc.gamma, mpc.loggamma
+        if self.extended:
+            mpc.dps = self.dps
+            i = mpc.mpc(0, 1)
+            # mpmath converts a foreign argument exactly before it computes,
+            # so rsqrt(x) is sqrt(rnum(x)); ln is log without a base argument
+            self.cnum, self.rnum = mpc.mpc, mpc.convert
+            self.exp = self.rexp = mpc.exp
+            self.log = self.rlog = mpc.ln
+            self.sqrt = self.rsqrt = mpc.sqrt
+            self.cos, self.sin, self.acos = mpc.cos, mpc.sin, mpc.acos
+            self.expi = lambda theta: mpc.exp(i * theta)
+            self.is_finite = mpc.isfinite
+        else:
+            self.cnum, self.rnum = complex, float
+            self.exp, self.log, self.sqrt = cmath.exp, cmath.log, cmath.sqrt
+            self.rexp, self.rlog, self.rsqrt = math.exp, math.log, math.sqrt
+            self.cos, self.sin, self.acos = math.cos, math.sin, math.acos
+            self.expi = lambda theta: complex(math.cos(theta), math.sin(theta))
+            self.is_finite = cmath.isfinite
 
     def __repr__(self):
         return f"Context({self.mode!r}, dps={self.dps})"
-
-    @property
-    def extended(self) -> bool:
-        return self.mode == EXTENDED_MODE
-
-    # -- scalar constructors -------------------------------------------------
-    def cnum(self, z):
-        """Coerce to the backend complex type; an mpmath complex keeps its
-        value, an mpmath real is rounded to this precision."""
-        if self.extended:
-            return self._mpctx.mpc(z)
-        return complex(z)
-
-    def rnum(self, x):
-        """Coerce to the backend real type; an mpmath real keeps its value."""
-        if self.extended:
-            return self._mpctx.convert(x)
-        return float(x)
 
     def adopt(self, v):
         """A value handed back by an escalated context, as a value of this
@@ -79,59 +97,6 @@ class Context:
         if isinstance(v, (int, float, complex)):
             return v
         return self._mpctx.convert(v)
-
-    # -- elementary functions ------------------------------------------------
-    def exp(self, z):
-        return self._mpctx.exp(z) if self.extended else cmath.exp(z)
-
-    def log(self, z):
-        """Principal branch, imaginary part in (-pi, pi]."""
-        return self._mpctx.log(z) if self.extended else cmath.log(z)
-
-    def sqrt(self, z):
-        return self._mpctx.sqrt(z) if self.extended else cmath.sqrt(z)
-
-    def rsqrt(self, x):
-        return self._mpctx.sqrt(self.rnum(x)) if self.extended else math.sqrt(x)
-
-    def rexp(self, x):
-        """exp of a real argument, staying in the real backend type."""
-        return self._mpctx.exp(self.rnum(x)) if self.extended else math.exp(x)
-
-    def rlog(self, x):
-        """log of a positive real argument, staying in the real backend type."""
-        return self._mpctx.log(self.rnum(x)) if self.extended else math.log(x)
-
-    def cos(self, x):
-        return self._mpctx.cos(x) if self.extended else math.cos(x)
-
-    def sin(self, x):
-        return self._mpctx.sin(x) if self.extended else math.sin(x)
-
-    def acos(self, x):
-        return self._mpctx.acos(self.rnum(x)) if self.extended else math.acos(x)
-
-    def expi(self, theta):
-        """exp(i*theta) for real theta."""
-        if self.extended:
-            return self._mpctx.exp(self._mpctx.mpc(0, 1) * theta)
-        return complex(math.cos(theta), math.sin(theta))
-
-    # -- special functions of extended contexts (series has the standard ones)
-    def gamma(self, z):
-        """Gamma of a backend real or complex z."""
-        return self._mpctx.gamma(z)
-
-    def loggamma(self, z):
-        """Principal log Gamma of a backend real or complex z."""
-        return self._mpctx.loggamma(z)
-
-    # -- predicates ----------------------------------------------------------
-    def is_finite(self, z) -> bool:
-        if self.extended:
-            return self._mpctx.isfinite(z)
-        z = complex(z)
-        return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 STANDARD = Context(STANDARD_MODE)

@@ -151,28 +151,36 @@ def test_check_failure_exit1(tmp_path, capsys):
     assert out_file.exists()   # reports still written on failure
 
 
+# (golden file, check arguments): the extended report carries the values a
+# leak of mpmath's global precision would reach
+GOLDEN_CHECKS = [
+    ("check_all_seeds_0_1.json", ["--seeds", "0..1"]),
+    ("check_all_extended_seed_0.json", ["--seeds", "0..0", "--precision", "extended"]),
+]
+
+
 def test_check_all_matches_golden_report(tmp_path, capsys):
-    # the committed report pins every value of check --all bit for bit
-    out_file = tmp_path / "rep.json"
-    code, _, _ = run(["check", "--all", "--seeds", "0..1",
-                      "--out", str(out_file)], capsys)
-    assert code == 0
-    assert out_file.read_bytes() == (GOLDEN / "check_all_seeds_0_1.json").read_bytes()
+    # the committed reports pin every value of check --all bit for bit
+    for golden, args in GOLDEN_CHECKS:
+        out_file = tmp_path / golden
+        code, _, _ = run(["check", "--all", *args, "--out", str(out_file)], capsys)
+        assert code == 0, golden
+        assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
 def test_check_all_ignores_mpmath_global_precision(tmp_path, capsys):
     # every value carries its own precision, so the process-wide mpmath
     # setting changes no byte of the report
-    golden = (GOLDEN / "check_all_seeds_0_1.json").read_bytes()
     prec = mp.mp.prec
     try:
         for dps in (5, 100):
             mp.mp.dps = dps
-            out_file = tmp_path / f"rep_{dps}.json"
-            code, _, _ = run(["check", "--all", "--seeds", "0..1",
-                              "--out", str(out_file)], capsys)
-            assert code == 0
-            assert out_file.read_bytes() == golden, dps
+            for golden, args in GOLDEN_CHECKS:
+                out_file = tmp_path / f"{dps}_{golden}"
+                code, _, _ = run(["check", "--all", *args, "--out", str(out_file)],
+                                 capsys)
+                assert code == 0, (dps, golden)
+                assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), (dps, golden)
     finally:
         mp.mp.prec = prec
 

@@ -1,7 +1,7 @@
-"""Package layout: the precision decision stays behind ``qkl.numerics``, the
-q-kernel point behind ``polys.unit_phase``, the classical j-sums stay on
-recurrence streams, and a j-sum coefficient steps in j only in
-``series.pochhammer_ladder``."""
+"""Package layout: the precision decision stays behind ``qkl.numerics``, which
+makes it once per context; the q-kernel point stays behind
+``polys.unit_phase``; the classical j-sums stay on recurrence streams; and a
+j-sum coefficient steps in j only in ``series.pochhammer_ladder``."""
 import ast
 import re
 from pathlib import Path
@@ -75,3 +75,28 @@ def test_jsum_coefficients_step_on_the_one_ladder():
                    if isinstance(node, ast.ImportFrom)
                    for alias in node.names if alias.name == "pochhammer_ladder"}
         assert sources == {("series", 1)}, name
+
+
+def test_context_chooses_its_backend_once():
+    # the operations of a Context are bound in __init__; no other method asks
+    # for the mode (__repr__ only prints it), and only numerics reaches the
+    # mpmath context behind a Context
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "Context")
+    readers = {method.name for method in cls.body
+               if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute) and node.attr in ("extended", "mode")
+               and isinstance(node.value, ast.Name) and node.value.id == "self"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers <= {"__init__", "__repr__"}
+    assert not any(isinstance(method, ast.FunctionDef)
+                   and any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in method.decorator_list)
+                   for method in cls.body)
+    touching = sorted(f"{path.name}:{node.lineno}"
+                      for path in SRC.glob("*.py") if path.name != "numerics.py"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and node.attr == "_mpctx")
+    assert touching == []
