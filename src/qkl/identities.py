@@ -396,17 +396,20 @@ def _jacobi_bessel_lhs(p, policy, ctx):
     al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
     s = al + be + 1
     # (-1)^j (s + 2j) Gamma(j+1) Gamma(s+j) / (Gamma(al+j+1) Gamma(be+j+1))
-    # = (-1)^j (s + 2j) g j! (s)_j / ((al+1)_j (be+1)_j)
-    g = ctx.rexp(log_gamma_real(s, ctx) - log_gamma_real(al + 1, ctx)
+    # = (-1)^j (s + 2j) / (s + j) g j! (s+1)_j / ((al+1)_j (be+1)_j), whose
+    # Gammas have positive arguments also at s <= 0; (s + 2j) / (s + j) is 1
+    # at j = 0, its limit at s = 0
+    g = ctx.rexp(log_gamma_real(s + 1, ctx) - log_gamma_real(al + 1, ctx)
                  - log_gamma_real(be + 1, ctx))
-    coefs = pochhammer_ladder(-1, [(1, 0, 1), (s, 0, 1)],
+    coefs = pochhammer_ladder(-1, [(1, 0, 1), (s + 1, 0, 1)],
                               [(al + 1, 0, 1), (be + 1, 0, 1)], ctx=ctx)
     px = jacobi_stream(al, be, x, ctx)
     py = jacobi_stream(al, be, y, ctx)
 
     def term(j, co, vx, vy):
         nu = al + be + 2 * j + 1
-        return co * (nu * g) * vx * vy * bessel_j(nu, z, ctx)
+        ratio = ctx.rnum(nu) / (s + j) if j else 1
+        return co * (ratio * g) * vx * vy * bessel_j(nu, z, ctx)
 
     return _sum_j(map(term, count(), coefs, px, py), policy, ctx, jmax=60)
 

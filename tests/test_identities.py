@@ -157,6 +157,22 @@ def test_coincident_coefficient_factors_evaluate(ident, params, precision):
     assert rep.precision_used == precision
 
 
+# admissible Jacobi-Bessel points on both sides of s = alpha + beta + 1 = 0,
+# where Gamma(s) has a pole: the coefficients take Gamma(s + 1) and
+# (s + 2j) / (s + j), so no Gamma of a nonpositive argument is formed
+_JACOBI_BESSEL_LOW_ORDERS = [-0.95, -0.6, -0.5, -0.3]
+
+
+@pytest.mark.parametrize("alpha", _JACOBI_BESSEL_LOW_ORDERS)
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_jacobi_bessel_low_orders_evaluate(alpha, precision):
+    params = {"alpha": alpha, "beta": alpha, "x": 0.3, "y": -0.2, "z": 2.0}
+    rep = run_case(IdentityCase("jacobi_bessel", params), precision=precision)
+    assert rep.passed, (alpha, precision, rep.rel_err)
+    assert rep.rel_err < 1e-14
+    assert rep.precision_used == precision
+
+
 @pytest.mark.parametrize("ident", ALL_IDS)
 def test_seeded_sweep_small(ident):
     for seed in range(5):
