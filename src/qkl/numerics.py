@@ -64,20 +64,20 @@ class Context:
         self.mode = mode
         self.extended = mode == EXTENDED_MODE
         self.dps = max(int(dps), 30) if self.extended else 16
-        self._mpctx = mpc = mp.MPContext()
-        self.gamma, self.loggamma = mpc.gamma, mpc.loggamma
+        self._mpctx = mpctx = mp.MPContext()
+        self.gamma, self.loggamma = mpctx.gamma, mpctx.loggamma
         if self.extended:
-            mpc.dps = self.dps
-            i = mpc.mpc(0, 1)
+            mpctx.dps = self.dps
+            i = mpctx.mpc(0, 1)
             # mpmath converts a foreign argument exactly before it computes,
             # so rsqrt(x) is sqrt(rnum(x)); ln is log without a base argument
-            self.cnum, self.rnum = mpc.mpc, mpc.convert
-            self.exp = self.rexp = mpc.exp
-            self.log = self.rlog = mpc.ln
-            self.sqrt = self.rsqrt = mpc.sqrt
-            self.cos, self.sin, self.acos = mpc.cos, mpc.sin, mpc.acos
-            self.expi = lambda theta: mpc.exp(i * theta)
-            self.is_finite = mpc.isfinite
+            self.cnum, self.rnum = mpctx.mpc, mpctx.convert
+            self.exp = self.rexp = mpctx.exp
+            self.log = self.rlog = mpctx.ln
+            self.sqrt = self.rsqrt = mpctx.sqrt
+            self.cos, self.sin, self.acos = mpctx.cos, mpctx.sin, mpctx.acos
+            self.expi = lambda theta: mpctx.exp(i * theta)
+            self.is_finite = mpctx.isfinite
         else:
             self.cnum, self.rnum = complex, float
             self.exp, self.log, self.sqrt = cmath.exp, cmath.log, cmath.sqrt

@@ -180,7 +180,8 @@ def test_check_all_ignores_mpmath_global_precision(tmp_path, capsys):
                 code, _, _ = run(["check", "--all", *args, "--out", str(out_file)],
                                  capsys)
                 assert code == 0, (dps, golden)
-                assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), (dps, golden)
+                expected = (GOLDEN / golden).read_bytes()
+                assert out_file.read_bytes() == expected, (dps, golden)
     finally:
         mp.mp.prec = prec
 
