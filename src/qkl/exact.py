@@ -2,14 +2,14 @@
 in their parameters: the 2F1 multiplication formula (coefficient-wise in z)
 and the discrete Hahn bilinear theorem (finite rational sums).
 
-All arithmetic is over Gaussian rationals (complex numbers with Fraction
-components); no rounding occurs anywhere, so a ``True`` verdict is a proof
+All arithmetic is over Gaussian rationals, each held as three ints
+(x + i y) / d; no rounding occurs anywhere, so a ``True`` verdict is a proof
 for the given parameter set and truncation order.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import count
 
@@ -26,12 +26,73 @@ def _frac(v) -> Fraction:
     raise ParamError(f"exact arithmetic needs int/Fraction/str, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+_new = object.__new__
+_setattr = object.__setattr__
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+
+def _make(x: int, y: int, d: int) -> "GaussianRational":
+    """(x + i y) / d, d > 0, reduced by the common gcd of its three parts."""
+    g = math.gcd(d, x, y)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    return _canonical(x, y, d)
+
+
+def _canonical(x: int, y: int, d: int) -> "GaussianRational":
+    """Wraps a triple already in canonical form."""
+    out = _new(GaussianRational)
+    _setattr(out, "_t", (x, y, d))
+    return out
+
+
+def _parts(v) -> tuple:
+    """The canonical triple of an exact operand."""
+    if isinstance(v, GaussianRational):
+        return v._t
+    if isinstance(v, int):
+        return v, 0, 1
+    if isinstance(v, Fraction):
+        return v.numerator, 0, v.denominator
+    return GaussianRational.of(v)._t
+
+
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts.
+
+    Stored as three ints, (x + i y) / d, in canonical form: d > 0 and
+    gcd(x, y, d) = 1, zero being (0, 0, 1).  The operators do integer
+    arithmetic only, with one gcd per result, and two values are equal
+    exactly when their triples are.
+    """
+
+    __slots__ = ("_t",)
+
+    def __init__(self, re, im=0):
+        re, im = _frac(re), _frac(im)
+        rd, id_ = re.denominator, im.denominator
+        d = rd * id_ // math.gcd(rd, id_)
+        # both parts are in lowest terms, so over their least common
+        # denominator no prime divides x, y and d at once
+        _setattr(self, "_t", (re.numerator * (d // rd), im.numerator * (d // id_), d))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
 
     @classmethod
     def of(cls, v) -> "GaussianRational":
@@ -39,68 +100,83 @@ class GaussianRational:
             return v
         if isinstance(v, complex):
             raise ParamError("floating complex is not exact; pass Fractions")
-        return cls(_frac(v))
+        return cls(v)
 
     def __add__(self, o):
-        o = GaussianRational.of(o)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        x1, y1, d1 = self._t
+        x2, y2, d2 = _parts(o)
+        if d1 == d2:
+            return _make(x1 + x2, y1 + y2, d1)
+        return _make(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        x, y, d = self._t
+        return _canonical(-x, -y, d)
 
     def __sub__(self, o):
-        return self + (-GaussianRational.of(o))
+        x, y, d = _parts(o)
+        return self + _canonical(-x, -y, d)
 
     def __rsub__(self, o):
-        return GaussianRational.of(o) + (-self)
+        return -self + o
 
     def __mul__(self, o):
-        o = GaussianRational.of(o)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        x1, y1, d1 = self._t
+        x2, y2, d2 = _parts(o)
+        return _make(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = GaussianRational.of(o)
-        n = o.re * o.re + o.im * o.im
+        x1, y1, d1 = self._t
+        x2, y2, d2 = _parts(o)
+        n = x2 * x2 + y2 * y2
         if n == 0:
             raise ZeroDivisionError("division by exact zero")
-        return GaussianRational((self.re * o.re + self.im * o.im) / n,
-                                (self.im * o.re - self.re * o.im) / n)
+        # (x1 + i y1) / d1 * d2 (x2 - i y2) / (x2^2 + y2^2)
+        return _make(d2 * (x1 * x2 + y1 * y2), d2 * (y1 * x2 - x1 * y2), d1 * n)
 
     def __rtruediv__(self, o):
-        return GaussianRational.of(o) / self
+        return _canonical(*_parts(o)) / self
 
     def __eq__(self, o):
-        o = GaussianRational.of(o)
-        return self.re == o.re and self.im == o.im
+        if isinstance(o, GaussianRational):
+            return self._t == o._t
+        if isinstance(o, (int, Fraction)):
+            x, y, d = self._t
+            return y == 0 and x == o.numerator and d == o.denominator
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the Fraction (and so the int) it equals
+        x, y, d = self._t
+        return hash(self._t) if y else hash(Fraction(x, d))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        x, y, _ = self._t
+        return x == 0 and y == 0
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        x, y, d = self._t
+        return _canonical(x, -y, d)
 
     def is_nonpositive_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1 and self.re <= 0
+        x, y, d = self._t
+        return y == 0 and d == 1 and x <= 0
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
 
 
-GR_ZERO = GaussianRational(Fraction(0))
-GR_ONE = GaussianRational(Fraction(1))
+GR_ZERO = GaussianRational(0)
+GR_ONE = GaussianRational(1)
 
 
 def gr(re, im=0) -> GaussianRational:
     """Convenience constructor accepting ints, Fractions, or strings."""
-    return GaussianRational(_frac(re), _frac(im))
+    return GaussianRational(re, im)
 
 
 def poch_exact(a: GaussianRational, n: int) -> GaussianRational:

@@ -168,6 +168,26 @@ def test_check_all_matches_golden_report(tmp_path, capsys):
         assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
+# (golden file, check arguments) of the exact route, seeds 0..11: every third
+# mult_2f1 seed has Gaussian parameters, written by their repr
+GOLDEN_EXACT_CHECKS = [
+    ("check_exact_mult_2f1_K8_seeds_0_11.json",
+     ["--identity", "mult_2f1", "--exact", "--K", "8"]),
+    ("check_exact_hahn_bilinear_discrete_seeds_0_11.json",
+     ["--identity", "hahn_bilinear_discrete", "--exact"]),
+]
+
+
+def test_check_exact_matches_golden_report(tmp_path, capsys):
+    # the committed reports pin every exact verdict and parameter text
+    for golden, args in GOLDEN_EXACT_CHECKS:
+        out_file = tmp_path / golden
+        code, _, _ = run(["check", *args, "--seeds", "0..11", "--out", str(out_file)],
+                         capsys)
+        assert code == 0, golden
+        assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), golden
+
+
 def test_check_all_ignores_mpmath_global_precision(tmp_path, capsys):
     # every value carries its own precision, so the process-wide mpmath
     # setting changes no byte of the report

@@ -1,4 +1,8 @@
 """Exact rational verification over the Gaussian rationals."""
+import copy
+import math
+import operator
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -36,6 +40,115 @@ def test_gaussian_rational_field_ops():
         a / gr(0)
     with pytest.raises(ParamError):
         GaussianRational.of(0.5 + 0j)
+
+
+def test_hash_agrees_with_eq():
+    # a real value hashes as the int or Fraction it equals
+    assert gr(3) == 3 and hash(gr(3)) == hash(3)
+    assert len({gr(3), 3}) == 1
+    assert len({gr(F(-1, 2)), F(-1, 2), gr(F(-2, 4))}) == 1
+    assert len({gr(F(1, 2), 3), gr(F(2, 4), F(6, 2))}) == 1
+    assert {gr(0): "zero"}[0] == "zero"
+
+
+def test_eq_with_non_exact_operand_is_false():
+    one = gr(1)
+    assert (one == None) is False  # noqa: E711
+    assert (one == 0.5) is False
+    assert (one == 1.0) is False
+    assert (one == 1 + 0j) is False
+    assert one != "x" and one != [1]
+    # arithmetic with a floating operand still refuses it
+    for bad in (0.5, 1 + 0j):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ParamError):
+                op(one, bad)
+            with pytest.raises(ParamError):
+                op(bad, one)
+
+
+def _rand_pair(rng):
+    """A random Gaussian rational as a (re, im) pair of Fractions, often real,
+    integral or zero."""
+    def rat():
+        kind = rng.random()
+        if kind < 0.15:
+            return F(0)
+        if kind < 0.45:
+            return F(rng.randint(-6, 6))
+        return F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+    return rat(), (F(0) if rng.random() < 0.4 else rat())
+
+
+def _as_operand(rng, pair):
+    """The pair as an int or Fraction when it is real (sometimes), else as a
+    GaussianRational."""
+    re, im = pair
+    if im == 0 and rng.random() < 0.5:
+        return re.numerator if re.denominator == 1 and rng.random() < 0.5 else re
+    return gr(re, im)
+
+
+def _ref(op, p, q):
+    """Reference result of a binary operation on Fraction pairs."""
+    (a, b), (c, d) = p, q
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _assert_is(v, pair):
+    """v is the canonical GaussianRational of the pair."""
+    assert type(v) is GaussianRational
+    x, y, d = v._t
+    assert d > 0 and math.gcd(x, y, d) == 1
+    assert (F(x, d), F(y, d)) == pair
+    assert (v.re, v.im) == pair
+    assert type(v.re) is F and type(v.im) is F
+    assert repr(v) == f"GaussianRational({pair[0]}, {pair[1]})"
+    assert v.is_zero() == (pair == (0, 0))
+    assert v.is_nonpositive_integer() == (pair[1] == 0 and pair[0].denominator == 1
+                                          and pair[0] <= 0)
+
+
+def test_operations_match_fraction_pair_arithmetic():
+    rng = random.Random(1997)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for _ in range(3000):
+        p, q = _rand_pair(rng), _rand_pair(rng)
+        a = gr(*p)
+        _assert_is(a, p)
+        _assert_is(-a, (-p[0], -p[1]))
+        _assert_is(a.conjugate(), (p[0], -p[1]))
+        b = _as_operand(rng, q)
+        for op in ops:
+            # the Gaussian operand on either side, the other of any type
+            for lhs, rhs, pl, pr in ((a, b, p, q), (b, a, q, p)):
+                if op is operator.truediv and pr == (0, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        op(lhs, rhs)
+                    continue
+                _assert_is(op(lhs, rhs), _ref(op, pl, pr))
+        assert (a == b) == (p == q) and (b == a) == (p == q)
+        assert (a != b) == (p != q)
+        # the same value reached by another route is equal and hashes alike
+        c = (a * b) / b if q != (0, 0) else a + b - b
+        assert c == a and hash(c) == hash(a)
+        if p[1] == 0:
+            assert a == p[0] and hash(a) == hash(p[0])
+    for name in ("re", "im", "_t", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, F(1))
+    with pytest.raises(AttributeError):
+        del a.re
+    # immutable, yet copied and pickled by value
+    for v in (a, gr(F(-3, 4), 5)):
+        assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
 
 def test_coeff_2f1():
