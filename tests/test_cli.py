@@ -188,6 +188,32 @@ def test_check_exact_matches_golden_report(tmp_path, capsys):
         assert out_file.read_bytes() == (GOLDEN / golden).read_bytes(), golden
 
 
+def test_check_csv_matches_golden_report(tmp_path, capsys):
+    # the CSV report pins its column order and every cell's text
+    golden = "check_mp_poisson_mp_recurrence_seeds_0_2.csv"
+    out_file = tmp_path / golden
+    code, _, _ = run(["check", "--identity", "mp_poisson", "--identity", "mp_recurrence",
+                      "--seeds", "0..2", "--format", "csv", "--out", str(out_file)],
+                     capsys)
+    assert code == 0
+    assert out_file.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_sweep_matches_golden_output(tmp_path, capsys):
+    # the t = 1 rows carry only the exception's type name; the same bytes go
+    # to stdout and to --out
+    golden = (GOLDEN / "sweep_mp_poisson_t_k.csv").read_text()
+    argv = ["sweep", "--identity", "mp_poisson", "--grid", "t=0,0.2,1", "--grid", "k=0.5,1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out == golden
+    out_file = tmp_path / "sweep.csv"
+    code, out, _ = run([*argv, "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out == f"sweep written to {out_file} (6 rows)\n"
+    assert out_file.read_text() == golden
+
+
 def test_check_all_ignores_mpmath_global_precision(tmp_path, capsys):
     # every value carries its own precision, so the process-wide mpmath
     # setting changes no byte of the report
