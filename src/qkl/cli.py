@@ -9,13 +9,14 @@ significant digits; no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .errors import ConvergenceError, DivergenceError, ParamError, QKLError
-from .exact import gr, verify_hahn_exact, verify_mult_2f1_exact
+from .exact import EXACT_ROUTES, exact_case
 from .hyper import bhs_rphis, default_policy, gauss_2f1, hyp_pfq, vwp_8w7
 from .identities import IdentityCase, get_entry, identity_ids, run_case, sample_params
 from .kernels import (
@@ -39,9 +40,6 @@ from .polys import (
     mp_poly,
 )
 from .quadrature import ortho_gram
-
-_EXACT_IDS = ("mult_2f1", "hahn_bilinear_discrete")
-
 
 # ---------------------------------------------------------------------------
 # deterministic rendering
@@ -135,10 +133,12 @@ def load_params_file(path: str) -> dict:
 
 
 def _parse_seeds(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    if ".." not in text:
+        return [int(text)]
+    lo, hi = (int(t) for t in text.split("..", 1))
+    if hi < lo:
+        raise ParamError(f"empty seed range {text!r}: the upper end is below the lower")
+    return list(range(lo, hi + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +146,8 @@ def _parse_seeds(text: str) -> list:
 
 
 def cmd_eval(args) -> int:
-    params = parse_kv(args.params)
-    target = args.target
-    if target == "poly":
-        value, meta = _eval_poly(params)
-    elif target == "kernel":
-        value, meta = _eval_kernel(params)
-    elif target == "series":
-        value, meta = _eval_series(params)
-    else:
-        raise ParamError(f"unknown eval target {target!r}")
+    evaluate = {"poly": _eval_poly, "kernel": _eval_kernel, "series": _eval_series}
+    value, meta = evaluate[args.target](parse_kv(args.params))
     print(f"value = {_csv_cell(value)}")
     for key, v in meta.items():
         print(f"{key} = {v}")
@@ -229,74 +221,28 @@ def _eval_series(p: dict):
 # check
 
 
-def _exact_rational_sets(identity_id: str, seeds):
-    """Deterministic rational parameter sets for the exact route."""
-    import random
-
-    sets = []
-    for seed in seeds:
-        rng = random.Random(f"qkl:exact:{identity_id}:{seed}")
-
-        def frac(lo, hi, den_max=9):
-            den = rng.randrange(2, den_max)
-            num = rng.randrange(int(lo * den), int(hi * den) + 1)
-            return Fraction(num, den)
-
-        if identity_id == "mult_2f1":
-            while True:
-                vals = dict(a=frac(-2, 2), b=frac(-2, 2), c=frac(1, 3),
-                            a2=frac(-2, 2), b2=frac(-2, 2), c2=frac(1, 3))
-                if seed % 3 == 2:
-                    vals["a"] = gr(vals["a"], frac(-1, 1))
-                    vals["b2"] = gr(vals["b2"], frac(-1, 1))
-                ok = True
-                for u, u2 in (("a", "a2"), ("b", "b2")):
-                    s = gr(0) + vals[u] + vals[u2]
-                    if s.is_nonpositive_integer():
-                        ok = False
-                if ok:
-                    sets.append((seed, vals))
-                    break
-        elif identity_id == "hahn_bilinear_discrete":
-            M = rng.randrange(2, 7)
-            N = rng.randrange(2, 7)
-            vals = dict(alpha=frac(0, 3), beta=frac(0, 3), M=M, N=N,
-                        z=frac(-2, 2))
-            sets.append((seed, vals))
-        else:
-            raise ParamError(
-                f"--exact supports only {', '.join(_EXACT_IDS)}, not {identity_id}")
-    return sets
+def _capture(rec: dict, verdict):
+    """Fills ``rec`` with the report fields ``verdict()`` returns, and returns
+    the exception that ended the case instead, if any: any failure is this
+    case's error, never the run's."""
+    try:
+        rec.update(verdict())
+    except Exception as exc:  # any failure is this case's error
+        return exc
+    return None
 
 
-def _run_exact(identity_id: str, seeds, K: int):
-    results = []
-    n_pass = n_fail = n_err = 0
-    for seed, vals in _exact_rational_sets(identity_id, seeds):
-        rec = {"identity": identity_id, "seed": seed, "exact": True,
-               "params": {k: str(v) for k, v in vals.items()}}
-        try:
-            if identity_id == "mult_2f1":
-                ok, bad_k = verify_mult_2f1_exact(
-                    vals["a"], vals["b"], vals["c"],
-                    vals["a2"], vals["b2"], vals["c2"], K=K)
-                rec["passed"] = ok
-                if not ok:
-                    rec["first_failing_k"] = bad_k
-            else:
-                M, N = vals["M"], vals["N"]
-                ok = all(verify_hahn_exact(gr(vals["alpha"]), gr(vals["beta"]),
-                                           M, N, x, y, gr(vals["z"]))
-                         for x in range(M + 1) for y in range(N + 1))
-                rec["passed"] = ok
-            n_pass += ok
-            n_fail += not ok
-        except Exception as exc:  # any failure is this case's error
-            rec["passed"] = False
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-            n_err += 1
-        results.append(rec)
-    return results, n_pass, n_fail, n_err
+def _case_fields(identity_id: str, params: dict, tol: float, precision: str,
+                 seed=None) -> dict:
+    """Report fields of one numeric case."""
+    rep = run_case(IdentityCase(identity_id, params, tol_rel=tol, seed=seed),
+                   precision=precision)
+    fields = dict(passed=rep.passed, rel_err=rep.rel_err, abs_err=rep.abs_err,
+                  lhs=rep.lhs, rhs=rep.rhs, precision=rep.precision_used,
+                  terms=rep.terms)
+    if rep.note:
+        fields["note"] = rep.note
+    return fields
 
 
 def _require_positive_tol(tol: float):
@@ -317,52 +263,32 @@ def cmd_check(args) -> int:
     seeds = _parse_seeds(args.seeds)
     file_params = load_params_file(args.params) if args.params else None
 
-    results = []
-    n_pass = n_fail = n_err = 0
-    if args.exact:
-        for ident in sorted(idents):
-            res, p_, f_, e_ = _run_exact(ident, seeds, args.K)
-            results.extend(res)
-            n_pass += p_
-            n_fail += f_
-            n_err += e_
-    else:
+    if not args.exact:
         _require_positive_tol(args.tol)
-        for ident in sorted(idents):
-            for seed in seeds:
-                rec = {"identity": ident, "seed": seed}
-                try:
+
+    results = []
+    for ident in sorted(idents):
+        for seed in seeds:
+            rec = {"identity": ident, "seed": seed}
+            if args.exact:
+                vals, verdict = exact_case(ident, seed, args.K)
+                rec.update(exact=True, params={k: str(v) for k, v in vals.items()})
+            else:
+                def verdict():
                     params = (file_params if file_params is not None
                               else sample_params(ident, seed).params)
-                    case = IdentityCase(ident, params, tol_rel=args.tol, seed=seed)
-                    rep = run_case(case, precision=args.precision)
-                    rec.update(passed=rep.passed, rel_err=rep.rel_err,
-                               abs_err=rep.abs_err, lhs=rep.lhs, rhs=rep.rhs,
-                               precision=rep.precision_used, terms=rep.terms)
-                    if rep.note:
-                        rec["note"] = rep.note
-                    n_pass += rep.passed
-                    n_fail += not rep.passed
-                except Exception as exc:  # any failure is this case's error
-                    rec["passed"] = False
-                    rec["error"] = f"{type(exc).__name__}: {exc}"
-                    n_err += 1
-                results.append(rec)
-    report = {
-        "run": {
-            "command": "check",
-            "config": {
-                "identities": sorted(idents),
-                "seeds": seeds,
-                "tol_rel": args.tol,
-                "precision": args.precision,
-                "exact": bool(args.exact),
-                "K": args.K,
-            },
-            "version": __version__,
-        },
-        "results": results,
-    }
+                    return _case_fields(ident, params, args.tol, args.precision, seed)
+            exc = _capture(rec, verdict)
+            if exc is not None:
+                rec.update(passed=False, error=f"{type(exc).__name__}: {exc}")
+            results.append(rec)
+    n_err = sum("error" in rec for rec in results)
+    n_pass = sum(rec["passed"] for rec in results)
+    n_fail = len(results) - n_pass - n_err
+    config = {"identities": sorted(idents), "seeds": seeds, "tol_rel": args.tol,
+              "precision": args.precision, "exact": bool(args.exact), "K": args.K}
+    report = {"run": {"command": "check", "config": config, "version": __version__},
+              "results": results}
     _write_report(report, args.out, args.format)
     print(f"{n_pass} passed / {n_fail} failed / {n_err} errored")
     return 0 if n_fail == 0 and n_err == 0 else 1
@@ -374,12 +300,10 @@ def _write_report(report: dict, out: str | None, fmt: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_json(report) + "\n")
     else:
-        import csv as csvmod
-
         rows = report["results"]
         cols = sorted({k for row in rows for k in row})
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csvmod.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(cols)
             for row in rows:
                 writer.writerow([_csv_cell(row.get(c, "")) for c in cols])
@@ -402,39 +326,27 @@ def cmd_sweep(args) -> int:
             raise ParamError(
                 f"{name!r} is not a parameter of {args.identity} "
                 f"(has: {', '.join(entry.param_names)})")
-        parsed = parse_value(vals)
-        grids.append((name, parsed if isinstance(parsed, list) else [parsed]))
+        grids.append((name, _as_list(parse_value(vals))))
     if not grids:
         raise ParamError("sweep requires at least one --grid")
     base = (load_params_file(args.params) if args.params
             else sample_params(args.identity, _parse_seeds(args.seeds)[0]).params)
 
-    import itertools
-
-    names = [g[0] for g in grids]
-    rows = []
-    for combo in itertools.product(*(g[1] for g in grids)):
-        params = dict(base)
-        params.update(dict(zip(names, combo)))
-        row = {n: v for n, v in zip(names, combo)}
-        try:
-            rep = run_case(IdentityCase(args.identity, params, tol_rel=args.tol),
-                           precision=args.precision)
-            row.update(rel_err=rep.rel_err, abs_err=rep.abs_err,
-                       lhs=rep.lhs, rhs=rep.rhs, error="")
-        except Exception as exc:  # any failure is this point's error
-            row.update(rel_err="", abs_err="", lhs="", rhs="",
-                       error=f"{type(exc).__name__}")
-        rows.append(row)
+    names = [name for name, _ in grids]
     cols = names + ["lhs", "rhs", "rel_err", "abs_err", "error"]
     lines = [",".join(cols)]
-    for row in rows:
+    for combo in itertools.product(*(vals for _, vals in grids)):
+        row = dict(zip(names, combo))
+        point = {**base, **row}
+        exc = _capture(row, lambda: _case_fields(args.identity, point, args.tol,
+                                                 args.precision))
+        row["error"] = "" if exc is None else type(exc).__name__
         lines.append(",".join(_csv_cell(row.get(c, "")) for c in cols))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"sweep written to {args.out} ({len(rows)} rows)")
+        print(f"sweep written to {args.out} ({len(lines) - 1} rows)")
     else:
         print(text, end="")
     return 0
@@ -451,7 +363,8 @@ def cmd_ortho(args) -> int:
         raise ParamError("ortho requires family=mp or family=asc")
     res = ortho_gram(family, params, nmax=args.nmax, tol=args.tol)
     n = res.value.shape[0]
-    off = max(abs(res.value[i][j]) for i in range(n) for j in range(n) if i != j)
+    off = max((abs(res.value[i][j]) for i in range(n) for j in range(n) if i != j),
+              default=0.0)
     diag = max(abs(res.value[i][i] - 1.0) for i in range(n))
     print(f"gram {n}x{n}: max |off-diagonal| = {off:.3e}, "
           f"max |diagonal - 1| = {diag:.3e}")
@@ -497,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--precision", choices=["standard", "extended", "auto"],
                          default="auto")
     p_check.add_argument("--exact", action="store_true",
-                         help="exact rational verification (mult_2f1, "
-                              "hahn_bilinear_discrete)")
+                         help=f"exact rational verification ({', '.join(EXACT_ROUTES)})")
     p_check.add_argument("--K", type=int, default=8,
                          help="power-series order for exact mult_2f1")
     p_check.add_argument("--out", help="report path")

@@ -9,6 +9,7 @@ for the given parameter set and truncation order.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import count
@@ -231,6 +232,11 @@ def _pfq_exact(upper, lower, z, nmax: int) -> GaussianRational:
     return total
 
 
+def _require_order(K: int):
+    if K < 0:
+        raise ParamError(f"the truncation order K must be >= 0, got {K}")
+
+
 def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
     """Coefficient-of-z^k equality of the 2F1 multiplication formula, exactly,
     for k = 0..K.  Returns (True, None) or (False, first failing k).
@@ -255,6 +261,7 @@ def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
                 raise ParamError(
                     f"{name}+{name}' nonpositive integer needs both {name}, "
                     f"{name}' nonpositive integers")
+    _require_order(K)
     A, B, s = a + a2, b + b2, c + c2
     left, right = _coeffs_2f1(a, b, c), _coeffs_2f1(a2, b2, c2)
     lc, rc = [], []
@@ -329,3 +336,59 @@ def verify_hahn_exact(alpha, beta, M: int, N: int, x: int, y: int, z) -> bool:
     rhs = _pfq_exact([gr(-x), gr(-y)], [alpha + 1], z, min(x, y)) \
         * _pfq_exact([gr(x - M), gr(y - N)], [beta + 1], z, min(M - x, N - y))
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the exact route of ``qkl check --exact``: per identity, a seeded rational
+# draw and the callable that gives its verdict's report fields
+
+
+def _draw_frac(rng: random.Random, lo: int, hi: int) -> Fraction:
+    den = rng.randrange(2, 9)
+    return Fraction(rng.randrange(lo * den, hi * den + 1), den)
+
+
+def _mult_2f1_case(rng: random.Random, seed: int, K: int):
+    """Every third seed makes a and b' Gaussian; redrawn while a + a' or
+    b + b' is a nonpositive integer."""
+    while True:
+        v = {name: _draw_frac(rng, *span) for name, span in (
+            ("a", (-2, 2)), ("b", (-2, 2)), ("c", (1, 3)),
+            ("a2", (-2, 2)), ("b2", (-2, 2)), ("c2", (1, 3)))}
+        if seed % 3 == 2:
+            v["a"] = gr(v["a"], _draw_frac(rng, -1, 1))
+            v["b2"] = gr(v["b2"], _draw_frac(rng, -1, 1))
+        if not any((GR_ZERO + v[u] + v[u2]).is_nonpositive_integer()
+                   for u, u2 in (("a", "a2"), ("b", "b2"))):
+            break
+
+    def verdict():
+        ok, bad_k = verify_mult_2f1_exact(**v, K=K)
+        return {"passed": True} if ok else {"passed": False, "first_failing_k": bad_k}
+    return v, verdict
+
+
+def _hahn_case(rng: random.Random, seed: int, K: int):
+    """The theorem at every (x, y) of the two lattices."""
+    M, N = rng.randrange(2, 7), rng.randrange(2, 7)
+    v = dict(alpha=_draw_frac(rng, 0, 3), beta=_draw_frac(rng, 0, 3), M=M, N=N,
+             z=_draw_frac(rng, -2, 2))
+    return v, lambda: {"passed": all(
+        verify_hahn_exact(v["alpha"], v["beta"], M, N, x, y, v["z"])
+        for x in range(M + 1) for y in range(N + 1))}
+
+
+EXACT_ROUTES = {"mult_2f1": _mult_2f1_case, "hahn_bilinear_discrete": _hahn_case}
+
+
+def exact_case(identity_id: str, seed: int, K: int):
+    """The exact route's case ``seed`` of ``identity_id``: its rational draw,
+    seeded by ``qkl:exact:<id>:<seed>``, and a callable that returns the
+    verdict's report fields.  An identity without an exact route, or an order
+    K below 0, is refused here, before the case runs."""
+    if identity_id not in EXACT_ROUTES:
+        raise ParamError(
+            f"--exact supports only {', '.join(EXACT_ROUTES)}, not {identity_id}")
+    _require_order(K)
+    return EXACT_ROUTES[identity_id](
+        random.Random(f"qkl:exact:{identity_id}:{seed}"), seed, K)

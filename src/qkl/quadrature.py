@@ -193,6 +193,8 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
     Each Gauss-Kronrod panel evaluates the integrand once on its 15 nodes:
     one recurrence over the node vector, and the weight at every node.
     """
+    if nmax < 0:
+        raise ParamError("ortho_gram needs nmax >= 0")
     if nmax > 12:
         raise ParamError("ortho_gram supports nmax <= 12")
     if family == "mp":

@@ -290,6 +290,32 @@ def test_check_exact(tmp_path, capsys):
     assert code == 2   # exact route only covers the rational identities
 
 
+def test_exact_negative_order_is_bad_input(tmp_path, capsys):
+    # K = -1 compares no coefficient: the run is refused, not reported passed
+    out_file = tmp_path / "rep.json"
+    code, out, err = run(["check", "--identity", "mult_2f1", "--exact", "--K", "-1",
+                          "--seeds", "0..2", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "K must be >= 0" in err
+    assert not out_file.exists()
+
+
+def test_empty_seed_range_is_bad_input(tmp_path, capsys):
+    out_file = tmp_path / "rep.json"
+    code, out, err = run(["check", "--identity", "mp_poisson", "--seeds", "5..3",
+                          "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "empty seed range" in err
+    assert not out_file.exists()
+    code, out, err = run(["sweep", "--identity", "mp_poisson", "--grid", "t=0.2",
+                          "--seeds", "5..3"], capsys)
+    assert code == 2
+    assert "empty seed range" in err and out == ""
+    code, _, _ = run(["check", "--identity", "mp_poisson", "--seeds", "3..3",
+                      "--out", str(out_file)], capsys)
+    assert code == 0
+
+
 def test_sweep_grid(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
     code, out, _ = run(["sweep", "--identity", "mp_poisson",
@@ -326,6 +352,16 @@ def test_ortho_cli(capsys):
     assert "max |off-diagonal|" in out
     code, _, _ = run(["ortho", "family=asc", "q=0.5", "a=1.2", "b=0.3"], capsys)
     assert code == 2   # discrete-spectrum regime rejected
+
+
+def test_ortho_degree_zero_and_negative(capsys):
+    # a 1x1 Gram has no off-diagonal entry; a negative degree is bad input
+    code, out, _ = run(["ortho", "family=mp", "k=0.8", "phi=1.1", "--nmax", "0"], capsys)
+    assert code == 0
+    assert out.startswith("gram 1x1: max |off-diagonal| = 0.000e+00, ")
+    code, _, err = run(["ortho", "family=mp", "k=0.8", "phi=1.1", "--nmax", "-1"], capsys)
+    assert code == 2
+    assert "nmax >= 0" in err
 
 
 def test_ortho_report_file_matches_golden(tmp_path, capsys):

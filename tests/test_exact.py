@@ -8,13 +8,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from qkl import exact
 from qkl.errors import ParamError, PoleError
 from qkl.exact import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    EXACT_ROUTES,
     _pfq_exact,
     coeff_2f1,
+    exact_case,
     factorial_exact,
     gr,
     poch_exact,
@@ -187,6 +190,17 @@ def test_mult_2f1_exact_guards():
                               gr(2), K=3)
 
 
+def test_mult_2f1_exact_negative_order_is_refused():
+    # K = -1 compares no coefficient, so a verdict would prove nothing
+    args = (gr(F(1, 2)), gr(F(1, 3)), gr(F(5, 4)),
+            gr(F(2, 3)), gr(F(3, 5)), gr(F(7, 6)))
+    with pytest.raises(ParamError):
+        verify_mult_2f1_exact(*args, K=-1)
+    assert verify_mult_2f1_exact(*args, K=0) == (True, None)
+    with pytest.raises(ParamError):
+        exact_case("mult_2f1", 0, -1)
+
+
 def test_exact_comparison_has_teeth():
     # mismatched parameter sets produce genuinely different coefficients
     from qkl.exact import GR_ZERO
@@ -199,6 +213,29 @@ def test_exact_comparison_has_teeth():
         lhs = lhs + left * coeff_2f1(gr(F(2, 3)), gr(F(3, 5)), gr(F(7, 6)), k - i)
         wrong = wrong + left * coeff_2f1(gr(F(2, 3)), gr(F(3, 5)), gr(F(13, 6)), k - i)
     assert lhs != wrong
+
+
+def test_exact_case_draws_and_verdicts():
+    # each route's draw is a function of (identity, seed) alone, and its
+    # verdict callable returns report fields
+    assert list(EXACT_ROUTES) == ["mult_2f1", "hahn_bilinear_discrete"]
+    vals, verdict = exact_case("mult_2f1", 2, 4)
+    assert exact_case("mult_2f1", 2, 4)[0] == vals
+    assert set(vals) == {"a", "b", "c", "a2", "b2", "c2"}
+    assert vals["a"].im != 0 and vals["b2"].im != 0   # every third seed is Gaussian
+    assert verdict() == {"passed": True}
+    vals, verdict = exact_case("hahn_bilinear_discrete", 0, 8)
+    assert list(vals) == ["alpha", "beta", "M", "N", "z"]
+    assert verdict() == {"passed": True}
+    with pytest.raises(ParamError, match="not mp_poisson"):
+        exact_case("mp_poisson", 0, 8)
+
+
+def test_mult_2f1_verdict_names_the_first_failing_k(monkeypatch):
+    # the verdict is its verifier's: a failing comparison reports its k
+    vals, verdict = exact_case("mult_2f1", 0, 8)
+    monkeypatch.setattr(exact, "verify_mult_2f1_exact", lambda **kwargs: (False, 3))
+    assert verdict() == {"passed": False, "first_failing_k": 3}
 
 
 def test_hahn_exact_trivial():

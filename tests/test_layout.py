@@ -1,7 +1,8 @@
 """Package layout: the precision decision stays behind ``qkl.numerics``, which
 makes it once per context; the q-kernel point stays behind
-``polys.unit_phase``; the classical j-sums stay on recurrence streams; and a
-j-sum coefficient steps in j only in ``series.pochhammer_ladder``."""
+``polys.unit_phase``; the classical j-sums stay on recurrence streams; a
+j-sum coefficient steps in j only in ``series.pochhammer_ladder``; and the
+command line names no identity, the exact route staying behind ``qkl.exact``."""
 import ast
 import re
 from pathlib import Path
@@ -100,3 +101,19 @@ def test_context_chooses_its_backend_once():
                       for node in ast.walk(ast.parse(path.read_text()))
                       if isinstance(node, ast.Attribute) and node.attr == "_mpctx")
     assert touching == []
+
+
+def test_cli_names_no_identity():
+    # what an identity's check needs lives in identities.py or exact.py: the
+    # command line holds no identity id and calls no verifier directly
+    from qkl.identities import identity_ids
+
+    tree = ast.parse((SRC / "cli.py").read_text())
+    ids = set(identity_ids())
+    named = sorted(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and node.value in ids)
+    assert named == []
+    imported = sorted(alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name.startswith("verify_"))
+    assert imported == []

@@ -143,4 +143,6 @@ def test_gram_guards():
     with pytest.raises(ParamError):
         ortho_gram("mp", {"k": 0.8, "phi": 1.1}, nmax=13)
     with pytest.raises(ParamError):
+        ortho_gram("mp", {"k": 0.8, "phi": 1.1}, nmax=-1)
+    with pytest.raises(ParamError):
         ortho_gram("nope", {})
