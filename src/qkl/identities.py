@@ -51,7 +51,6 @@ from .polys import (
     ASCParams,
     AWParams,
     CHahnParams,
-    HahnParams,
     MPParams,
     _2f1_stream,
     _3f2_stream,
@@ -61,7 +60,6 @@ from .polys import (
     aw_poly,
     aw_stream,
     chahn_stream,
-    hahn_poly,
     in_spectral_window,
     jacobi_stream,
     mp_poly,
@@ -720,10 +718,16 @@ def _hahn_disc_lhs(p, policy, ctx):
     # z^j (alpha+1)_j (-M)_j (-N)_j / (j! (beta+1)_j (alpha+beta+j+1)_j)
     coefs = pochhammer_ladder(z, [(al + 1, 0, 1), (-M, 0, 1), (-N, 0, 1)],
                               [(1, 0, 1), (be + 1, 0, 1), (al + be + 1, 1, 1)], ctx=ctx)
+    # Q_j(x; alpha, beta, M) = 3F2(-j, j+alpha+beta+1, -x; alpha+1, -M; 1)
+    u = ctx.cnum(al) + 1
+    s = u + ctx.cnum(be) + 1
+    hahn_x = _3f2_stream(s, ctx.cnum(-x), u, ctx.cnum(-M), ctx)
+    hahn_y = _3f2_stream(s, ctx.cnum(-y), u, ctx.cnum(-N), ctx)
     total = ctx.cnum(0)
-    for j, co in zip(range(jmax + 1), coefs):
-        qx = hahn_poly(HahnParams(al, be, M), j, x, ctx)
-        qy = hahn_poly(HahnParams(al, be, N), j, y, ctx)
+    # at alpha + beta = -K, K >= 2, a stream first divides by 2n + s - 1 or
+    # 2n + s = 0 at j = ceil(K/2); the 2F1 factor below meets its lower-
+    # parameter pole at an earlier j, so the sum stops before that pull
+    for j, co, qx, qy in zip(range(jmax + 1), coefs, hahn_x, hahn_y):
         f = hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
                            lost_hint=0.4 * (jmax - j))
         total += co * qx * qy * f

@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 import qkl.identities as identities
-from qkl.errors import DomainError, HypothesisError
+from qkl.errors import DenominatorPoleError, DomainError, HypothesisError, QKLError
 from qkl.hyper import TruncationPolicy
 from qkl.identities import (
     IdentityCase,
@@ -171,6 +171,36 @@ def test_jacobi_bessel_low_orders_evaluate(alpha, precision):
     assert rep.passed, (alpha, precision, rep.rel_err)
     assert rep.rel_err < 1e-14
     assert rep.precision_used == precision
+
+
+# admissible discrete Hahn points with alpha + beta = -K, K = 2..9: the Hahn
+# streams' divisors 2n + s - 1 and 2n + s (s = alpha + beta + 2) vanish at
+# n = (K - 1) / 2 or (K - 2) / 2; (alpha, beta) = (-0.5, -1.5), (-1.5, -0.5)
+# and (0.5, -3.5) among them
+_HAHN_STREAM_POLES = [(al, -K - al) for K in range(2, 10) for al in (-0.5, 0.5, 1.25)] \
+    + [(-1.5, -0.5)]
+
+
+@pytest.mark.parametrize("precision", ["standard", "extended"])
+def test_hahn_stream_poles_are_typed_errors(precision):
+    # the j-sum meets the lower-parameter pole of its 2F1 factor before it
+    # pulls a stream value that divides by zero, so the case raises a QKLError
+    ctx = STANDARD if precision == "standard" else EXTENDED
+    entry = get_entry("hahn_bilinear_discrete")
+    raised = 0
+    for al, be in _HAHN_STREAM_POLES:
+        for M, N, x, y in ((6, 6, 2, 3), (6, 5, 6, 0), (4, 6, 0, 6), (2, 3, 1, 1)):
+            p = {"alpha": al, "beta": be, "M": M, "N": N, "x": x, "y": y, "z": 0.4}
+            entry.validator(p)
+            try:
+                entry.eval_lhs(p, TruncationPolicy(), ctx)
+            except QKLError:
+                raised += 1
+    assert raised > 0
+    for al, be in ((-0.5, -1.5), (-1.5, -0.5), (0.5, -3.5)):
+        p = {"alpha": al, "beta": be, "M": 6, "N": 6, "x": 2, "y": 3, "z": 0.4}
+        with pytest.raises(DenominatorPoleError):
+            run_case(IdentityCase("hahn_bilinear_discrete", p), precision=precision)
 
 
 @pytest.mark.parametrize("ident", ALL_IDS)

@@ -37,13 +37,13 @@ def test_no_global_precision_mechanism():
 
 
 def test_identities_sum_classical_families_on_streams():
-    # the definitional continuous Hahn, Jacobi and MP coupling values stay
-    # oracles of the streams; no identity side sums them
+    # the definitional continuous Hahn, Hahn, Jacobi and MP coupling values
+    # stay oracles of the streams; no identity side sums them
     tree = ast.parse((SRC / "identities.py").read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert imported & {"chahn_poly", "jacobi_poly", "sj_mp"} == set()
+    assert imported & {"chahn_poly", "hahn_poly", "jacobi_poly", "sj_mp"} == set()
 
 
 def test_q_kernel_point_has_one_owner():

@@ -419,6 +419,25 @@ def test_classical_stream_matches_definition(ident):
                 list(islice(stream(EXTENDED), 30)))
 
 
+def test_3f2_stream_matches_hahn_poly():
+    # Q_n(x; alpha, beta, N) is the 3F2 stream at s = alpha + beta + 2, z = -x,
+    # u = alpha + 1, v = -N, through the top degree n = N
+    ref_ctx = extended_context(120)
+    for seed in range(10):
+        p = sample_params("hahn_bilinear_discrete", seed).params
+        al, be = p["alpha"], p["beta"]
+        for x, top in ((p["x"], p["M"]), (p["y"], p["N"])):
+            hahn = HahnParams(al, be, top)
+
+            def stream(c):
+                u = c.cnum(al) + 1
+                return list(islice(_3f2_stream(u + c.cnum(be) + 1, c.cnum(-x), u,
+                                               c.cnum(-top), c), top + 1))
+            _assert_matches_definition(
+                [complex(hahn_poly(hahn, n, x, ref_ctx)) for n in range(top + 1)],
+                stream(STANDARD), stream(EXTENDED))
+
+
 def test_sj_mp_stream_matches_sj_mp():
     p = sample_params("mp_spoisson", 0).params
     cases = [(0.6, 0.9, 0.3, -0.2, 1.0), (0.25, 0.3, -1.4, 2.2, 2.5),
