@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--exact", action="store_true",
                          help=f"exact rational verification ({', '.join(EXACT_ROUTES)})")
     p_check.add_argument("--K", type=int, default=8,
-                         help="power-series order for exact mult_2f1")
+                         help="power-series order K of an exact coefficient-wise check")
     p_check.add_argument("--out", help="report path")
     p_check.add_argument("--format", choices=["json", "csv"], default="json")
     p_check.set_defaults(func=cmd_check)
