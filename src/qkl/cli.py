@@ -261,6 +261,8 @@ def cmd_check(args) -> int:
     else:
         raise ParamError("check requires --identity or --all")
     seeds = _parse_seeds(args.seeds)
+    if args.exact and args.params:
+        raise ParamError("--params sets a numeric case; the exact route draws its own")
     file_params = load_params_file(args.params) if args.params else None
 
     if not args.exact:
@@ -329,8 +331,11 @@ def cmd_sweep(args) -> int:
         grids.append((name, _as_list(parse_value(vals))))
     if not grids:
         raise ParamError("sweep requires at least one --grid")
+    seeds = _parse_seeds(args.seeds)
+    if len(seeds) != 1:
+        raise ParamError(f"sweep takes its base parameters from one seed, got {args.seeds!r}")
     base = (load_params_file(args.params) if args.params
-            else sample_params(args.identity, _parse_seeds(args.seeds)[0]).params)
+            else sample_params(args.identity, seeds[0]).params)
 
     names = [name for name, _ in grids]
     cols = names + ["lhs", "rhs", "rel_err", "abs_err", "error"]

@@ -17,6 +17,7 @@ from .errors import (
     DenominatorPoleError,
     DivergenceError,
     ParamError,
+    PoleError,
     PrecisionError,
     RangeError,
     VWPoleError,
@@ -29,6 +30,8 @@ _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
 # digits a stable_eval value must keep after cancellation, by precision mode
 _KEEP_STANDARD = 12.5
 _KEEP_EXTENDED = 16.0
+# values each pair of anchors of contiguous_ladder is recurred down over
+_LADDER_BLOCK = 24
 
 
 class SeriesStatus(enum.Enum):
@@ -419,3 +422,66 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
     inner.max_term_log10 += log10_abs(pref)
     inner.tail_estimate *= _safe_float(abs(pref))
     return inner
+
+
+def contiguous_ladder(upper: Sequence, c, z, policy: TruncationPolicy | None = None,
+                      ctx: Context = STANDARD):
+    """Yields y_j = 2F1(a+j, b+j; c+2j; z) for j = 0, 1, ... given
+    ``upper = (a, b)``, or the confluent 1F1(a+j; c+2j; z) given
+    ``upper = (a,)``, each as a SeriesEval.
+
+    With A = a + j, B = b + j and C = c + 2j the values satisfy the
+    contiguous relation y_{j-1} = (1 + z q_j) y_j - z^2 p_j y_{j+1}, where
+
+        2F1: q_j = (2AB - AC - BC + C) / (C (C-2)),
+             p_j = AB (A-C)(B-C) / (C^2 (C-1)(C+1));
+        1F1: q_j = (2A - C) / (C (C-2)),  p_j = A (A-C) / (C^2 (C-1)(C+1)).
+
+    For real z < 1, y_j is its minimal solution: it decays like
+    (2 / (1 + sqrt(1-z)))^{2j} while a dominant one grows, so the relation is
+    run backward only (Gil, Segura and Temme, "The ABC of hyper recursions",
+    J. Comput. Appl. Math. 190, 2006): that way the part of an error that
+    lies along a dominant solution shrinks.  Each block starts with two
+    anchors y_J and y_{J+1}, J being ``_LADDER_BLOCK`` past the block's first
+    j, summed by :func:`gauss_2f1` (:func:`hyp_pfq` for 1F1) in ``ctx`` under
+    ``policy``, and recurs down to that first j; it yields its values and
+    both anchors, and the next block starts at J + 2.  The fields of a yielded
+    SeriesEval other than its value describe its block's anchors: their
+    terms together, the larger tail estimate and the worse stop status, so an
+    anchor stopped at its term cap marks every value recurred from it.  A
+    step whose divisor C (C-2)(C^2-1) vanishes raises PoleError.
+    """
+    up = [ctx.cnum(u) for u in upper]
+    cc, zc = ctx.cnum(c), ctx.cnum(z)
+    z2 = zc * zc
+
+    def anchor(j):
+        if len(up) == 2:
+            return gauss_2f1(up[0] + j, up[1] + j, cc + 2 * j, z, policy, ctx)
+        return hyp_pfq([up[0] + j], [cc + 2 * j], z, policy, ctx)
+
+    j0 = 0
+    while True:
+        top = j0 + _LADDER_BLOCK
+        hi, lo = anchor(top + 1), anchor(top)
+        capped = SeriesStatus.MAX_TERMS_REACHED in (hi.status, lo.status)
+        status = SeriesStatus.MAX_TERMS_REACHED if capped else lo.status
+        terms = hi.terms_used + lo.terms_used
+        tail = max(hi.tail_estimate, lo.tail_estimate)
+        ys = [hi.value, lo.value]
+        for j in range(top, j0, -1):
+            A, C = up[0] + j, cc + 2 * j
+            down, down2 = C * (C - 2), C * C * (C * C - 1)
+            if down == 0 or down2 == 0:
+                raise PoleError(f"contiguous_ladder: zero divisor from j = {j} to {j - 1}")
+            if len(up) == 2:
+                B = up[1] + j
+                q = (2 * A * B - (A + B) * C + C) / down
+                p = A * B * (A - C) * (B - C) / down2
+            else:
+                q = (2 * A - C) / down
+                p = A * (A - C) / down2
+            ys.append((1 + zc * q) * ys[-1] - z2 * p * ys[-2])
+        for y in reversed(ys):
+            yield SeriesEval(y, terms, tail, status, lo.precision)
+        j0 = top + 2

@@ -30,6 +30,7 @@ from .hyper import (
     TruncationPolicy,
     accumulate,
     bhs_rphis,
+    contiguous_ladder,
     default_policy,
     gauss_2f1,
     hyp_pfq,
@@ -43,6 +44,7 @@ from .kernels import (
     ac_kernel_closed_ladder,
     ac_kernel_sum,
     mp_kernel_closed,
+    mp_kernel_closed_ladder,
     mp_kernel_sum,
     unit_phases,
 )
@@ -154,12 +156,25 @@ def _require_conv(cond: bool, constraint: str):
         raise DivergenceError(f"outside convergence region: {constraint}")
 
 
-def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
+def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400,
+           stops=()):
     """Sum at most ``jmax`` composite bilinear terms from the iterator
     ``terms`` under the series stopping rule; the report carries the terms
-    and the stop status."""
+    and the stop status.  ``stops`` holds the stop statuses of the per-j
+    series the terms used (see :func:`_values`): one stopped at its term cap
+    reports the sum as stopped there too."""
     ev = accumulate(terms, replace(policy, max_terms=jmax), ctx)
-    return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
+    capped = SeriesStatus.MAX_TERMS_REACHED in stops
+    status = SeriesStatus.MAX_TERMS_REACHED if capped else ev.status
+    return ev.value, {"terms": ev.terms_used, "status": status.value}
+
+
+def _values(evs, stops: set):
+    """The values of a stream of SeriesEval, each one's stop status added to
+    ``stops`` as it is pulled."""
+    for ev in evs:
+        stops.add(ev.status)
+        yield ev.value
 
 
 def _ev_meta(ev):
@@ -353,12 +368,14 @@ def _chahn_bilinear_lhs(p, policy, ctx):
                               ctx=ctx)
     px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
     py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
+    # 2F1(a+d+j, a+d'+j; 2a+b+d+2j; r)
+    stops = set()
+    fs = _values(contiguous_ladder([a + d, a + d2], 2 * a + bd, r, policy, ctx), stops)
 
-    def term(j, co, vx, vy):
-        f = gauss_2f1(a + d + j, a + d2 + j, 2 * a + bd + 2 * j, r, policy, ctx)
-        return co * f.value * vx * vy
+    def term(co, f, vx, vy):
+        return co * f * vx * vy
 
-    return _sum_j(map(term, count(), coefs, px, py), policy, ctx)
+    return _sum_j(map(term, coefs, fs, px, py), policy, ctx, stops=stops)
 
 
 def _chahn_bilinear_rhs(p, policy, ctx):
@@ -590,21 +607,23 @@ def _mult_2f1_rhs(p, policy, ctx):
     # z^j (c)_j (A)_j (B)_j / (j! (c')_j (C+j)_j)
     coefs = pochhammer_ladder(z, [(c, 0, 1), (A, 0, 1), (B, 0, 1)],
                               [(1, 0, 1), (c2, 0, 1), (C, 1, 1)], ctx=ctx)
+    stops = set()
 
     def terms():
         s, cc = ctx.cnum(c + c2), ctx.cnum(c)
         f3a = _3f2_stream(s, ctx.cnum(a), ctx.cnum(A), cc, ctx)
         f3b = _3f2_stream(s, ctx.cnum(b), ctx.cnum(B), cc, ctx)
-        for j, co in enumerate(coefs):
+        # 2F1(A+j, B+j; c+c'+2j; z)
+        fs = _values(contiguous_ladder([A, B], c + c2, z, policy, ctx), stops)
+        for co, f in zip(coefs, fs):
             if co == 0:
                 # a vanished coefficient stays 0, and past it the streams
                 # may divide by A + j = 0 or B + j = 0: pull them no further
                 yield co
                 continue
-            f = gauss_2f1(A + j, B + j, c + c2 + 2 * j, z, policy, ctx)
-            yield co * next(f3a) * next(f3b) * f.value
+            yield co * next(f3a) * next(f3b) * f
 
-    return _sum_j(terms(), policy, ctx)
+    return _sum_j(terms(), policy, ctx, stops=stops)
 
 
 _register("mult_2f1", "multiplication formula for a product of two 2F1",
@@ -670,20 +689,22 @@ def _conf_rhs(p, policy, ctx):
     # s^j (c)_j (A)_j / (j! (c')_j (C+j)_j)
     coefs = pochhammer_ladder(s, [(c, 0, 1), (A, 0, 1)],
                               [(1, 0, 1), (c2, 0, 1), (C, 1, 1)], ctx=ctx)
+    stops = set()
 
     def terms():
         cs, cc = ctx.cnum(c + c2), ctx.cnum(c)
         f3 = _3f2_stream(cs, ctx.cnum(a), ctx.cnum(A), cc, ctx)
         f2a = _2f1_stream(cs, cc, ctx.cnum(x) / s, ctx)
-        for j, co in enumerate(coefs):
+        # 1F1(A+j; c+c'+2j; s)
+        fs = _values(contiguous_ladder([A], c + c2, s, policy, ctx), stops)
+        for co, f1b in zip(coefs, fs):
             if co == 0:
                 # as in _mult_2f1_rhs: past here A + j may be 0
                 yield co
                 continue
-            f1b = hyp_pfq([a + a2 + j], [c + c2 + 2 * j], s, policy, ctx)
-            yield co * next(f3) * next(f2a) * f1b.value
+            yield co * next(f3) * next(f2a) * f1b
 
-    return _sum_j(terms(), policy, ctx)
+    return _sum_j(terms(), policy, ctx, stops=stops)
 
 
 _register("conf_1f1", "confluent product formula for two 1F1",
@@ -712,15 +733,15 @@ def _hahn_disc_validate(p):
 
 
 def _hahn_disc_lhs(p, policy, ctx):
-    al, be = p["alpha"], p["beta"]
+    al, be = ctx.cnum(p["alpha"]), ctx.cnum(p["beta"])
     M, N, x, y, z = int(p["M"]), int(p["N"]), int(p["x"]), int(p["y"]), p["z"]
     jmax = min(M, N)
     # z^j (alpha+1)_j (-M)_j (-N)_j / (j! (beta+1)_j (alpha+beta+j+1)_j)
     coefs = pochhammer_ladder(z, [(al + 1, 0, 1), (-M, 0, 1), (-N, 0, 1)],
                               [(1, 0, 1), (be + 1, 0, 1), (al + be + 1, 1, 1)], ctx=ctx)
     # Q_j(x; alpha, beta, M) = 3F2(-j, j+alpha+beta+1, -x; alpha+1, -M; 1)
-    u = ctx.cnum(al) + 1
-    s = u + ctx.cnum(be) + 1
+    u = al + 1
+    s = u + be + 1
     hahn_x = _3f2_stream(s, ctx.cnum(-x), u, ctx.cnum(-M), ctx)
     hahn_y = _3f2_stream(s, ctx.cnum(-y), u, ctx.cnum(-N), ctx)
     total = ctx.cnum(0)
@@ -735,7 +756,7 @@ def _hahn_disc_lhs(p, policy, ctx):
 
 
 def _hahn_disc_rhs(p, policy, ctx):
-    al, be = p["alpha"], p["beta"]
+    al, be = ctx.cnum(p["alpha"]), ctx.cnum(p["beta"])
     M, N, x, y, z = int(p["M"]), int(p["N"]), int(p["x"]), int(p["y"]), p["z"]
     fa = hyp_pfq_stable([-x, -y], [al + 1], z, ctx, lost_hint=0.4 * min(x, y))
     fb = hyp_pfq_stable([x - M, y - N], [be + 1], z, ctx,
@@ -1188,15 +1209,18 @@ def _mp_spoisson_lhs(p, policy, ctx):
 def _mp_spoisson_rhs(p, policy, ctx):
     k1, k2, phi, t = p["k1"], p["k2"], p["phi"], p["t"]
     X, Y = p["x1"] + p["x2"], p["y1"] + p["y2"]
+    stops = set()
 
     def terms():
         sx = sj_mp_stream(k1, k2, p["x1"], p["x2"], phi, ctx)
         sy = sj_mp_stream(k1, k2, p["y1"], p["y2"], phi, ctx)
-        for j, tj, vx, vy in zip(count(), pochhammer_ladder(t, ctx=ctx), sx, sy):
-            v = mp_kernel_closed(k1 + k2 + j, phi, KernelPoint(t, X, Y), policy, ctx)
-            yield tj * ctx.cnum(v) * ctx.cnum(vx) * ctx.cnum(vy)
+        # the kernels K_{k1+k2+j}(t; X, Y)
+        ks = _values(mp_kernel_closed_ladder(k1 + k2, phi, KernelPoint(t, X, Y),
+                                             policy, ctx), stops)
+        for tj, v, vx, vy in zip(pochhammer_ladder(t, ctx=ctx), ks, sx, sy):
+            yield tj * v * ctx.cnum(vx) * ctx.cnum(vy)
 
-    return _sum_j(terms(), policy, ctx, jmax=250)
+    return _sum_j(terms(), policy, ctx, jmax=250, stops=stops)
 
 
 _register("mp_spoisson",

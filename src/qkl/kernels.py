@@ -17,6 +17,7 @@ from .hyper import (
     SeriesEval,
     TruncationPolicy,
     accumulate,
+    contiguous_ladder,
     default_policy,
     gauss_2f1,
     vwp_8w7,
@@ -90,6 +91,14 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     positive real part, so no branch cut is crossed; a point where either
     base has not (possible only for |t| >= 1) raises DomainError.
     """
+    pref, a, b, r = _mp_closed_parts(k, phi, pt, ctx)
+    f = gauss_2f1(a, b, 2 * ctx.rnum(k), r, policy, ctx)
+    return ctx.cnum(pref * f.value)
+
+
+def _mp_closed_parts(k: float, phi: float, pt: KernelPoint, ctx: Context):
+    """(prefactor, k + ix, k + iy, r) of :func:`mp_kernel_closed`, whose
+    value is the prefactor times 2F1(k + ix, k + iy; 2k; r)."""
     MPParams(k, phi)
     i = ctx.cnum(1j)
     t = ctx.cnum(pt.t)
@@ -100,12 +109,30 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     base2 = 1 - t
     if not (base1.real > 0 and base2.real > 0):
         raise DomainError(f"mp_kernel_closed: principal branch violated at t = {pt.t}")
-    f = gauss_2f1(k + i * x, k + i * y, 2 * ctx.rnum(k), r, policy, ctx)
     logpref = (-log_gamma_real(2 * k, ctx)
                + i * (x + y) * ctx.log(base1)
                + (-2 * k - i * (x + y)) * ctx.log(base2))
-    out = ctx.exp(logpref) * f.value
-    return ctx.cnum(out)
+    return ctx.exp(logpref), k + i * x, k + i * y, r
+
+
+def mp_kernel_closed_ladder(k: float, phi: float, pt: KernelPoint,
+                            policy: TruncationPolicy | None = None,
+                            ctx: Context = STANDARD):
+    """The closed forms K_k, K_{k+1}, K_{k+2}, ... of :func:`mp_kernel_closed`
+    at one point, as an unbounded generator of SeriesEval.
+
+    The prefactor of K_{k+j} is that of K_k times (1-t)^{-2j} / (2k)_{2j},
+    declared to ``series.pochhammer_ladder``; the 2F1(k+j+ix, k+j+iy; 2k+2j; r)
+    comes from ``hyper.contiguous_ladder``, whose metadata each value keeps.
+    So no per-j sum starts afresh.
+    """
+    pref, a, b, r = _mp_closed_parts(k, phi, pt, ctx)
+    t = ctx.cnum(pt.t)
+    c = 2 * ctx.rnum(k)
+    prefs = pochhammer_ladder(1 / ((1 - t) * (1 - t)), (), [(c, 0, 2)], ctx=ctx)
+    for co, f in zip(prefs, contiguous_ladder([a, b], c, r, policy, ctx)):
+        f.value = ctx.cnum(pref * co * f.value)
+        yield f
 
 
 def ac_kernel_sum(k: float, q, pt: KernelPoint,

@@ -392,3 +392,28 @@ def test_params_file(tmp_path, capsys):
                         "--params", str(pf), "--out", str(out_file)], capsys)
     assert code == 0
     assert "1 passed" in out
+
+
+def test_check_exact_refuses_a_params_file(tmp_path, capsys):
+    # the exact route draws its own rationals: a --params file would be
+    # dropped without a word, so the run is refused
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({"a": 0.5}))
+    out_file = tmp_path / "rep.json"
+    code, _, err = run(["check", "--identity", "mult_2f1", "--exact", "--params", str(pf),
+                        "--seeds", "0..1", "--out", str(out_file)], capsys)
+    assert code == 2
+    assert "--params" in err
+    assert not out_file.exists()
+
+
+def test_sweep_refuses_a_seed_range(capsys):
+    # a sweep's base parameters come from one seed; a range would be cut to
+    # its first seed without a word
+    code, out, err = run(["sweep", "--identity", "mp_poisson", "--grid", "t=0.2",
+                          "--seeds", "0..3"], capsys)
+    assert code == 2
+    assert "one seed" in err and out == ""
+    code, _, _ = run(["sweep", "--identity", "mp_poisson", "--grid", "t=0.2",
+                      "--seeds", "2..2"], capsys)
+    assert code == 0

@@ -1,6 +1,7 @@
 """Hypergeometric and basic hypergeometric series engine."""
 import math
 import random
+from itertools import islice
 
 import mpmath as mp
 import pytest
@@ -9,6 +10,7 @@ from qkl.errors import (
     DenominatorPoleError,
     DivergenceError,
     ParamError,
+    PoleError,
     PrecisionError,
     QKLError,
     RangeError,
@@ -20,6 +22,7 @@ from qkl.hyper import (
     SeriesStatus,
     TruncationPolicy,
     bhs_rphis,
+    contiguous_ladder,
     default_policy,
     detect_termination,
     gauss_2f1,
@@ -311,3 +314,21 @@ def test_stable_eval_missing_its_target_raises_precision_error():
     assert len(attempts) == 4
     assert all(dps <= attempts[-1] for dps in set(numerics._LADDER) - before)
     assert issubclass(PrecisionError, QKLError)
+
+
+@pytest.mark.parametrize("upper", [(0.5, 0.7), (0.5,)])
+def test_contiguous_ladder_zero_divisor_is_a_pole(upper):
+    # c = 0 meets C - 2 = 0 at j = 1, on the way down from the anchors
+    with pytest.raises(PoleError):
+        next(contiguous_ladder(upper, 0, 0.3))
+
+
+def test_contiguous_ladder_blocks_and_statuses():
+    # the first block is y_0..y_25, recurred down from the anchors y_24 and
+    # y_25, which it yields as they were summed; a capped anchor caps its block
+    evs = list(islice(contiguous_ladder((0.3, 1.1), 1.7, 0.4), 27))
+    for j in (24, 25):
+        assert evs[j].value == gauss_2f1(0.3 + j, 1.1 + j, 1.7 + 2 * j, 0.4).value
+    assert {ev.status for ev in evs} == {SeriesStatus.CONVERGED}
+    capped = next(contiguous_ladder((0.3, 1.1), 1.7, 0.4, TruncationPolicy(max_terms=5)))
+    assert capped.status is SeriesStatus.MAX_TERMS_REACHED

@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 
 import qkl.identities as identities
+import qkl.kernels as kernels
 from qkl.errors import DenominatorPoleError, DomainError, HypothesisError, QKLError
-from qkl.hyper import TruncationPolicy
+from qkl.hyper import TruncationPolicy, contiguous_ladder
 from qkl.identities import (
     IdentityCase,
     _sum_j,
@@ -507,3 +508,68 @@ def test_capped_jsum_fails_its_case(monkeypatch):
     assert rep.rel_err <= case.tol_rel
     assert not rep.passed
     assert rep.precision_used == "standard" and rep.note is None
+
+
+# The classical j-sums whose per-j 2F1 or 1F1 comes from
+# hyper.contiguous_ladder, by the side that sums them.
+_CONTIGUOUS_SIDES = {"hahn_product": "rhs", "chahn_bilinear": "lhs",
+                     "mult_2f1": "rhs", "burchnall_chaundy": "rhs",
+                     "conf_1f1": "rhs", "mp_spoisson": "rhs"}
+
+
+def _declared_contiguous(ident, p):
+    """The (upper, c, z) that the j-sum side of ``ident`` declares to
+    ``contiguous_ladder`` at ``p``, in standard precision."""
+    calls = []
+
+    def spy(upper, c, z, policy=None, ctx=STANDARD):
+        calls.append((upper, c, z))
+        return contiguous_ladder(upper, c, z, policy, ctx)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "contiguous_ladder", spy)
+        patch.setattr(kernels, "contiguous_ladder", spy)
+        getattr(get_entry(ident), "eval_" + _CONTIGUOUS_SIDES[ident])(
+            p, TruncationPolicy(), STANDARD)
+    [call] = calls
+    return call
+
+
+@pytest.mark.parametrize("ident", sorted(_CONTIGUOUS_SIDES))
+def test_contiguous_ladder_matches_mpmath_on_every_sampler(ident):
+    # the per-j factor the j-sum runs on, recurred backward from its anchors,
+    # against mpmath's hyp2f1 / hyp1f1 at 30 digits, j = 0..40, on every draw
+    # of seeds 0..49 in standard precision and of seeds 0..9 in extended too
+    # (its 40-digit anchors set the test's time); the anchors stop at the
+    # default tail_tol of 1e-15 in both
+    for seed in range(50):
+        upper, c, z = _declared_contiguous(ident, sample_params(ident, seed).params)
+        with mp.workdps(30):
+            up, cc, zz = [mp.mpmathify(u) for u in upper], mp.mpmathify(c), mp.mpmathify(z)
+            if len(up) == 2:
+                want = [mp.hyp2f1(up[0] + j, up[1] + j, cc + 2 * j, zz) for j in range(41)]
+            else:
+                want = [mp.hyp1f1(up[0] + j, cc + 2 * j, zz) for j in range(41)]
+        for ctx in (STANDARD, EXTENDED) if seed < 10 else (STANDARD,):
+            got = islice(contiguous_ladder(upper, c, z, ctx=ctx), 41)
+            for j, (ev, w) in enumerate(zip(got, want)):
+                assert abs(mp.mpmathify(ev.value) - w) <= 1e-13 * abs(w), (seed, ctx, j)
+
+
+@pytest.mark.parametrize("ident, side", [("chahn_bilinear", "lhs"), ("conf_1f1", "rhs")])
+def test_capped_ladder_anchor_fails_its_case(ident, side):
+    # five terms cannot sum an anchor of the per-j 2F1 / 1F1 ladder: the cap
+    # the anchors stop at is the j-sum's status, so the case fails on it
+    case = sample_params(ident, 0)
+    rep = run_case(IdentityCase(ident, case.params, policy=TruncationPolicy(max_terms=5),
+                                seed=0))
+    assert rep.terms[side]["status"] == "MaxTermsReached"
+    assert rep.passed is False
+
+
+def test_hahn_discrete_extended_builds_parameters_in_context():
+    # alpha + 1, beta + 1, alpha + beta + 1 and alpha + beta + 2j + 2 are
+    # built from the context's alpha and beta: seed 57 reported 2.6e-15
+    # extended while they were doubles
+    rep = run_case(sample_params("hahn_bilinear_discrete", 57), precision="extended")
+    assert rep.rel_err <= 1e-30, rep.rel_err

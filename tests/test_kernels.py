@@ -21,6 +21,7 @@ from qkl.kernels import (
     ac_kernel_closed_ladder,
     ac_kernel_sum,
     mp_kernel_closed,
+    mp_kernel_closed_ladder,
     mp_kernel_sum,
 )
 from qkl.numerics import EXTENDED, STANDARD
@@ -195,3 +196,18 @@ def test_extended_kernel_sums_leave_mpmath_precision_alone():
     assert mp.mp.dps == dps
     run_case(sample_params("mp_poisson", 3), precision="extended")
     assert mp.mp.dps == dps
+
+
+@pytest.mark.parametrize("ctx, seeds, js", [(STANDARD, range(10), range(31)),
+                                            (EXTENDED, range(2), range(0, 31, 5))],
+                         ids=["standard", "extended"])
+def test_mp_kernel_closed_ladder_matches_closed_form(ctx, seeds, js):
+    # K_{k+j} carried from K_k on the mp_spoisson draws (k = k1 + k2 at the
+    # summed points X, Y) against the closed form evaluated afresh at k + j
+    for seed in seeds:
+        p = sample_params("mp_spoisson", seed).params
+        k, pt = p["k1"] + p["k2"], KernelPoint(p["t"], p["x1"] + p["x2"], p["y1"] + p["y2"])
+        ladder = list(islice(mp_kernel_closed_ladder(k, p["phi"], pt, ctx=ctx), js[-1] + 1))
+        for j in js:
+            want = mp_kernel_closed(k + j, p["phi"], pt, ctx=ctx)
+            assert abs(ladder[j].value - want) <= 1e-12 * abs(want), (seed, j)
