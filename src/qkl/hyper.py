@@ -137,6 +137,16 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     return SeriesEval(total, n + 1, tail, status, ctx.mode, log10_abs(max_abs))
 
 
+def worst_status(statuses) -> SeriesStatus:
+    """The worst of some stop statuses: a term cap, else a convergence (a
+    truncated sum), else a termination."""
+    statuses = set(statuses)
+    for worse in (SeriesStatus.MAX_TERMS_REACHED, SeriesStatus.CONVERGED):
+        if worse in statuses:
+            return worse
+    return SeriesStatus.TERMINATED_FINITE
+
+
 def _safe_float(x) -> float:
     try:
         return float(x)
@@ -424,6 +434,42 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
     return inner
 
 
+def _ladder(anchor, step):
+    """The block driver of every contiguous ladder: yields y_0, y_1, ... as
+    SeriesEval, each block recurred backward from two summed anchors.
+
+    ``anchor(j)`` sums y_j; ``step(j)`` returns (alpha, beta) with
+    y_{j-1} = alpha y_j - beta y_{j+1}, raising PoleError through
+    :func:`_divisors` where a divisor vanishes.  Each block starts with the
+    anchors y_J and y_{J+1}, J being ``_LADDER_BLOCK`` past the block's first
+    j, recurs down to that first j, and yields its values and both anchors;
+    the next block starts at J + 2.  The fields of a yielded SeriesEval other
+    than its value describe its block's anchors: their terms together, the
+    larger tail estimate and the worse stop status, so an anchor stopped at
+    its term cap marks every value recurred from it.
+    """
+    j0 = 0
+    while True:
+        top = j0 + _LADDER_BLOCK
+        hi, lo = anchor(top + 1), anchor(top)
+        status = worst_status((hi.status, lo.status))
+        terms = hi.terms_used + lo.terms_used
+        tail = max(hi.tail_estimate, lo.tail_estimate)
+        ys = [hi.value, lo.value]
+        for j in range(top, j0, -1):
+            alpha, beta = step(j)
+            ys.append(alpha * ys[-1] - beta * ys[-2])
+        for y in reversed(ys):
+            yield SeriesEval(y, terms, tail, status, lo.precision)
+        j0 = top + 2
+
+
+def _divisors(j, *divs):
+    """PoleError unless every divisor of the step from j to j - 1 is nonzero."""
+    if 0 in divs:
+        raise PoleError(f"contiguous ladder: zero divisor from j = {j} to {j - 1}")
+
+
 def contiguous_ladder(upper: Sequence, c, z, policy: TruncationPolicy | None = None,
                       ctx: Context = STANDARD):
     """Yields y_j = 2F1(a+j, b+j; c+2j; z) for j = 0, 1, ... given
@@ -441,15 +487,10 @@ def contiguous_ladder(upper: Sequence, c, z, policy: TruncationPolicy | None = N
     (2 / (1 + sqrt(1-z)))^{2j} while a dominant one grows, so the relation is
     run backward only (Gil, Segura and Temme, "The ABC of hyper recursions",
     J. Comput. Appl. Math. 190, 2006): that way the part of an error that
-    lies along a dominant solution shrinks.  Each block starts with two
-    anchors y_J and y_{J+1}, J being ``_LADDER_BLOCK`` past the block's first
-    j, summed by :func:`gauss_2f1` (:func:`hyp_pfq` for 1F1) in ``ctx`` under
-    ``policy``, and recurs down to that first j; it yields its values and
-    both anchors, and the next block starts at J + 2.  The fields of a yielded
-    SeriesEval other than its value describe its block's anchors: their
-    terms together, the larger tail estimate and the worse stop status, so an
-    anchor stopped at its term cap marks every value recurred from it.  A
-    step whose divisor C (C-2)(C^2-1) vanishes raises PoleError.
+    lies along a dominant solution shrinks.  :func:`_ladder` runs the blocks;
+    the anchors are summed by :func:`gauss_2f1` (:func:`hyp_pfq` for 1F1) in
+    ``ctx`` under ``policy``.  A step whose divisor C (C-2)(C^2-1) vanishes
+    raises PoleError.
     """
     up = [ctx.cnum(u) for u in upper]
     cc, zc = ctx.cnum(c), ctx.cnum(z)
@@ -460,28 +501,173 @@ def contiguous_ladder(upper: Sequence, c, z, policy: TruncationPolicy | None = N
             return gauss_2f1(up[0] + j, up[1] + j, cc + 2 * j, z, policy, ctx)
         return hyp_pfq([up[0] + j], [cc + 2 * j], z, policy, ctx)
 
-    j0 = 0
-    while True:
-        top = j0 + _LADDER_BLOCK
-        hi, lo = anchor(top + 1), anchor(top)
-        capped = SeriesStatus.MAX_TERMS_REACHED in (hi.status, lo.status)
-        status = SeriesStatus.MAX_TERMS_REACHED if capped else lo.status
-        terms = hi.terms_used + lo.terms_used
-        tail = max(hi.tail_estimate, lo.tail_estimate)
-        ys = [hi.value, lo.value]
-        for j in range(top, j0, -1):
-            A, C = up[0] + j, cc + 2 * j
-            down, down2 = C * (C - 2), C * C * (C * C - 1)
-            if down == 0 or down2 == 0:
-                raise PoleError(f"contiguous_ladder: zero divisor from j = {j} to {j - 1}")
-            if len(up) == 2:
-                B = up[1] + j
-                q = (2 * A * B - (A + B) * C + C) / down
-                p = A * B * (A - C) * (B - C) / down2
-            else:
-                q = (2 * A - C) / down
-                p = A * (A - C) / down2
-            ys.append((1 + zc * q) * ys[-1] - z2 * p * ys[-2])
-        for y in reversed(ys):
-            yield SeriesEval(y, terms, tail, status, lo.precision)
-        j0 = top + 2
+    def step(j):
+        A, C = up[0] + j, cc + 2 * j
+        down, down2 = C * (C - 2), C * C * (C * C - 1)
+        _divisors(j, down, down2)
+        if len(up) == 2:
+            B = up[1] + j
+            q = (2 * A * B - (A + B) * C + C) / down
+            p = A * B * (A - C) * (B - C) / down2
+        else:
+            q = (2 * A - C) / down
+            p = A * (A - C) / down2
+        return 1 + zc * q, z2 * p
+
+    return _ladder(anchor, step)
+
+
+def phi21_ladder(a, b, c, q, z, policy: TruncationPolicy | None = None,
+                 ctx: Context = STANDARD):
+    """Yields y_j = 2phi1(a, b q^j; c q^j; q, z) for j = 0, 1, ... as
+    SeriesEval.
+
+    With B = b q^j and C = c q^j the values satisfy the contiguous relation
+
+        y_{j-1} = (a z - B z - C + q) / (q - C) y_j
+                  - z (B - 1)(a - C) / ((q - C)(C - 1)) y_{j+1}.
+
+    As j grows the relation tends to y_{j-1} = (1 + s) y_j - s y_{j+1} with
+    s = a z / q, whose solutions tend to a constant and to s^{-j}.  So for
+    |a z| < q, y_j (which tends to (a z; q)_inf / (z; q)_inf) is its minimal
+    solution, and the relation runs backward only, on the blocks of
+    :func:`_ladder`, from anchors summed by :func:`bhs_rphis` in ``ctx``
+    under ``policy``.  Every
+    coefficient is built in ``ctx``.  A vanishing (q - C)(C - 1) raises
+    PoleError.
+    """
+    qq = _qval(q)
+    qc = ctx.rnum(qq)
+    aa, bb, cc, zc = ctx.cnum(a), ctx.cnum(b), ctx.cnum(c), ctx.cnum(z)
+
+    def anchor(j):
+        qj = qc ** j
+        return bhs_rphis([aa, bb * qj], [cc * qj], qq, zc, policy, ctx)
+
+    def step(j):
+        qj = qc ** j
+        B, C = bb * qj, cc * qj
+        _divisors(j, qc - C, C - 1)
+        return ((aa * zc - B * zc - C + qc) / (qc - C),
+                zc * (B - 1) * (aa - C) / ((qc - C) * (C - 1)))
+
+    return _ladder(anchor, step)
+
+
+def phi32_ladder(u: Sequence, rho: Sequence, w, omega, q,
+                 policy: TruncationPolicy | None = None, ctx: Context = STANDARD):
+    """Yields y_j = 3phi2(u1 q^j, u2 q^j, w; w rho1 q^j, w rho2 q^j; q, z) for
+    j = 0, 1, ... as SeriesEval, at z = w / omega, given ``u = (u1, u2)`` and
+    ``rho = (rho1, rho2)`` with u1 u2 = omega rho1 rho2.
+
+    With U_i = u_i q^j and V_i = w rho_i q^j, that condition makes z the
+    natural argument V1 V2 / (U1 U2 w) at every j, and only there does the
+    series have the contiguous relation
+
+        (q - V1)(q - V2) y_{j-1} = M_j y_j - K_j y_{j+1},
+        M_j = (q - V1)(q - V2)
+              + [q (w - U1)(w - U2) - U1 U2 (1 - w)(q - w)] / omega,
+        K_j = q (w - V1)(w - V2)(1 - U1)(1 - U2)
+              / (omega (1 - V1)(1 - V2)).
+
+    omega = w / z is passed on its own because it stays finite where
+    w = z = 0 (every y_j is then 1) and where a u_i and a rho_i vanish
+    together.  As j grows the relation tends to y_{j-1} = (1 + s) y_j
+    - s y_{j+1} with s = w z / q, so for |w z| < q, y_j is its minimal
+    solution, and the relation runs backward only, on the blocks of
+    :func:`_ladder`, from anchors summed by :func:`bhs_rphis` in ``ctx``
+    under ``policy``.  Every coefficient is built
+    in ``ctx``.  A vanishing divisor raises PoleError.
+    """
+    qq = _qval(q)
+    qc = ctx.rnum(qq)
+    u1, u2, r1, r2 = (ctx.cnum(x) for x in (*u, *rho))
+    ww, om = ctx.cnum(w), ctx.cnum(omega)
+    if om == 0:
+        raise PoleError("phi32_ladder: omega = w / z must be nonzero")
+    v1, v2 = ww * r1, ww * r2
+    zc = ww / om
+
+    def anchor(j):
+        qj = qc ** j
+        return bhs_rphis([u1 * qj, u2 * qj, ww], [v1 * qj, v2 * qj], qq, zc,
+                         policy, ctx)
+
+    def step(j):
+        qj = qc ** j
+        U1, U2, V1, V2 = u1 * qj, u2 * qj, v1 * qj, v2 * qj
+        down = (qc - V1) * (qc - V2)
+        _divisors(j, down, (1 - V1) * (1 - V2))
+        m = down + (qc * (ww - U1) * (ww - U2) - U1 * U2 * (1 - ww) * (qc - ww)) / om
+        k = (qc * (ww - V1) * (ww - V2) * (1 - U1) * (1 - U2)
+             / (om * (1 - V1) * (1 - V2)))
+        return m / down, k / down
+
+    return _ladder(anchor, step)
+
+
+def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
+               ctx: Context = STANDARD):
+    """Yields y_j = 8W7(a q^{2j}; b1 q^j, ..., b4 q^j, b5; q, z) for
+    j = 0, 1, ... as SeriesEval, given ``b = (b1, ..., b4)``, where
+    b5 = a / ratio and z = ratio a q^2 / (b1 b2 b3 b4) is Watson's natural
+    argument a^2 q^2 / (b1 b2 b3 b4 b5).
+
+    With A = a q^{2j}, B_i = b_i q^j and r = ratio q^{2j} = A / b5, z keeps
+    its natural value at every j, and only there does the series have the
+    contiguous relation y_{j-1} = alpha_j y_j - beta_j y_{j+1}, where
+
+        alpha_j = 1 + r A / ((q - 1) prod_i (B_i - A))
+                  * [(q - A)(q - b5) prod_i (1 - B_i) / (1 - r q)
+                     - (1 - A)(1 - b5) prod_i (q - B_i) / (q (q - r))],
+        beta_j = A^2 (q - A)(1 - A)(1 - A q)(1 - A q^2)
+                 prod_i (1 - B_i)(B_i - r q) / ((B_i - A)(B_i - A q))
+                 / ((1 - r)(1 - r q)^2 (1 - r q^2)),
+
+    products over i = 1..4 (a q-Zeilberger certificate, rational in q^n,
+    proves it; Gupta and Masson, "Contiguous relations, continued fractions
+    and orthogonality", Trans. AMS 350, 1998, study relations of this kind).
+    Taking b5 and z from ``ratio`` keeps the condition exact in ``ctx``, and
+    keeps a = b5 = z = 0 an ordinary point: there alpha_j = 1, beta_j = 0
+    and every y_j is 1.  A zero ratio or b_i leaves z undefined and raises
+    PoleError.  As j grows the relation tends to y_{j-1} = (1 + s) y_j
+    - s y_{j+1} with s = b5 z / q, so for |b5 z| < q, y_j is its minimal
+    solution, and the relation runs backward only, on the blocks of
+    :func:`_ladder`, from anchors summed by :func:`vwp_8w7` in ``ctx`` under
+    ``policy``.  Every coefficient is built
+    in ``ctx``.  A vanishing divisor raises PoleError.
+    """
+    qq = _qval(q)
+    qc = ctx.rnum(qq)
+    aa, rr = ctx.cnum(a), ctx.cnum(ratio)
+    bs = [ctx.cnum(x) for x in b]
+    if 0 in (rr, *bs):
+        raise PoleError("vwp_ladder: the natural argument needs ratio and b1..b4 nonzero")
+    b5c = aa / rr
+    zc = rr * aa * qc * qc / (bs[0] * bs[1] * bs[2] * bs[3])
+
+    def anchor(j):
+        qj = qc ** j
+        return vwp_8w7(aa * qj * qj, [x * qj for x in bs] + [b5c], qq, zc, policy, ctx)
+
+    def step(j):
+        qj = qc ** j
+        A, r = aa * qj * qj, rr * qj * qj
+        B = [x * qj for x in bs]
+        gaps, qgaps = [x - A for x in B], [x - A * qc for x in B]
+        _divisors(j, (qc - 1) * (1 - r) * (1 - r * qc) * (qc - r) * (1 - r * qc * qc),
+                  *gaps, *qgaps)
+        gap, ones, qs, pairs = 1, 1, 1, 1
+        for x, g, h in zip(B, gaps, qgaps):
+            gap *= g
+            ones *= 1 - x
+            qs *= qc - x
+            pairs *= (1 - x) * (x - r * qc) / (g * h)
+        alpha = 1 + r * A / ((qc - 1) * gap) * (
+            (qc - A) * (qc - b5c) * ones / (1 - r * qc)
+            - (1 - A) * (1 - b5c) * qs / (qc * (qc - r)))
+        beta = (A * A * (qc - A) * (1 - A) * (1 - A * qc) * (1 - A * qc * qc) * pairs
+                / ((1 - r) * (1 - r * qc) ** 2 * (1 - r * qc * qc)))
+        return alpha, beta
+
+    return _ladder(anchor, step)

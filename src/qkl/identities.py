@@ -35,7 +35,11 @@ from .hyper import (
     gauss_2f1,
     hyp_pfq,
     hyp_pfq_stable,
+    phi21_ladder,
+    phi32_ladder,
     vwp_8w7,
+    vwp_ladder,
+    worst_status,
 )
 from .kernels import (
     KernelPoint,
@@ -164,9 +168,8 @@ def _sum_j(terms, policy: TruncationPolicy, ctx: Context, jmax: int = 400,
     series the terms used (see :func:`_values`): one stopped at its term cap
     reports the sum as stopped there too."""
     ev = accumulate(terms, replace(policy, max_terms=jmax), ctx)
-    capped = SeriesStatus.MAX_TERMS_REACHED in stops
-    status = SeriesStatus.MAX_TERMS_REACHED if capped else ev.status
-    return ev.value, {"terms": ev.terms_used, "status": status.value}
+    return ev.value, {"terms": ev.terms_used,
+                      "status": worst_status((ev.status, *stops)).value}
 
 
 def _values(evs, stops: set):
@@ -175,6 +178,16 @@ def _values(evs, stops: set):
     for ev in evs:
         stops.add(ev.status)
         yield ev.value
+
+
+def _product_meta(*evs):
+    """The report of a side that multiplies the series ``evs``, in the form
+    of one series' (:func:`_ev_meta`): their terms together, their worst stop
+    status, so that a factor stopped at its term cap fails the case, and the
+    larger tail estimate."""
+    return {"terms": sum(ev.terms_used for ev in evs),
+            "status": worst_status(ev.status for ev in evs).value,
+            "tail": max(ev.tail_estimate for ev in evs)}
 
 
 def _ev_meta(ev):
@@ -383,7 +396,7 @@ def _chahn_bilinear_rhs(p, policy, ctx):
     r, x, y = p["r"], p["x"], p["y"]
     f1 = gauss_2f1(complex(a, x), complex(a, y), 2 * a, r, policy, ctx)
     f2 = gauss_2f1(d - 1j * x, d2 - 1j * y, b + d, r, policy, ctx)
-    return f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
+    return f1.value * f2.value, _product_meta(f1, f2)
 
 
 _register("chahn_bilinear", "continuous Hahn bilinear sum formula",
@@ -598,7 +611,7 @@ def _mult_2f1_validate(p):
 def _mult_2f1_lhs(p, policy, ctx):
     f1 = gauss_2f1(p["a"], p["b"], p["c"], p["z"], policy, ctx)
     f2 = gauss_2f1(p["a2"], p["b2"], p["c2"], p["z"], policy, ctx)
-    return f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
+    return f1.value * f2.value, _product_meta(f1, f2)
 
 
 def _mult_2f1_rhs(p, policy, ctx):
@@ -679,7 +692,7 @@ def _conf_validate(p):
 def _conf_lhs(p, policy, ctx):
     f1 = hyp_pfq([p["a"]], [p["c"]], p["x"], policy, ctx)
     f2 = hyp_pfq([p["a2"]], [p["c2"]], p["y"], policy, ctx)
-    return f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
+    return f1.value * f2.value, _product_meta(f1, f2)
 
 
 def _conf_rhs(p, policy, ctx):
@@ -862,7 +875,7 @@ def _ac_spoisson_lhs(p, policy, ctx):
     pt2 = KernelPoint(p["t"], p["x2"], p["y2"], s=p["s"], sigma=p["sigma"])
     e1 = ac_kernel_sum(p["k1"], p["q"], pt1, policy, ctx)
     e2 = ac_kernel_sum(p["k2"], p["q"], pt2, policy, ctx)
-    return e1.value * e2.value, {"terms": e1.terms_used + e2.terms_used}
+    return e1.value * e2.value, _product_meta(e1, e2)
 
 
 def _ac_spoisson_rhs(p, policy, ctx):
@@ -870,14 +883,15 @@ def _ac_spoisson_rhs(p, policy, ctx):
     s, sg = p["s"], p["sigma"]
     sx = sj_ac_stream(k1, k2, p["x1"], p["x2"], s, q, ctx)
     sy = sj_ac_stream(k1, k2, p["y1"], p["y2"], sg, q, ctx)
-    ks = ac_kernel_closed_ladder(
-        k1 + k2, q, KernelPoint(t, p["x1"], p["y1"], s=s, sigma=sg), policy, ctx)
+    stops = set()
+    ks = _values(ac_kernel_closed_ladder(
+        k1 + k2, q, KernelPoint(t, p["x1"], p["y1"], s=s, sigma=sg), policy, ctx), stops)
 
     def terms():
         for tj, v, vx, vy in zip(pochhammer_ladder(t, ctx=ctx), ks, sx, sy):
             yield tj * v * vx * vy
 
-    return _sum_j(terms(), policy, ctx, jmax=200)
+    return _sum_j(terms(), policy, ctx, jmax=200, stops=stops)
 
 
 _register("ac_spoisson",
@@ -923,7 +937,6 @@ def _aw_bilinear_lhs(p, policy, ctx):
     q, t = p["q"], p["t"]
     a, b, c, d, a2, c2 = (p[k] for k in ("a", "b", "c", "d", "a2", "c2"))
     b2, d2 = _aw_primed(p)
-    z87 = a2 * t / b
     px = aw_stream(AWParams(q, a, b, c, d), p["x"], ctx)
     py = aw_stream(AWParams(q, a2, b2, c2, d2), p["y"], ctx)
     # the q-products of H_j times t^j:
@@ -935,14 +948,16 @@ def _aw_bilinear_lhs(p, policy, ctx):
         [(q, 0, 1), (a * b, 0, 1), (c * d, 0, 1), (b * b2 * c * d * t, 2, math.inf),
          (a * b * c * d / q, 1, 1)], q, ctx)
 
-    def term(j, co, vx, vy):
-        qj = q ** j
-        w = vwp_8w7(b * b2 * c * d * q ** (2 * j - 1) * t,
-                    [b * c * qj, b * d * qj, b2 * c2 * qj, b2 * d2 * qj, b * t / a2],
-                    q, z87, policy, ctx)
-        return co * w.value * vx * vy
+    # 8W7(b b' c d q^{2j-1} t; b c q^j, b d q^j, b' c' q^j, b' d' q^j, b t/a';
+    # q, a' t/b), whose a / b5 is a' b' c d / q
+    stops = set()
+    ws = _values(vwp_ladder(b * b2 * c * d * t / q, [b * c, b * d, b2 * c2, b2 * d2],
+                            a2 * b2 * c * d / q, q, policy, ctx), stops)
 
-    return _sum_j(map(term, count(), coefs, px, py), policy, ctx, jmax=200)
+    def term(co, w, vx, vy):
+        return co * w * vx * vy
+
+    return _sum_j(map(term, coefs, ws, px, py), policy, ctx, jmax=200, stops=stops)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -960,7 +975,7 @@ def _aw_bilinear_rhs(p, policy, ctx):
     w2 = vwp_8w7(c * d * t * emt * emp / q,
                  [c * emt, d * emt, c2 * emp, d2 * emp, t * emt * emp],
                  q, t * eit * eip, policy, ctx)
-    return pref * w1.value * w2.value, {"terms": w1.terms_used + w2.terms_used}
+    return pref * w1.value * w2.value, _product_meta(w1, w2)
 
 
 _register("aw_bilinear", "Askey-Wilson bilinear generating function",
@@ -1047,15 +1062,18 @@ def _cdqh_lhs(p, policy, ctx):
     # t^j (b c' q^j t, b' c q^j t; q)_inf / (q, ab; q)_j
     gs = pochhammer_ladder(t, [(b * c2 * t, 1, math.inf), (b2 * c * t, 1, math.inf)],
                            [(q, 0, 1), (a * b, 0, 1)], q, ctx)
+    # 3phi2(b c q^j, b' c' q^j, b t/a'; b c' t q^j, b' c t q^j; q, a' t/b):
+    # its lower parameters are b t/a' times a' c' and a c, and omega is
+    # b^2/a'^2, built in the context
+    bc, a2c = ctx.cnum(b), ctx.cnum(a2)
+    stops = set()
+    fs = _values(phi32_ladder([bc * c, ctx.cnum(b2) * c2], [a2c * c2, ctx.cnum(a) * c],
+                              bc * t / a2c, (bc / a2c) ** 2, q, policy, ctx), stops)
 
-    def term(j, gj, vx, vy):
-        qj = q ** j
-        f = bhs_rphis([b * c * qj, b2 * c2 * qj, b * t / a2],
-                      [b * c2 * qj * t, b2 * c * qj * t], q, a2 * t / b,
-                      policy, ctx)
-        return gj * f.value * vx * vy
+    def term(gj, f, vx, vy):
+        return gj * f * vx * vy
 
-    return _sum_j(map(term, count(), gs, px, py), policy, ctx, jmax=200)
+    return _sum_j(map(term, gs, fs, px, py), policy, ctx, jmax=200, stops=stops)
 
 
 def _cdqh_rhs(p, policy, ctx):
@@ -1071,7 +1089,7 @@ def _cdqh_rhs(p, policy, ctx):
                  q, a2 * t / b, policy, ctx)
     f = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
                   [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
-    return pref * w1.value * f.value, {"terms": w1.terms_used + f.terms_used}
+    return pref * w1.value * f.value, _product_meta(w1, f)
 
 
 _register("cdqh_bilinear",
@@ -1105,13 +1123,15 @@ def _asc_bilinear_lhs(p, policy, ctx):
     ry = aw_stream(ASCParams(q, a2, c2).as_aw(), p["y"], ctx)
     # t^j / (q, a' c t; q)_j
     coeffs = pochhammer_ladder(t, (), [(q, 0, 1), (a2 * c * t, 0, 1)], q, ctx)
+    # 2phi1(c t/c', a c q^j; a' c t q^j; q, t c'/c)
+    stops = set()
+    fs = _values(phi21_ladder(c * t / c2, a * c, a2 * c * t, q, t * c2 / c, policy, ctx),
+                 stops)
 
-    def term(j, co, vx, vy):
-        f = bhs_rphis([c * t / c2, a * c * q ** j], [a2 * c * t * q ** j],
-                      q, t * c2 / c, policy, ctx)
-        return co * f.value * vx * vy
+    def term(co, f, vx, vy):
+        return co * f * vx * vy
 
-    return _sum_j(map(term, count(), coeffs, rx, ry), policy, ctx, jmax=200)
+    return _sum_j(map(term, coeffs, fs, rx, ry), policy, ctx, jmax=200, stops=stops)
 
 
 def _asc_bilinear_rhs(p, policy, ctx):
@@ -1125,7 +1145,7 @@ def _asc_bilinear_rhs(p, policy, ctx):
                    [a * t * eip, a2 * t * eit], q, t * emt * emp, policy, ctx)
     f2 = bhs_rphis([c * emt, c2 * emp, t * emt * emp],
                    [c * t * emp, c2 * t * emt], q, t * eit * eip, policy, ctx)
-    return pref * f1.value * f2.value, {"terms": f1.terms_used + f2.terms_used}
+    return pref * f1.value * f2.value, _product_meta(f1, f2)
 
 
 _register("asc_bilinear",
@@ -1203,7 +1223,7 @@ def _mp_spoisson_lhs(p, policy, ctx):
                        policy, ctx)
     e2 = mp_kernel_sum(p["k2"], p["phi"], KernelPoint(p["t"], p["x2"], p["y2"]),
                        policy, ctx)
-    return e1.value * e2.value, {"terms": e1.terms_used + e2.terms_used}
+    return e1.value * e2.value, _product_meta(e1, e2)
 
 
 def _mp_spoisson_rhs(p, policy, ctx):

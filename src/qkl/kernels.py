@@ -21,6 +21,7 @@ from .hyper import (
     default_policy,
     gauss_2f1,
     vwp_8w7,
+    vwp_ladder,
 )
 from .numerics import STANDARD, Context
 from .polys import (
@@ -174,18 +175,20 @@ def ac_kernel_closed(k: float, q, pt: KernelPoint,
                      ctx: Context = STANDARD) -> complex:
     """Closed form of the nonsymmetric Al-Salam-Chihara Poisson kernel:
     q-infinite-product prefactor times 8W7 with argument t e^{i(theta+phi)}."""
-    return next(ac_kernel_closed_ladder(k, q, pt, policy, ctx))
+    qq, prefs, a8, bs, b5, z, _ = _ac_closed_parts(k, q, pt, ctx)
+    w = vwp_8w7(a8, [*bs, b5], qq, z, policy, ctx)
+    return ctx.cnum(next(prefs) * w.value)
 
 
-def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
-                            policy: TruncationPolicy | None = None,
-                            ctx: Context = STANDARD):
-    """The closed forms K_k, K_{k+1}, K_{k+2}, ... of :func:`ac_kernel_closed`
-    at one point, as an unbounded generator.
+def _ac_closed_parts(k: float, q, pt: KernelPoint, ctx: Context):
+    """(q, prefactor ladder, a, [b1, b2, b3, b4], b5, z, a / b5) of the closed
+    form K_k = prefactor * 8W7(a; b1, ..., b5; q, z) of :func:`ac_kernel_closed`.
 
     The prefactor of K_{k+j} is declared to ``series.pochhammer_ladder``: four
-    numerator bases move by q and one denominator base by q^2 per step, so
-    only the 8W7 is summed anew; its arguments q^k and a8 are carried too.
+    numerator bases move by q and one denominator base by q^2 per step.  Of
+    the 8W7, a moves by q^2 and b1..b4 by q; b5 = t e^{-i theta} e^{-i phi}
+    and z = t e^{i theta} e^{i phi} stay, and z is the natural argument
+    a^2 q^2 / (b1 b2 b3 b4 b5).  a / b5 = q^{2k-1} stays finite at t = 0.
     """
     qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
     qc = ctx.rnum(qq)
@@ -195,14 +198,25 @@ def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
             (qk * t * emt * sg, 1, inf), (qk * t * emt / sg, 1, inf)],
         [(t * eit * emp, 0, inf), (t * emt * eip, 0, inf), (t * emt * emp, 0, inf),
          (qc ** (2 * k) * t * emt * emp, 2, inf)], qq, ctx)
-    a8 = qc ** (2 * k - 1) * t * emt * emp
-    for pref in prefs:
-        w = vwp_8w7(a8, [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg,
-                         t * emt * emp],
-                    qq, t * eit * eip, policy, ctx)
-        yield ctx.cnum(pref * w.value)
-        a8 *= qc * qc
-        qk *= qc
+    bs = [qk * emt * s, qk * emt / s, qk * emp * sg, qk * emp / sg]
+    return (qq, prefs, qc ** (2 * k - 1) * t * emt * emp, bs, t * emt * emp,
+            t * eit * eip, qc ** (2 * k - 1))
+
+
+def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
+                            policy: TruncationPolicy | None = None,
+                            ctx: Context = STANDARD):
+    """The closed forms K_k, K_{k+1}, K_{k+2}, ... of :func:`ac_kernel_closed`
+    at one point, as an unbounded generator of SeriesEval.
+
+    The prefactors come from the ladder of :func:`_ac_closed_parts`, the
+    8W7s from ``hyper.vwp_ladder``, whose metadata each value keeps.  So no
+    per-j sum starts afresh.
+    """
+    qq, prefs, a8, bs, _, _, ratio = _ac_closed_parts(k, q, pt, ctx)
+    for pref, w in zip(prefs, vwp_ladder(a8, bs, ratio, qq, policy, ctx)):
+        w.value = ctx.cnum(pref * w.value)
+        yield w
 
 
 def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,

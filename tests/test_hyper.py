@@ -27,8 +27,11 @@ from qkl.hyper import (
     detect_termination,
     gauss_2f1,
     hyp_pfq,
+    phi21_ladder,
+    phi32_ladder,
     stable_eval,
     vwp_8w7,
+    vwp_ladder,
 )
 from qkl.numerics import EXTENDED, STANDARD
 from qkl.series import qpoch
@@ -332,3 +335,17 @@ def test_contiguous_ladder_blocks_and_statuses():
     assert {ev.status for ev in evs} == {SeriesStatus.CONVERGED}
     capped = next(contiguous_ladder((0.3, 1.1), 1.7, 0.4, TruncationPolicy(max_terms=5)))
     assert capped.status is SeriesStatus.MAX_TERMS_REACHED
+
+
+@pytest.mark.parametrize("ladder", [
+    # C = c q^j = q at j = 1
+    lambda: phi21_ladder(0.3, 0.5, 1.0, 0.5, 0.4),
+    # V1 = w rho1 q^j = q at j = 1
+    lambda: phi32_ladder((0.6, 0.7), (2.0, 0.1), 0.5, 2.1, 0.5),
+    # r = ratio q^{2j} = 1 at j = 1
+    lambda: vwp_ladder(0.01, (0.3, 0.4, 0.5, 0.6), 4.0, 0.5),
+], ids=["2phi1", "3phi2", "8W7"])
+def test_q_ladders_zero_divisor_is_a_pole(ladder):
+    # the anchors at j = 24, 25 sum; the step from j = 1 to 0 divides by 0
+    with pytest.raises(PoleError, match="zero divisor from j = 1 to 0"):
+        next(ladder())

@@ -5,12 +5,14 @@ import threading
 from itertools import count, islice
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+import qkl.hyper as hyper
 import qkl.identities as identities
 import qkl.kernels as kernels
 from qkl.errors import DenominatorPoleError, DomainError, HypothesisError, QKLError
-from qkl.hyper import TruncationPolicy, contiguous_ladder
+from qkl.hyper import TruncationPolicy, contiguous_ladder, vwp_8w7
 from qkl.identities import (
     IdentityCase,
     _sum_j,
@@ -19,7 +21,7 @@ from qkl.identities import (
     run_case,
     sample_params,
 )
-from qkl.numerics import EXTENDED, STANDARD
+from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import pochhammer, pochhammer_ladder, qpoch
 
 ALL_IDS = identity_ids()
@@ -502,7 +504,8 @@ def test_capped_jsum_fails_its_case(monkeypatch):
     cap = full.terms["lhs"]["terms"] - 1
     sum_j = identities._sum_j
     monkeypatch.setattr(identities, "_sum_j",
-                        lambda terms, policy, ctx, jmax=400: sum_j(terms, policy, ctx, cap))
+                        lambda terms, policy, ctx, jmax=400, stops=():
+                        sum_j(terms, policy, ctx, cap, stops))
     rep = run_case(case)
     assert rep.terms["lhs"] == {"terms": cap, "status": "MaxTermsReached"}
     assert rep.rel_err <= case.tol_rel
@@ -556,10 +559,12 @@ def test_contiguous_ladder_matches_mpmath_on_every_sampler(ident):
                 assert abs(mp.mpmathify(ev.value) - w) <= 1e-13 * abs(w), (seed, ctx, j)
 
 
-@pytest.mark.parametrize("ident, side", [("chahn_bilinear", "lhs"), ("conf_1f1", "rhs")])
+@pytest.mark.parametrize("ident, side", [("chahn_bilinear", "lhs"), ("conf_1f1", "rhs"),
+                                         ("asc_bilinear", "lhs"), ("cdqh_bilinear", "lhs")])
 def test_capped_ladder_anchor_fails_its_case(ident, side):
-    # five terms cannot sum an anchor of the per-j 2F1 / 1F1 ladder: the cap
-    # the anchors stop at is the j-sum's status, so the case fails on it
+    # five terms cannot sum an anchor of the per-j 2F1 / 1F1 / 2phi1 / 3phi2
+    # ladder: the cap the anchors stop at is the j-sum's status, so the case
+    # fails on it
     case = sample_params(ident, 0)
     rep = run_case(IdentityCase(ident, case.params, policy=TruncationPolicy(max_terms=5),
                                 seed=0))
@@ -573,3 +578,137 @@ def test_hahn_discrete_extended_builds_parameters_in_context():
     # extended while they were doubles
     rep = run_case(sample_params("hahn_bilinear_discrete", 57), precision="extended")
     assert rep.rel_err <= 1e-30, rep.rel_err
+
+
+# The q j-sums whose per-j 2phi1, 3phi2 or 8W7 comes from a ladder of
+# hyper.py: (ladder name, module that calls it, side that sums it).
+_Q_LADDER_SIDES = {"asc_bilinear": ("phi21_ladder", identities, "lhs"),
+                   "cdqh_bilinear": ("phi32_ladder", identities, "lhs"),
+                   "aw_bilinear": ("vwp_ladder", identities, "lhs"),
+                   "ac_spoisson": ("vwp_ladder", kernels, "rhs")}
+
+
+def _declared_q_ladder(ident, p):
+    """The ladder's name and the arguments before policy and context that
+    the j-sum side of ``ident`` passes it at ``p``, in standard precision."""
+    name, module, side = _Q_LADDER_SIDES[ident]
+    ladder, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(args[:-2])
+        return ladder(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, spy)
+        getattr(get_entry(ident), "eval_" + side)(p, TruncationPolicy(), STANDARD)
+    [call] = calls
+    return name, call
+
+
+def _q_series_ratio(name, args, q):
+    """The term ratio, at x = q^n, of y_j for j = 0..40 at once, as a numpy
+    array over j in long double: the series each ladder yields, written out
+    from its definition."""
+    c = np.clongdouble
+    q = np.longdouble(q)
+    qj = q ** np.arange(41, dtype=np.longdouble)
+    if name == "phi21_ladder":
+        a, b, cc, z = (c(v) for v in (*args[:3], args[4]))
+        return lambda x: ((1 - a * x) * (1 - b * qj * x) * z
+                          / ((1 - q * x) * (1 - cc * qj * x)))
+    if name == "phi32_ladder":
+        (u1, u2), (r1, r2) = ([c(v) for v in x] for x in args[:2])
+        w, z = c(args[2]), c(args[2]) / c(args[3])
+        return lambda x: ((1 - u1 * qj * x) * (1 - u2 * qj * x) * (1 - w * x) * z
+                          / ((1 - q * x) * (1 - w * r1 * qj * x) * (1 - w * r2 * qj * x)))
+    a, bs, ratio = c(args[0]), [c(v) for v in args[1]], c(args[2])
+    A, r = a * qj * qj, ratio * qj * qj
+    b5, z = a / ratio, ratio * a * q * q / (bs[0] * bs[1] * bs[2] * bs[3])
+
+    def ratio_at(x):
+        num, den = (1 - A * x) * (1 - b5 * x) * z, (1 - q * x) * (1 - r * q * x)
+        for b in bs:
+            num, den = num * (1 - b * qj * x), den * (1 - A * q * x / (b * qj))
+        return num / den * (1 - A * q * q * x * x) / (1 - A * x * x)
+
+    return ratio_at
+
+
+def _direct_q_series(name, args, q):
+    """y_j for j = 0..40, summed term by term in long double (64-bit
+    mantissa on x86-64) until every term is below 1e-21 of its sum:
+    independent of qkl's engine, and some 3 digits past double where the
+    terms cancel."""
+    ratio_at = _q_series_ratio(name, args, q)
+    term = np.ones(41, np.clongdouble)
+    total, x = term.copy(), np.longdouble(1)
+    for _ in range(5000):
+        term = term * ratio_at(x)
+        total += term
+        x *= np.longdouble(q)
+        if np.all(np.abs(term) <= 1e-21 * np.abs(total)):
+            return total
+    raise AssertionError("reference sum did not converge")
+
+
+@pytest.mark.parametrize("ident", sorted(_Q_LADDER_SIDES))
+def test_q_ladders_match_direct_sums_on_every_sampler(ident):
+    # the per-j q-series each q j-sum runs on, recurred backward from its
+    # anchors, against the series summed afresh at every j, j = 0..40, on
+    # every draw of seeds 0..49 in standard precision and seeds 0..9 in
+    # extended too
+    for seed in range(50):
+        p = sample_params(ident, seed).params
+        name, args = _declared_q_ladder(ident, p)
+        want = _direct_q_series(name, args, p["q"])
+        ladder = getattr(hyper, name)
+        for ctx in (STANDARD, EXTENDED) if seed < 10 else (STANDARD,):
+            got = [complex(ev.value) for ev in islice(ladder(*args, ctx=ctx), 41)]
+            err = np.abs(np.array(got, np.clongdouble) - want) / np.abs(want)
+            assert err.max() <= 1e-13, (seed, ctx.mode, int(err.argmax()), err.max())
+
+
+@pytest.mark.parametrize("ident", sorted(_Q_LADDER_SIDES))
+def test_q_ladders_match_high_precision_sums(ident):
+    # the same against mpmath's qhyper at 30 digits (2phi1, 3phi2) or the
+    # direct 8W7 of a 50-digit context, at the block's ends and anchors
+    js = (0, 1, 12, 23, 24, 25, 26, 40)
+    big = extended_context(50)
+    for seed in range(5):
+        p = sample_params(ident, seed).params
+        name, args = _declared_q_ladder(ident, p)
+        q = p["q"]
+        with mp.workdps(30):
+            if name == "phi21_ladder":
+                a, b, c, z = (mp.mpmathify(v) for v in (*args[:3], args[4]))
+                want = [mp.qhyper([a, b * q ** j], [c * q ** j], q, z) for j in js]
+            elif name == "phi32_ladder":
+                (u1, u2), (r1, r2) = ([mp.mpmathify(v) for v in x] for x in args[:2])
+                w, om = mp.mpmathify(args[2]), mp.mpmathify(args[3])
+                want = [mp.qhyper([u1 * q ** j, u2 * q ** j, w],
+                                  [w * r1 * q ** j, w * r2 * q ** j], q, w / om)
+                        for j in js]
+        if name == "vwp_ladder":
+            a, bs, ratio = big.cnum(args[0]), [big.cnum(v) for v in args[1]], big.cnum(args[2])
+            qc = big.rnum(q)
+            z = ratio * a * qc * qc / (bs[0] * bs[1] * bs[2] * bs[3])
+            want = [vwp_8w7(a * qc ** (2 * j), [b * qc ** j for b in bs] + [a / ratio],
+                            q, z, ctx=big).value for j in js]
+        ladder = getattr(hyper, name)
+        for ctx in (STANDARD, EXTENDED):
+            got = list(islice(ladder(*args, ctx=ctx), js[-1] + 1))
+            for j, w in zip(js, want):
+                w = mp.mpmathify(w)
+                err = abs(mp.mpmathify(got[j].value) - w) / abs(w)
+                assert err <= 1e-13, (seed, ctx.mode, j, err)
+
+
+@pytest.mark.parametrize("ident", ["chahn_bilinear", "asc_bilinear"])
+def test_capped_product_factor_fails_its_case(ident):
+    # the right side multiplies directly summed series; one stopped at its
+    # term cap is the side's status, so the case fails on it
+    case = sample_params(ident, 0)
+    rep = run_case(IdentityCase(ident, case.params, policy=TruncationPolicy(max_terms=5),
+                                seed=0))
+    assert rep.terms["rhs"]["status"] == "MaxTermsReached"
+    assert rep.passed is False
