@@ -11,6 +11,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Sequence
 
 from .errors import (
@@ -32,6 +33,9 @@ _KEEP_STANDARD = 12.5
 _KEEP_EXTENDED = 16.0
 # values each pair of anchors of contiguous_ladder is recurred down over
 _LADDER_BLOCK = 24
+# largest |s| at which a q ladder recurs: past it the backward steps damp
+# the other solution of the relation too little, and each y_j is summed
+_LADDER_MAX_RATIO = 0.5
 
 
 class SeriesStatus(enum.Enum):
@@ -434,7 +438,7 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
     return inner
 
 
-def _ladder(anchor, step):
+def _ladder(anchor, step, s=0):
     """The block driver of every contiguous ladder: yields y_0, y_1, ... as
     SeriesEval, each block recurred backward from two summed anchors.
 
@@ -447,7 +451,18 @@ def _ladder(anchor, step):
     than its value describe its block's anchors: their terms together, the
     larger tail estimate and the worse stop status, so an anchor stopped at
     its term cap marks every value recurred from it.
+
+    ``s`` is the ratio by which the relation's other solution shrinks at
+    each backward step once j is large (the q relations tend to
+    y_{j-1} = (1 + s) y_j - s y_{j+1}).  Backward recurrence damps an error
+    along that solution only while |s| < 1, and damps it too little near 1:
+    past ``_LADDER_MAX_RATIO`` every y_j is ``anchor(j)``, summed directly.
+    :func:`contiguous_ladder` leaves ``s`` at 0: for real z < 1 its y_j is
+    minimal at every j.
     """
+    if abs(s) > _LADDER_MAX_RATIO:
+        yield from map(anchor, count())
+        return
     j0 = 0
     while True:
         top = j0 + _LADDER_BLOCK
@@ -532,9 +547,9 @@ def phi21_ladder(a, b, c, q, z, policy: TruncationPolicy | None = None,
     |a z| < q, y_j (which tends to (a z; q)_inf / (z; q)_inf) is its minimal
     solution, and the relation runs backward only, on the blocks of
     :func:`_ladder`, from anchors summed by :func:`bhs_rphis` in ``ctx``
-    under ``policy``.  Every
-    coefficient is built in ``ctx``.  A vanishing (q - C)(C - 1) raises
-    PoleError.
+    under ``policy``; for |s| past ``_LADDER_MAX_RATIO`` every y_j is summed
+    so.  Every coefficient is built in ``ctx``.  A vanishing
+    (q - C)(C - 1) raises PoleError.
     """
     qq = _qval(q)
     qc = ctx.rnum(qq)
@@ -551,7 +566,7 @@ def phi21_ladder(a, b, c, q, z, policy: TruncationPolicy | None = None,
         return ((aa * zc - B * zc - C + qc) / (qc - C),
                 zc * (B - 1) * (aa - C) / ((qc - C) * (C - 1)))
 
-    return _ladder(anchor, step)
+    return _ladder(anchor, step, aa * zc / qc)
 
 
 def phi32_ladder(u: Sequence, rho: Sequence, w, omega, q,
@@ -576,8 +591,9 @@ def phi32_ladder(u: Sequence, rho: Sequence, w, omega, q,
     - s y_{j+1} with s = w z / q, so for |w z| < q, y_j is its minimal
     solution, and the relation runs backward only, on the blocks of
     :func:`_ladder`, from anchors summed by :func:`bhs_rphis` in ``ctx``
-    under ``policy``.  Every coefficient is built
-    in ``ctx``.  A vanishing divisor raises PoleError.
+    under ``policy``; for |s| past ``_LADDER_MAX_RATIO`` every y_j is summed
+    so.  Every coefficient is built in ``ctx``.  A vanishing divisor raises
+    PoleError.
     """
     qq = _qval(q)
     qc = ctx.rnum(qq)
@@ -603,7 +619,7 @@ def phi32_ladder(u: Sequence, rho: Sequence, w, omega, q,
              / (om * (1 - V1) * (1 - V2)))
         return m / down, k / down
 
-    return _ladder(anchor, step)
+    return _ladder(anchor, step, ww * zc / qc)
 
 
 def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
@@ -634,8 +650,10 @@ def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
     - s y_{j+1} with s = b5 z / q, so for |b5 z| < q, y_j is its minimal
     solution, and the relation runs backward only, on the blocks of
     :func:`_ladder`, from anchors summed by :func:`vwp_8w7` in ``ctx`` under
-    ``policy``.  Every coefficient is built
-    in ``ctx``.  A vanishing divisor raises PoleError.
+    ``policy``; for |s| past ``_LADDER_MAX_RATIO`` every y_j is summed so.
+    Every coefficient is built in ``ctx``, with the factors grouped so that
+    no product of powers of q^j underflows where the quotient does not.  A
+    vanishing divisor raises PoleError.
     """
     qq = _qval(q)
     qc = ctx.rnum(qq)
@@ -657,17 +675,20 @@ def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
         gaps, qgaps = [x - A for x in B], [x - A * qc for x in B]
         _divisors(j, (qc - 1) * (1 - r) * (1 - r * qc) * (qc - r) * (1 - r * qc * qc),
                   *gaps, *qgaps)
-        gap, ones, qs, pairs = 1, 1, 1, 1
-        for x, g, h in zip(B, gaps, qgaps):
-            gap *= g
+        ones, qs = 1, 1
+        for x in B:
             ones *= 1 - x
             qs *= qc - x
-            pairs *= (1 - x) * (x - r * qc) / (g * h)
-        alpha = 1 + r * A / ((qc - 1) * gap) * (
+        # r A / prod_i (B_i - A) and A^2 prod_i (B_i - r q) / ((B_i - A)
+        # (B_i - A q)) are O(1) while their numerators and denominators
+        # scale like q^{4j}: divided factor by factor
+        f = [(1 - x) * ((x - r * qc) / g) / h for x, g, h in zip(B, gaps, qgaps)]
+        alpha = 1 + r / gaps[0] / gaps[1] * (A / gaps[2] / gaps[3]) / (qc - 1) * (
             (qc - A) * (qc - b5c) * ones / (1 - r * qc)
             - (1 - A) * (1 - b5c) * qs / (qc * (qc - r)))
-        beta = (A * A * (qc - A) * (1 - A) * (1 - A * qc) * (1 - A * qc * qc) * pairs
+        beta = (A * f[0] * f[1] * (A * f[2] * f[3])
+                * (qc - A) * (1 - A) * (1 - A * qc) * (1 - A * qc * qc)
                 / ((1 - r) * (1 - r * qc) ** 2 * (1 - r * qc * qc)))
         return alpha, beta
 
-    return _ladder(anchor, step)
+    return _ladder(anchor, step, b5c * zc / qc)

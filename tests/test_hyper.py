@@ -16,6 +16,7 @@ from qkl.errors import (
     RangeError,
     VWPoleError,
 )
+import qkl.hyper as hyper
 from qkl import numerics
 from qkl.hyper import (
     SeriesEval,
@@ -349,3 +350,34 @@ def test_q_ladders_zero_divisor_is_a_pole(ladder):
     # the anchors at j = 24, 25 sum; the step from j = 1 to 0 divides by 0
     with pytest.raises(PoleError, match="zero divisor from j = 1 to 0"):
         next(ladder())
+
+
+@pytest.mark.parametrize("summed, small, large", [
+    # s = a z / q: 0.24 and 2.4
+    ("bhs_rphis", lambda: phi21_ladder(0.3, 0.5, 0.3, 0.5, 0.4),
+     lambda: phi21_ladder(0.9, 0.5, 0.3, 0.3, 0.8)),
+    # s = w^2 / (omega q): 0.24 and 1.2
+    ("bhs_rphis", lambda: phi32_ladder((0.6, 0.7), (0.5, 0.4), 0.5, 2.1, 0.5),
+     lambda: phi32_ladder((0.6, 0.7), (1.2, 0.5), 0.5, 0.7, 0.3)),
+    # s = a^2 q / (b1 b2 b3 b4): 0.0014 and 3.5
+    ("vwp_8w7", lambda: vwp_ladder(0.01, (0.3, 0.4, 0.5, 0.6), 0.5, 0.5),
+     lambda: vwp_ladder(0.5, (0.3, 0.4, 0.5, 0.6), 0.2, 0.5)),
+], ids=["2phi1", "3phi2", "8W7"])
+def test_q_ladders_sum_every_value_past_the_ratio_bound(monkeypatch, summed, small, large):
+    # at |s| <= 1/2 the first 41 values need the anchors at j = 24, 25, 50
+    # and 51; past it the other solution of the relation is not damped
+    # enough going backward, and each value is its own direct sum
+    calls = []
+    direct = getattr(hyper, summed)
+
+    def counted(*args):
+        calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(hyper, summed, counted)
+    list(islice(small(), 41))
+    assert len(calls) == 4
+    calls.clear()
+    evs = list(islice(large(), 41))
+    assert len(calls) == 41
+    assert [ev.value for ev in evs] == [direct(*args).value for args in calls]

@@ -703,6 +703,33 @@ def test_q_ladders_match_high_precision_sums(ident):
                 assert err <= 1e-13, (seed, ctx.mode, j, err)
 
 
+@pytest.mark.parametrize("ident, seed", [("asc_bilinear", 0), ("cdqh_bilinear", 0),
+                                         ("aw_bilinear", 1), ("ac_spoisson", 0)])
+def test_q_ladders_past_the_ratio_bound_match_direct_sums(ident, seed):
+    # q = 0.3, t = 0.8: s = t^2 / q = 2.1, where y_j is the dominant solution
+    # of its relation and a backward block would multiply an error by about
+    # s^24; the ladder sums every y_j instead, and the case passes as the
+    # per-j sums let it
+    p = dict(sample_params(ident, seed).params, q=0.3, t=0.8)
+    rep = run_case(IdentityCase(ident, p, seed=seed), precision="standard")
+    assert rep.passed and rep.rel_err <= 1e-12, rep.rel_err
+    name, args = _declared_q_ladder(ident, p)
+    want = _direct_q_series(name, args, p["q"])
+    got = [complex(ev.value) for ev in islice(getattr(hyper, name)(*args), 41)]
+    err = np.abs(np.array(got, np.clongdouble) - want) / np.abs(want)
+    assert err.max() <= 1e-13, (int(err.argmax()), err.max())
+
+
+@pytest.mark.parametrize("ident", ["aw_bilinear", "ac_spoisson"])
+def test_8w7_ladder_small_q_does_not_underflow(ident):
+    # q = 3e-4, t = 0.012 (s = 0.48): the step's products of four powers
+    # q^j reach about 1e-340 at the anchors j = 24, 25, past the smallest
+    # double, while the quotients they form are of order one
+    p = dict(sample_params(ident, 0).params, q=3e-4, t=0.012)
+    rep = run_case(IdentityCase(ident, p, seed=0), precision="standard")
+    assert rep.passed and rep.rel_err <= 1e-13, rep.rel_err
+
+
 @pytest.mark.parametrize("ident", ["chahn_bilinear", "asc_bilinear"])
 def test_capped_product_factor_fails_its_case(ident):
     # the right side multiplies directly summed series; one stopped at its
