@@ -891,7 +891,7 @@ def _ac_spoisson_rhs(p, policy, ctx):
         for tj, v, vx, vy in zip(pochhammer_ladder(t, ctx=ctx), ks, sx, sy):
             yield tj * v * vx * vy
 
-    return _sum_j(terms(), policy, ctx, jmax=200, stops=stops)
+    return _sum_j(terms(), policy, ctx, jmax=policy.max_terms, stops=stops)
 
 
 _register("ac_spoisson",
@@ -957,7 +957,7 @@ def _aw_bilinear_lhs(p, policy, ctx):
     def term(co, w, vx, vy):
         return co * w * vx * vy
 
-    return _sum_j(map(term, coefs, ws, px, py), policy, ctx, jmax=200, stops=stops)
+    return _sum_j(map(term, coefs, ws, px, py), policy, ctx, jmax=policy.max_terms, stops=stops)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -1073,7 +1073,7 @@ def _cdqh_lhs(p, policy, ctx):
     def term(gj, f, vx, vy):
         return gj * f * vx * vy
 
-    return _sum_j(map(term, gs, fs, px, py), policy, ctx, jmax=200, stops=stops)
+    return _sum_j(map(term, gs, fs, px, py), policy, ctx, jmax=policy.max_terms, stops=stops)
 
 
 def _cdqh_rhs(p, policy, ctx):
@@ -1131,7 +1131,7 @@ def _asc_bilinear_lhs(p, policy, ctx):
     def term(co, f, vx, vy):
         return co * f * vx * vy
 
-    return _sum_j(map(term, coeffs, fs, rx, ry), policy, ctx, jmax=200, stops=stops)
+    return _sum_j(map(term, coeffs, fs, rx, ry), policy, ctx, jmax=policy.max_terms, stops=stops)
 
 
 def _asc_bilinear_rhs(p, policy, ctx):
@@ -1185,7 +1185,7 @@ def _cbqh_lhs(p, policy, ctx):
         for co, vx, vy in zip(pochhammer_ladder(t, (), [(q, 0, 1)], q, ctx), hx, hy):
             yield pref * co * vx * vy
 
-    return _sum_j(terms(), policy, ctx, jmax=200)
+    return _sum_j(terms(), policy, ctx, jmax=policy.max_terms)
 
 
 def _cbqh_rhs(p, policy, ctx):

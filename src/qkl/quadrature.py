@@ -4,6 +4,9 @@ Meixner-Pollaczek and Al-Salam-Chihara families against their printed weights.
 Integration uses adaptive Gauss-Kronrod (G7, K15) panels with elementwise
 error tracking; the Al-Salam-Chihara integral is taken over theta in [0, pi]
 after x = cos(theta), which removes the 1/sqrt(1-x^2) endpoint singularity.
+Refinement runs in rounds, each evaluating the integrand once on the nodes of
+all the panels it makes: a round bisects every panel whose error exceeds its
+width-proportional share tol (hi - lo) / (b - a) of the error budget.
 """
 from __future__ import annotations
 
@@ -42,16 +45,21 @@ class QuadratureResult:
     evaluations: int
 
 
-def mp_weight(k: float, phi: float, x: float, ctx: Context = STANDARD) -> float:
+def mp_weight(k: float, phi: float, x, ctx: Context = STANDARD):
     """Meixner-Pollaczek orthogonality density
-    ((2 sin phi)^(2k) / 2 pi) e^((2 phi - pi) x) |Gamma(k + i x)|^2.
+    ((2 sin phi)^(2k) / 2 pi) e^((2 phi - pi) x) |Gamma(k + i x)|^2;
+    ``x`` is a float or, in standard precision, elementwise a float array.
 
     Assembled in log space: the two exponential factors overflow/underflow
     individually far inside the region where their product still matters.
     """
     MPParams(k, phi)
+    if np.ndim(x):
+        x = np.asarray(x, dtype=float)
     logw = (2 * k * math.log(2 * math.sin(phi)) - math.log(2 * math.pi)
-            + (2 * phi - math.pi) * x + 2 * log_abs_gamma(complex(k, x), ctx))
+            + (2 * phi - math.pi) * x + 2 * log_abs_gamma(k + 1j * x, ctx))
+    if np.ndim(logw):
+        return np.where(logw < -745.0, 0.0, np.exp(logw))
     if logw < -745.0:
         return 0.0
     return math.exp(logw)
@@ -95,85 +103,94 @@ def aw_weight(params, x):
     return w.real
 
 
-def _kronrod_panel(f, a: float, b: float):
-    """Apply G7/K15 on [a, b] to an integrand f evaluated once on the vector
-    of all 15 nodes (centre, then left and right halves); f returns one value
-    per node along its first axis.
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """Apply G7/K15 on the panels [lo[i], hi[i]], with the integrand f
+    evaluated once on the vector of all their nodes (per panel: centre, then
+    left and right halves); f returns one value per node along its first
+    axis.
 
-    Returns (K15 integral, elementwise |K15 - G7| estimate, evaluations).
+    Returns (K15 integrals, elementwise |K15 - G7| estimates, evaluations),
+    the first two with one entry per panel along their first axis.
     """
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    dx = h * _XGK_LR
-    fx = f(np.concatenate(([mid], mid - dx, mid + dx)))
-    fc, fl, fr = fx[0], fx[1:8], fx[8:]
+    h = 0.5 * (hi - lo)
+    mid = (0.5 * (lo + hi))[:, None]
+    dx = h[:, None] * _XGK_LR
+    nodes = np.concatenate((mid, mid - dx, mid + dx), axis=1)
+    fx = f(nodes.ravel())
+    fx = fx.reshape(nodes.shape + fx.shape[1:])
+    fc, fl, fr = fx[:, 0], fx[:, 1:8], fx[:, 8:]
     k15 = _WGK[7] * fc
     g7 = _WG[3] * fc
     for i in range(7):
-        k15 = k15 + _WGK[i] * (fl[i] + fr[i])
+        k15 = k15 + _WGK[i] * (fl[:, i] + fr[:, i])
         if i % 2 == 1:
-            g7 = g7 + _WG[i // 2] * (fl[i] + fr[i])
+            g7 = g7 + _WG[i // 2] * (fl[:, i] + fr[:, i])
+    h = h.reshape(h.shape + (1,) * (k15.ndim - 1))
     k15 = k15 * h
     g7 = g7 * h
-    return k15, np.abs(k15 - g7), len(fx)
+    return k15, np.abs(k15 - g7), nodes.size
 
 
 def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8):
-    """Adaptive bisection of GK15 panels driven by the max elementwise error."""
+    """Adaptive bisection of GK15 panels driven by the max elementwise error.
+
+    Each round calls f once: first on the nodes of all initial panels, then
+    on those of the halves of every panel whose largest elementwise error
+    exceeds its width-proportional share tol (hi - lo) / (b - a) of the
+    budget.  The panels are kept in order of lo, and the integral and error
+    are summed over them in that order.
+    """
     edges = np.linspace(a, b, initial_panels + 1)
-    panels = []
-    n_eval = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err, ne = _kronrod_panel(f, lo, hi)
-        panels.append((lo, hi, val, err))
-        n_eval += ne
-    while len(panels) < _MAX_PANELS:
-        total_err = np.zeros_like(panels[0][3])
-        for _, _, _, err in panels:
-            total_err = total_err + err
-        if float(total_err.max()) <= tol:
+    lo, hi = edges[:-1], edges[1:]
+    val, err, n_eval = _gk15(f, lo, hi)
+    while True:
+        total_err = float(np.add.accumulate(err)[-1].max())
+        if total_err <= tol:
             break
-        worst = max(range(len(panels)), key=lambda i: float(panels[i][3].max()))
-        lo, hi, _, _ = panels.pop(worst)
-        mid = 0.5 * (lo + hi)
-        for seg in ((lo, mid), (mid, hi)):
-            val, err, ne = _kronrod_panel(f, *seg)
-            panels.append((seg[0], seg[1], val, err))
-            n_eval += ne
-    total = np.zeros_like(panels[0][2])
-    total_err = np.zeros_like(panels[0][3])
-    for _, _, val, err in sorted(panels, key=lambda p_: p_[0]):
-        total = total + val
-        total_err = total_err + err
-    if float(total_err.max()) > tol:
-        raise ConvergenceError(
-            f"quadrature error estimate {float(total_err.max()):.3e} exceeds {tol}")
-    return total, float(total_err.max()), n_eval
+        worst = err.reshape(len(lo), -1).max(axis=1)
+        split = worst * (b - a) > tol * (hi - lo)
+        # the panel with the most error per width always splits: the shares
+        # add up to tol only up to rounding, so a round may otherwise find none
+        split[np.argmax(worst / (hi - lo))] = True
+        if len(lo) + split.sum() > _MAX_PANELS:
+            raise ConvergenceError(
+                f"quadrature error estimate {total_err:.3e} exceeds {tol}")
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_val, new_err, ne = _gk15(f, new_lo, new_hi)
+        n_eval += ne
+        keep = ~split
+        lo, hi, val, err = (np.concatenate((old[keep], new)) for old, new in (
+            (lo, new_lo), (hi, new_hi), (val, new_val), (err, new_err)))
+        order = np.argsort(lo)
+        lo, hi, val, err = lo[order], hi[order], val[order], err[order]
+    return np.add.accumulate(val)[-1], total_err, n_eval
 
 
 def _mp_support(k: float, phi: float, nmax: int):
     """Interval outside which weight * (1 + x^2)^(nmax+1) is below 1e-18 of
-    the weight's peak (the polynomial envelope keeps the truncation honest)."""
-    def w(x):
-        return mp_weight(k, phi, x)
-
-    xs = np.arange(-8.0, 8.0001, 0.5)
-    peak = max(w(float(x)) for x in xs)
-    envelope = lambda x: w(x) * (1 + x * x) ** (nmax + 1)
-    lo = -8.0
-    while envelope(lo) > 1e-18 * peak and lo > -400:
-        lo -= 2.0
-    hi = 8.0
-    while envelope(hi) > 1e-18 * peak and hi < 400:
-        hi += 2.0
-    return lo, hi
+    the weight's peak (the polynomial envelope keeps the truncation honest):
+    the first of -8, -10, ..., -400 and of 8, 10, ..., 400 where it is."""
+    peak = float(mp_weight(k, phi, np.arange(-8.0, 8.0001, 0.5)).max())
+    steps = 8.0 + 2.0 * np.arange(197)
+    xs = np.concatenate((-steps, steps))
+    small = (mp_weight(k, phi, xs) * (1 + xs * xs) ** (nmax + 1)
+             <= 1e-18 * peak).reshape(2, -1)
+    # the walk stops at +-400 whether or not the envelope is small there
+    small[:, -1] = True
+    first = small.argmax(axis=1)
+    return -float(steps[first[0]]), float(steps[first[1]])
 
 
 def _gram_integrand(w, vals):
     """w(x) p_m(x) p_n(x) per node, as an array [node, m, n], from the weights
     ``w`` [node] and the values ``vals`` [n, node]."""
     v = vals.T
-    return w[:, None, None] * (v[:, :, None] * v[:, None, :])
+    out = v[:, :, None] * v[:, None, :]
+    # in place: a round's nodes make this the largest array of a Gram
+    out *= w[:, None, None]
+    return out
 
 
 def _node_table(values, nodes, nmax: int) -> np.ndarray:
@@ -190,8 +207,10 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
     for the orthonormal Meixner-Pollaczek ("mp") or Al-Salam-Chihara ("asc")
     family; exact orthonormality means G = I.
 
-    Each Gauss-Kronrod panel evaluates the integrand once on its 15 nodes:
-    one recurrence over the node vector, and the weight at every node.
+    Each refinement round evaluates the integrand once, on the 15 nodes of
+    every panel it makes: one recurrence over the node vector and one weight
+    call on it.  Panels are bisected until their errors, each within its
+    width-proportional share of ``tol``, add up to at most ``tol``.
     """
     if nmax < 0:
         raise ParamError("ortho_gram needs nmax >= 0")
@@ -204,8 +223,7 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
 
         def f(xs):
             vals = _node_table(mp_orthonormal_nodes(mpp, xs), xs, nmax)
-            w = np.array([mp_weight(k, phi, float(x)) for x in xs])
-            return _gram_integrand(w, vals)
+            return _gram_integrand(mp_weight(k, phi, xs), vals)
 
         value, err, n_eval = _adaptive(f, lo, hi, tol,
                                        initial_panels=max(16, int((hi - lo) / 4)))

@@ -14,6 +14,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ParamError, PoleError, RangeError
 from .numerics import STANDARD, Context, extended_context
 
@@ -200,8 +202,9 @@ def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
         j += 1
 
 
-def _lanczos_sum(zz: complex) -> complex:
-    """The Lanczos series of Gamma(zz + 1)."""
+def _lanczos_sum(zz):
+    """The Lanczos series of Gamma(zz + 1); ``zz`` is a complex number or,
+    elementwise, a complex array."""
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (zz + k)
@@ -245,8 +248,16 @@ def log_gamma_real(x, ctx: Context = STANDARD):
     return math.lgamma(x)
 
 
-def log_abs_gamma(z, ctx: Context = STANDARD) -> float:
-    """log |Gamma(z)|, overflow-free for large |Im z| (weight evaluation)."""
+def log_abs_gamma(z, ctx: Context = STANDARD):
+    """log |Gamma(z)|, overflow-free for large |Im z| (weight evaluation).
+
+    ``z`` is a complex number or, in standard precision only, elementwise a
+    complex array (see :func:`_log_abs_gamma_array`).
+    """
+    if np.ndim(z):
+        if ctx.extended:
+            raise ParamError("log_abs_gamma takes arrays in standard precision only")
+        return _log_abs_gamma_array(np.asarray(z, dtype=complex))
     zc = _off_gamma_pole(z)
     if ctx.extended:
         return float(ctx.loggamma(ctx.cnum(z)).real)
@@ -264,6 +275,28 @@ def log_abs_gamma(z, ctx: Context = STANDARD) -> float:
         log_sin = 0.5 * math.log(math.sin(math.pi * zc.real) ** 2
                                  + math.sinh(y) ** 2)
     return math.log(math.pi) - log_sin - log_abs_gamma(1.0 - zc, ctx)
+
+
+def _log_abs_gamma_array(z: np.ndarray) -> np.ndarray:
+    """The standard branch of :func:`log_abs_gamma` on every element of a
+    complex array: the same Lanczos terms in the same order, with the
+    reflection for Re z < 1/2 and its |pi Im z| > 25 asymptote selected
+    elementwise."""
+    m = np.round(z.real)
+    if np.any((m <= 0) & (np.abs(z.real - m) <= 1e-14) & (np.abs(z.imag) <= 1e-14)):
+        raise PoleError("gamma pole in log_abs_gamma's argument array")
+    reflect = z.real < 0.5
+    zz = np.where(reflect, 1.0 - z, z) - 1.0
+    t = zz + _LANCZOS_G + 0.5
+    val = (0.5 * math.log(2 * math.pi) + (zz + 0.5) * np.log(t) - t
+           + np.log(_lanczos_sum(zz))).real
+    y = math.pi * z.imag
+    # both branches are computed everywhere; sinh overflows where the
+    # asymptote is taken instead
+    with np.errstate(over="ignore"):
+        log_sin = np.where(np.abs(y) > 25.0, np.abs(y) - math.log(2.0),
+                           0.5 * np.log(np.sin(math.pi * z.real) ** 2 + np.sinh(y) ** 2))
+    return np.where(reflect, math.log(math.pi) - log_sin - val, val)
 
 
 def complex_pow_principal(base, exponent, ctx: Context = STANDARD):

@@ -348,23 +348,29 @@ def test_run_case_is_thread_safe():
     want_standard = [values(c, "standard") for c in standard]
     want_extended = [values(c, "extended") for c in extended]
     got_standard, got_extended = [], []
-    done = threading.Event()
+    started, done = threading.Event(), threading.Event()
 
     def run_standard():
         try:
+            # the extended thread runs at least one round alongside
+            started.wait(timeout=60)
             got_standard.extend(values(c, "standard") for c in standard)
         finally:
             done.set()
 
     def run_extended():
-        while not done.is_set():
+        started.set()
+        while True:
             got_extended.extend(values(c, "extended") for c in extended)
+            if done.is_set():
+                break
 
     threads = [threading.Thread(target=run_standard), threading.Thread(target=run_extended)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=120)
+        assert not t.is_alive()
     assert got_standard == want_standard
     assert got_extended
     assert got_extended == want_extended * (len(got_extended) // len(extended))
@@ -718,6 +724,22 @@ def test_q_ladders_past_the_ratio_bound_match_direct_sums(ident, seed):
     got = [complex(ev.value) for ev in islice(getattr(hyper, name)(*args), 41)]
     err = np.abs(np.array(got, np.clongdouble) - want) / np.abs(want)
     assert err.max() <= 1e-13, (int(err.argmax()), err.max())
+
+
+@pytest.mark.parametrize("ident", ["asc_bilinear", "aw_bilinear"])
+def test_q_jsum_stops_at_the_policy_cap(ident):
+    # q = 0.3, t = 0.9: t^200 is about 7e-10, so the j-sum needs more than
+    # 200 terms; it runs to the stopping rule under the default cap, and
+    # stops at a lower cap when the policy sets one
+    p = dict(sample_params(ident, 0).params, q=0.3, t=0.9)
+    rep = run_case(IdentityCase(ident, p, seed=0), precision="standard")
+    assert rep.passed and rep.rel_err <= 1e-12, rep.rel_err
+    assert rep.terms["lhs"]["status"] == "Converged"
+    assert rep.terms["lhs"]["terms"] > 200
+    capped = run_case(IdentityCase(ident, p, policy=TruncationPolicy(max_terms=250), seed=0),
+                      precision="standard")
+    assert capped.terms["lhs"] == {"terms": 250, "status": "MaxTermsReached"}
+    assert not capped.passed
 
 
 @pytest.mark.parametrize("ident", ["aw_bilinear", "ac_spoisson"])

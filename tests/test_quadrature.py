@@ -6,9 +6,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qkl.errors import ParamError, RangeError
+from qkl.errors import ConvergenceError, ParamError, RangeError
 from qkl.polys import ASCParams, AWParams
-from qkl.quadrature import aw_weight, mp_weight, ortho_gram
+from qkl.quadrature import _adaptive, _mp_support, aw_weight, mp_weight, ortho_gram
 
 
 def test_mp_weight_closed_point():
@@ -31,6 +31,52 @@ def test_mp_weight_k1_identity():
                * math.exp((2 * phi - math.pi) * x)
                * math.pi * x / math.sinh(math.pi * x))
         assert abs(mp_weight(1.0, phi, x) - ref) <= 1e-12 * ref
+
+
+def test_mp_weight_on_node_array():
+    # one call on an array of nodes agrees with the scalar calls, node by
+    # node, and underflows to 0.0 at the same nodes; k < 1/2 takes the
+    # reflection of log |Gamma|
+    rng = random.Random(8)
+    for _ in range(12):
+        k = rng.choice([rng.uniform(0.2, 0.49), rng.uniform(0.5, 3.0)])
+        phi = rng.uniform(0.2, math.pi - 0.2)
+        # the log weight is about |2 phi - pi| |x| - pi |x| <= -0.4 |x|,
+        # below the -745 where it is returned as 0.0 at |x| = 3000
+        xs = np.array([rng.uniform(-40, 40) for _ in range(40)] + [-3000.0, 3000.0])
+        got = mp_weight(k, phi, xs)
+        assert got.shape == xs.shape
+        want = [mp_weight(k, phi, float(x)) for x in xs]
+        assert got[-2] == got[-1] == want[-2] == want[-1] == 0.0
+        for x, g, w in zip(xs, got, want):
+            assert (g == 0.0) == (w == 0.0), (k, phi, x)
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (k, phi, x)
+
+
+def _mp_support_scalar_walk(k, phi, nmax):
+    """The support search one scalar weight at a time: peak on the grid
+    -8, -7.5, ..., 8, then steps of 2 outward from +-8 until the enveloped
+    weight is below 1e-18 of the peak, or +-400 is reached."""
+    peak = max(mp_weight(k, phi, float(x)) for x in np.arange(-8.0, 8.0001, 0.5))
+
+    def envelope(x):
+        return mp_weight(k, phi, x) * (1 + x * x) ** (nmax + 1)
+
+    lo = -8.0
+    while envelope(lo) > 1e-18 * peak and lo > -400:
+        lo -= 2.0
+    hi = 8.0
+    while envelope(hi) > 1e-18 * peak and hi < 400:
+        hi += 2.0
+    return lo, hi
+
+
+def test_mp_support_matches_scalar_walk():
+    rng = random.Random(21)
+    for _ in range(24):
+        k, phi = rng.uniform(0.2, 3.0), rng.uniform(0.15, math.pi - 0.15)
+        nmax = rng.randrange(13)
+        assert _mp_support(k, phi, nmax) == _mp_support_scalar_walk(k, phi, nmax), (k, phi, nmax)
 
 
 def _aw_weight_brute_force(q, params, x):
@@ -135,6 +181,43 @@ def test_gram_tolerance_refinement():
     loose = ortho_gram("mp", {"k": 1.4, "phi": 0.7}, nmax=4, tol=1e-6)
     tight = ortho_gram("mp", {"k": 1.4, "phi": 0.7}, nmax=4, tol=1e-10)
     assert np.abs(loose.value - tight.value).max() <= max(loose.error_estimate, 1e-12)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("mp", {"k": 0.4, "phi": 2.6}), ("mp", {"k": 2.2, "phi": 0.5}),
+    ("asc", {"q": 0.7, "a": 0.6, "b": -0.5}), ("asc", {"q": 0.3, "a": 0.5 + 0.3j, "b": 0.5 - 0.3j})])
+def test_gram_error_estimate_within_tolerance(family, params):
+    res = ortho_gram(family, params, nmax=8, tol=1e-9)
+    assert 0 <= res.error_estimate <= 1e-9
+    assert np.abs(res.value - np.eye(9)).max() <= 1e-9
+
+
+def test_gram_panel_cap_raises():
+    # tol = 1e-30 is below rounding: every round splits until the panels
+    # would pass the cap
+    with pytest.raises(ConvergenceError):
+        ortho_gram("mp", {"k": 0.8, "phi": 1.1}, nmax=1, tol=1e-30)
+    with pytest.raises(ConvergenceError):
+        ortho_gram("asc", {"q": 0.5, "a": 0.4, "b": 0.3}, nmax=1, tol=1e-30)
+
+
+def test_adaptive_one_integrand_call_per_round():
+    # a vector integrand with known integrals; every call takes the 15 nodes
+    # of whole panels, the first call those of all the initial panels
+    sizes = []
+
+    def f(xs):
+        sizes.append(len(xs))
+        return np.stack([np.ones_like(xs), xs * xs, np.exp(xs), np.sqrt(xs)], axis=1)
+
+    value, err, n_eval = _adaptive(f, 0.0, 1.0, 1e-12, initial_panels=3)
+    want = [1.0, 1 / 3, math.e - 1, 2 / 3]
+    assert np.abs(value - want).max() <= 1e-12
+    assert err <= 1e-12
+    assert sizes[0] == 45
+    assert all(n % 15 == 0 for n in sizes)
+    assert sum(sizes) == n_eval
+    assert len(sizes) > 1
 
 
 def test_gram_guards():

@@ -6,9 +6,10 @@ import random
 from itertools import islice
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from qkl.errors import DomainError, PoleError, RangeError
+from qkl.errors import DomainError, ParamError, PoleError, RangeError
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
     QBase,
@@ -211,6 +212,30 @@ def test_log_abs_gamma_large_imaginary():
         with mp.workdps(30):
             ref = float(mp.re(mp.loggamma(mp.mpc(z.real, z.imag))))
         assert abs(log_abs_gamma(z) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_log_abs_gamma_on_array_matches_scalar():
+    # one seeded block per branch: Lanczos directly (Re z >= 1/2), through
+    # the reflection (Re z < 1/2), and the reflection's |pi Im z| > 25
+    # asymptote
+    rng = np.random.default_rng(11)
+    n = 60
+    sign = rng.choice([-1.0, 1.0], n)
+    z = np.concatenate([rng.uniform(0.5, 6.0, n) + 1j * rng.uniform(-60, 60, n),
+                        rng.uniform(-3.7, 0.49, n) + 1j * rng.uniform(-7.9, 7.9, n),
+                        rng.uniform(-3.7, 0.49, n) + 1j * sign * rng.uniform(8.1, 300, n)])
+    got = log_abs_gamma(z)
+    assert got.shape == z.shape
+    for zi, gi in zip(z, got):
+        want = log_abs_gamma(complex(zi))
+        assert abs(gi - want) <= 1e-13 * max(1.0, abs(want)), zi
+
+
+def test_log_abs_gamma_on_array_guards():
+    with pytest.raises(PoleError):
+        log_abs_gamma(np.array([0.5 + 1j, -2.0 + 0j]))
+    with pytest.raises(ParamError):
+        log_abs_gamma(np.array([0.5 + 1j]), EXTENDED)
 
 
 def test_pow_principal():
