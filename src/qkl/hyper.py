@@ -88,6 +88,15 @@ class SeriesEval:
         return max(0.0, self.max_term_log10
                    + math.log10(max(self.terms_used, 1)) - v)
 
+    def scale(self, factor) -> "SeriesEval":
+        """This sum times ``factor``, in place: its value, largest term and
+        tail estimate scale alike, so the cancellation stays the same.
+        Returns ``self``."""
+        self.value = factor * self.value
+        self.max_term_log10 += log10_abs(factor)
+        self.tail_estimate *= _safe_float(abs(factor))
+        return self
+
 
 def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
                stop_index: int | None = None) -> SeriesEval:
@@ -431,11 +440,7 @@ def gauss_2f1(a, b, c, z, policy: TruncationPolicy | None = None,
         raise DivergenceError(
             f"2F1 argument z = {zc} outside both unit discs (no continuation)")
     inner = hyp_pfq([a, ctx.cnum(c) - ctx.cnum(b)], [c], w, policy, ctx)
-    pref = complex_pow_principal(1 - ctx.cnum(z), -ctx.cnum(a), ctx)
-    inner.value = pref * inner.value
-    inner.max_term_log10 += log10_abs(pref)
-    inner.tail_estimate *= _safe_float(abs(pref))
-    return inner
+    return inner.scale(complex_pow_principal(1 - ctx.cnum(z), -ctx.cnum(a), ctx))
 
 
 def _ladder(anchor, step, s=0):

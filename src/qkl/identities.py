@@ -261,9 +261,9 @@ def _mp_poisson_lhs(p, policy, ctx):
 
 
 def _mp_poisson_rhs(p, policy, ctx):
-    v = mp_kernel_closed(p["k"], p["phi"], KernelPoint(p["t"], p["x"], p["y"]),
-                         policy, ctx)
-    return v, {}
+    ev = mp_kernel_closed(p["k"], p["phi"], KernelPoint(p["t"], p["x"], p["y"]),
+                          policy, ctx, as_series=True)
+    return ev.value, _ev_meta(ev)
 
 
 _register("mp_poisson", "MP Poisson kernel: bilinear sum equals closed form",
@@ -821,7 +821,8 @@ def _ac_poisson_lhs(p, policy, ctx):
 
 
 def _ac_poisson_rhs(p, policy, ctx):
-    return ac_kernel_closed(p["k"], p["q"], _ac_pt(p), policy, ctx), {}
+    ev = ac_kernel_closed(p["k"], p["q"], _ac_pt(p), policy, ctx, as_series=True)
+    return ev.value, _ev_meta(ev)
 
 
 _register("ac_poisson", "ASC Poisson kernel: bilinear sum equals 8W7 closed form",
@@ -833,11 +834,18 @@ def _ac_alt_validate(p):
     _require(abs(complex(p["s"])) > p["q"] ** p["k"], "|s| > q^k for the alt form")
 
 
+def _ac_poisson_alt_lhs(p, policy, ctx):
+    return _ac_poisson_rhs(p, policy, ctx)
+
+
+def _ac_poisson_alt_rhs(p, policy, ctx):
+    ev = ac_kernel_closed_alt(p["k"], p["q"], _ac_pt(p), policy, ctx, as_series=True)
+    return ev.value, _ev_meta(ev)
+
+
 _register("ac_poisson_alt",
           "the two printed 8W7 closed forms of the ASC kernel agree",
-          _ac_point_sample, _ac_alt_validate,
-          lambda p, pol, ctx: (ac_kernel_closed(p["k"], p["q"], _ac_pt(p), pol, ctx), {}),
-          lambda p, pol, ctx: (ac_kernel_closed_alt(p["k"], p["q"], _ac_pt(p), pol, ctx), {}))
+          _ac_point_sample, _ac_alt_validate, _ac_poisson_alt_lhs, _ac_poisson_alt_rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamError, PoleError, RangeError
-from .numerics import STANDARD, Context, extended_context
+from .numerics import STANDARD, Context, extended_context, log10_abs
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 # Gives ~15 significant digits on the right half plane.
@@ -311,10 +311,15 @@ def complex_pow_principal(base, exponent, ctx: Context = STANDARD):
 
 
 def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
-    """Bessel J_nu(z) of the first kind by the ascending series, |z| <= 30.
+    """Bessel J_nu(z) of the first kind by the ascending series (DLMF 10.2.2),
+    |z| <= 30.
 
-    The alternating series loses ~0.44|z| digits to cancellation, so large
-    arguments are summed at escalated precision and rounded back.
+    The alternating series cancels where its largest term exceeds the sum:
+    up to about 0.44 z digits at low order and large z, and more near a zero
+    of J.  The series is summed in ``ctx`` first; when its largest term
+    exceeds 100 |sum| (more than two digits cancelled), it is summed again
+    at dps + 10 + max(0.45 z, measured loss) digits and rounded back to
+    ``ctx``.
     """
     if abs(z) > 30.0:
         raise RangeError(f"bessel_j supports |z| <= 30, got {z}")
@@ -326,22 +331,46 @@ def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
             raise DomainError("negative argument needs a nonnegative integer order")
         sign = -1.0 if m % 2 else 1.0
         return sign * bessel_j(nu, -z, ctx)
-    if not ctx.extended and z > 8.0:
-        wide = extended_context(26 + int(0.45 * z))
-        return float(bessel_j(nu, z, wide))
+    if z == 0:
+        return ctx.rnum(1 if nu == 0 else 0)
+    total, largest = _bessel_series(nu, z, ctx)
+    if largest > 100 * abs(total):
+        lost = min(log10_abs(largest) - log10_abs(total), ctx.dps)
+        wide = extended_context(ctx.dps + 10 + int(max(0.45 * z, lost)))
+        total = ctx.rnum(_bessel_series(nu, z, wide)[0])
+    return total
+
+
+def _bessel_series(nu: float, z: float, ctx: Context):
+    """(sum, largest |term|) of the ascending series of J_nu(z), z > 0,
+    stopped at the first term below 10^-(dps+1) of the sum."""
     zr = ctx.rnum(z)
     nur = ctx.rnum(nu)
-    if zr == 0:
-        return ctx.rnum(1 if nu == 0 else 0)
     half = zr / 2
-    t = nur * ctx.rlog(half) - log_gamma_real(nur + 1, ctx)
-    term = ctx.rexp(t)
+    h2 = half * half
+    if ctx.extended:
+        term = ctx.rexp(nur * ctx.rlog(half) - log_gamma_real(nur + 1, ctx))
+    else:
+        # a power and a Gamma round once each, where exp of the log form
+        # carries the rounding of its argument, up to |nu log(z/2)| ulps;
+        # nu Gamma(nu) leaves out the rounding of nu + 1, which Gamma would
+        # amplify by psi(nu + 1)
+        try:
+            term = half ** nur / (math.gamma(nur + 1) if nur < 1 else nur * math.gamma(nur))
+        except OverflowError:
+            term = math.exp(nur * math.log(half) - math.lgamma(nur + 1))
     total = term
+    largest = abs(term)
+    tol = 10.0 ** (-ctx.dps - 1)
     m = 0
     while m < 500:
-        term = -term * half * half / ((m + 1) * (nur + m + 1))
-        total += term
         m += 1
-        if abs(term) < 1e-16 * abs(total) + 10.0 ** (-ctx.dps - 4):
+        term *= -h2 / (m * (nur + m))
+        total += term
+        size = abs(term)
+        # |total| <= (m + 1) largest, so a new largest term cannot meet the stop
+        if size > largest:
+            largest = size
+        elif size <= tol * abs(total):
             break
-    return total
+    return total, largest

@@ -761,3 +761,18 @@ def test_capped_product_factor_fails_its_case(ident):
                                 seed=0))
     assert rep.terms["rhs"]["status"] == "MaxTermsReached"
     assert rep.passed is False
+
+
+@pytest.mark.parametrize("ident, sides", [("mp_poisson", ["rhs"]), ("ac_poisson", ["rhs"]),
+                                          ("ac_poisson_alt", ["lhs", "rhs"])])
+def test_capped_closed_form_reports_its_series(ident, sides):
+    # a closed-form side reports the terms and stop status of its 2F1 or
+    # 8W7: stopped at the cap, ac_poisson_alt fails on both sides' status,
+    # not only because the two capped values differ
+    case = sample_params(ident, 0)
+    rep = run_case(IdentityCase(ident, case.params, policy=TruncationPolicy(max_terms=20),
+                                seed=0))
+    for side in sides:
+        assert rep.terms[side]["terms"] == 20
+        assert rep.terms[side]["status"] == "MaxTermsReached"
+    assert rep.passed is False

@@ -9,6 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qkl import series
 from qkl.errors import DomainError, ParamError, PoleError, RangeError
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
@@ -292,6 +293,57 @@ def test_bessel_large_argument_accuracy():
         with mp.workdps(30):
             ref = float(mp.besselj(nu, z))
         assert abs(bessel_j(nu, z) - ref) <= 1e-11 * max(abs(ref), 1e-3)
+
+
+def _bessel_rel_err(nu, z, ctx):
+    with mp.workdps(40):
+        ref = mp.besselj(nu, mp.mpf(z))
+        return abs((bessel_j(nu, z, ctx) - ref) / ref)
+
+
+@pytest.mark.parametrize("ctx, bound", [(STANDARD, 1e-13), (EXTENDED, 1e-30)])
+def test_bessel_tiny_values_are_summed_in_full(ctx, bound):
+    # an absolute stop floor of 10^(-dps-4) ended these after one or two
+    # terms: J_60(9) was 6.8% off and J_40.5(2) 2.9e-4 off in both precisions
+    assert bessel_j(60, 9.0, ctx) < 1e-40
+    for nu, z in ((60, 9.0), (40.5, 2.0)):
+        assert _bessel_rel_err(nu, z, ctx) <= bound
+
+
+@pytest.mark.parametrize("ctx, bound", [(STANDARD, 1e-13), (EXTENDED, 1e-30)])
+def test_bessel_seeded_grid_against_mpmath(ctx, bound):
+    rng = random.Random(19)
+    pts = []
+    for _ in range(120):
+        nu = rng.randrange(0, 81) + rng.choice((0.0, rng.random()))
+        pts.append((nu, rng.uniform(0.0, 30.0)))
+    # high orders at small z: values far below 1e-20
+    for _ in range(30):
+        nu = rng.uniform(20.0, 80.0)
+        pts.append((nu, rng.uniform(0.01, 0.4 * math.sqrt(nu))))
+    j0 = 2.404825557695773
+    pts += [(0, j0 + s * 10.0 ** -e) for e in range(3, 13, 2) for s in (1, -1)]
+    pts.append((0, j0))
+    assert sum(abs(mp.besselj(nu, z)) < 1e-20 for nu, z in pts) >= 50
+    worst = max(_bessel_rel_err(nu, z, ctx) for nu, z in pts)
+    assert worst <= bound
+
+
+def test_bessel_escalates_on_measured_cancellation(monkeypatch):
+    # J_30(9.5): the terms only fall, no digit cancels, so the series stays
+    # in double although z > 8; J_0(9.5) cancels 3.4 digits (largest term
+    # 450) and is summed again at escalated precision
+    calls = []
+
+    def counted(dps):
+        calls.append(dps)
+        return extended_context(dps)
+
+    monkeypatch.setattr(series, "extended_context", counted)
+    assert _bessel_rel_err(30, 9.5, STANDARD) <= 1e-13
+    assert calls == []
+    assert _bessel_rel_err(0, 9.5, STANDARD) <= 1e-15
+    assert len(calls) == 1
 
 
 def test_bessel_range_errors():

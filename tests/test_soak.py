@@ -5,20 +5,41 @@ import pytest
 from qkl.errors import QKLError
 from qkl.identities import run_case, sample_params
 
+CLASSICAL_BILINEAR = ["hahn_product", "chahn_bilinear", "mult_2f1", "burchnall_chaundy",
+                      "conf_1f1", "mp_spoisson", "jacobi_bessel", "chahn_finite",
+                      "chahn_finite_whipple"]
+# The only known failures of seeds 50..1049: polys.sj_mp raises
+# ValueError (math domain error) at j = 0 when k1 + k2 < 1/2, a defect whose
+# mend waits on a benchmark change (ROADMAP item 2).
+KNOWN_FAILURES = {"mp_spoisson": [(135, "ValueError"), (342, "ValueError")]}
+
+
+def _failures(ident, seeds):
+    # a QKLError or a failed report is a failed case; a ValueError is
+    # collected so that it can be matched against KNOWN_FAILURES; any other
+    # exception escapes
+    failed = []
+    for seed in seeds:
+        try:
+            rep = run_case(sample_params(ident, seed))
+        except (QKLError, ValueError) as exc:
+            failed.append((seed, type(exc).__name__))
+            continue
+        if not rep.passed:
+            failed.append((seed, rep.rel_err))
+    return failed
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("ident", ["ac_spoisson", "asc_bilinear", "aw_bilinear",
                                    "cdqh_bilinear"])
 def test_q_ladder_identities_pass_seeds_50_to_1049(ident):
     # every case of the four q j-sums that run on a q ladder passes at auto
-    # precision; a QKLError is a failed case, any other exception escapes
-    failed = []
-    for seed in range(50, 1050):
-        try:
-            rep = run_case(sample_params(ident, seed))
-        except QKLError as exc:
-            failed.append((seed, type(exc).__name__))
-            continue
-        if not rep.passed:
-            failed.append((seed, rep.rel_err))
-    assert failed == []
+    # precision
+    assert _failures(ident, range(50, 1050)) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ident", CLASSICAL_BILINEAR)
+def test_classical_bilinear_identities_pass_seeds_50_to_1049(ident):
+    assert _failures(ident, range(50, 1050)) == KNOWN_FAILURES.get(ident, [])
