@@ -23,6 +23,7 @@ from .errors import (
     RangeError,
     VWPoleError,
 )
+from .dyadic import FixedSum, Magnitude, SeriesTerms, magnitude
 from .numerics import STANDARD, Context, extended_context, log10_abs
 from .series import _INT_TOL, _qval, as_nonneg_int, complex_pow_principal
 
@@ -106,8 +107,14 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     below tail_tol * |partial sum|, with a geometric tail estimate from the
     largest recent term ratio.  Terminating series (``stop_index`` given) are
     summed through the stop index exactly, so they are policy-independent.
+
+    The terms are values of ``ctx``, or the triples of a
+    :class:`dyadic.SeriesTerms`, which add up in a :class:`dyadic.FixedSum`
+    and whose magnitudes compare through their exponents; the value is
+    returned in ``ctx`` either way.
     """
-    total = ctx.cnum(0)
+    dyadic = isinstance(term_iter, SeriesTerms)
+    total, size = (FixedSum(term_iter.wp), magnitude) if dyadic else (ctx.cnum(0), abs)
     quiet = 0
     max_abs = 0
     prev_abs = None
@@ -117,7 +124,7 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     tail = 0.0
     for n, term in enumerate(term_iter):
         total += term
-        a = abs(term)
+        a = size(term)
         if a > max_abs:
             max_abs = a
         if stop_index is not None:
@@ -147,6 +154,9 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
             status = SeriesStatus.MAX_TERMS_REACHED
             tail = _safe_float(a)
             break
+    if dyadic:
+        return SeriesEval(ctx.from_dyadic(total.parts()), n + 1, tail, status,
+                          ctx.mode, Magnitude.of(max_abs).log10())
     return SeriesEval(total, n + 1, tail, status, ctx.mode, log10_abs(max_abs))
 
 
@@ -240,6 +250,21 @@ def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
     return accumulate(terms(), policy, ctx, stop_index=stop)
 
 
+def _integer_terms(ctx: Context, num, den, z, q=None, head=1, weight=None):
+    """The terms of an engine's series in an extended ``ctx``, as a
+    :class:`dyadic.SeriesTerms` summed on Python integers: ``num`` and
+    ``den`` hold the (c, s) pairs of its factors c + s x, and every value
+    passes into ``ctx`` and then, exactly, into a triple."""
+    d = ctx.to_dyadic
+
+    def pairs(factors):
+        return [(d(c), d(s)) for c, s in factors]
+
+    return SeriesTerms(pairs(num), pairs(den), d(z), ctx.prec,
+                       q=None if q is None else d(q), head=d(head),
+                       weight=None if weight is None else tuple(map(d, weight)))
+
+
 def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None = None,
             ctx: Context = STANDARD) -> SeriesEval:
     """Generalized hypergeometric series sum_n prod(upper)_n z^n / (prod(lower)_n n!).
@@ -249,7 +274,7 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
     to extended precision per policy).
     """
 
-    def terms():
+    def values():
         up = [ctx.cnum(u) for u in upper]
         lo = [ctx.cnum(l) for l in lower]
         zc = ctx.cnum(z)
@@ -266,6 +291,12 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
             term = term * num / den * zc
             yield term
             n += 1
+
+    def terms():
+        if not ctx.extended:
+            return values()
+        return _integer_terms(ctx, [(u, 1) for u in upper],
+                              [(1, 1)] + [(l, 1) for l in lower], z)
 
     return _sum_series("pFq", len(upper) - len(lower) - 1,
                        detect_termination(upper), _pole_index(lower),
@@ -284,7 +315,7 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
     qq = _qval(q)
     extra = 1 + len(lower) - len(upper)
 
-    def terms():
+    def values():
         up = [ctx.cnum(u) for u in upper]
         lo = [ctx.cnum(l) for l in lower]
         zc = ctx.cnum(z)
@@ -305,6 +336,16 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
             term = term * factor
             qn *= qc
             yield term
+
+    def terms():
+        if not ctx.extended:
+            return values()
+        qc = ctx.rnum(qq)
+        # (-q^n)^extra is extra factors 0 - q^n above, or -extra below
+        return _integer_terms(
+            ctx, [(1, -ctx.cnum(u)) for u in upper] + [(0, -1)] * max(extra, 0),
+            [(1, -qc)] + [(1, -ctx.cnum(l)) for l in lower] + [(0, -1)] * max(-extra, 0),
+            z, q=qc)
 
     return _sum_series("rphis", -extra, detect_termination(upper, qq),
                        _pole_index(lower, qq), z, terms,
@@ -331,7 +372,7 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
         raise ParamError("b_i = 0 with a != 0 leaves the denominator a q / b_i undefined")
     denoms = [0 if complex(b) == 0 else a * qq / b for b in b5]
 
-    def terms():
+    def values():
         aa = ctx.cnum(a)
         bs = [ctx.cnum(b) for b in b5]
         ds = [ctx.cnum(d) for d in denoms]
@@ -353,6 +394,15 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
             qn *= qc
             q2n *= qc * qc
             yield base * (1 - aa * q2n)
+
+    def terms():
+        if not ctx.extended:
+            return values()
+        aa, qc = ctx.cnum(a), ctx.rnum(qq)
+        return _integer_terms(
+            ctx, [(1, -aa)] + [(1, -ctx.cnum(b)) for b in b5],
+            [(1, -qc)] + [(1, -ctx.cnum(d)) for d in denoms], z, q=qc,
+            head=ctx.cnum(1) / (1 - aa), weight=(1, -aa))
 
     return _sum_series("8W7", 0, detect_termination(b5, qq),
                        _pole_index(denoms, qq), z, terms,

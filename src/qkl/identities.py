@@ -420,8 +420,14 @@ def _jacobi_bessel_validate(p):
     _require(0 <= p["z"] <= 30, "0 <= z <= 30")
 
 
+def _jacobi_bessel_params(p, ctx):
+    """alpha, beta, x, y and z as reals of ``ctx``, so that the orders and
+    arguments built from them keep the context's precision."""
+    return (ctx.rnum(p[k]) for k in ("alpha", "beta", "x", "y", "z"))
+
+
 def _jacobi_bessel_lhs(p, policy, ctx):
-    al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
+    al, be, x, y, z = _jacobi_bessel_params(p, ctx)
     s = al + be + 1
     # (-1)^j (s + 2j) Gamma(j+1) Gamma(s+j) / (Gamma(al+j+1) Gamma(be+j+1))
     # = (-1)^j (s + 2j) / (s + j) g j! (s+1)_j / ((al+1)_j (be+1)_j), whose
@@ -443,7 +449,7 @@ def _jacobi_bessel_lhs(p, policy, ctx):
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
-    al, be, x, y, z = p["alpha"], p["beta"], p["x"], p["y"], p["z"]
+    al, be, x, y, z = _jacobi_bessel_params(p, ctx)
     mm = (1 - x) * (1 - y)
     pp = (1 + x) * (1 + y)
     v = (ctx.rnum(2.0) ** (al + be - 1) * ctx.rnum(mm) ** (-al / 2)

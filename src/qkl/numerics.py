@@ -19,6 +19,11 @@ extended:
 - ``gamma``, ``loggamma``: mpmath's in both modes (``series`` has the
   standard-precision ones); ``loggamma`` is the principal branch.
 - ``is_finite``: neither part infinite nor nan.
+- ``to_dyadic(v)``, ``from_dyadic(t)`` (extended contexts only): ``cnum(v)``
+  as an ``(re, im, exp)`` triple of ints standing for (re + i im) 2^exp,
+  exactly, and such a triple as a ``cnum`` value rounded to the context's
+  precision ``prec`` (bits).  The extended series engines sum on these
+  triples (see ``qkl.dyadic``).
 
 Precision is carried by values, not by a setting.  Each extended context owns
 an ``mpmath.MPContext`` at its dps; its numbers are of that context's types
@@ -54,9 +59,10 @@ class Context:
     context for ``gamma``, ``loggamma`` and the values of ``adopt``.
     """
 
-    __slots__ = ("mode", "extended", "dps", "_mpctx", "cnum", "rnum", "exp",
-                 "log", "sqrt", "rexp", "rlog", "rsqrt", "cos", "sin", "acos",
-                 "expi", "gamma", "loggamma", "is_finite")
+    __slots__ = ("mode", "extended", "dps", "prec", "_mpctx", "cnum", "rnum",
+                 "exp", "log", "sqrt", "rexp", "rlog", "rsqrt", "cos", "sin",
+                 "acos", "expi", "gamma", "loggamma", "is_finite", "to_dyadic",
+                 "from_dyadic")
 
     def __init__(self, mode: str = STANDARD_MODE, dps: int = EXTENDED_DPS):
         if mode not in (STANDARD_MODE, EXTENDED_MODE):
@@ -78,6 +84,33 @@ class Context:
             self.cos, self.sin, self.acos = mpctx.cos, mpctx.sin, mpctx.acos
             self.expi = lambda theta: mpctx.exp(i * theta)
             self.is_finite = mpctx.isfinite
+            self.prec = mpctx.prec
+            mpc, ldexp = mpctx.mpc, mpctx.ldexp
+
+            def to_dyadic(v):
+                kind = v.__class__
+                if kind is int:
+                    return v, 0, 0
+                if kind is float or kind is complex:
+                    # exact, as cnum(v) is: a double has 53 bits
+                    return _dyadic_of_double(complex(v))
+                (rs, rm, re, _), (is_, im, ie, _) = mpc(v)._mpc_
+                # mpmath's special values are the ones with a zero
+                # mantissa and a nonzero exponent
+                if not rm and re or not im and ie:
+                    raise OverflowError(f"{v} has no dyadic value")
+                if not rm:
+                    re = ie
+                elif not im:
+                    ie = re
+                e = min(re, ie)
+                return ((-rm if rs else rm) << (re - e),
+                        (-im if is_ else im) << (ie - e), e)
+
+            # ldexp rounds its int argument at the context's precision,
+            # then shifts it exactly
+            self.to_dyadic = to_dyadic
+            self.from_dyadic = lambda t: mpc(ldexp(t[0], t[2]), ldexp(t[1], t[2]))
         else:
             self.cnum, self.rnum = complex, float
             self.exp, self.log, self.sqrt = cmath.exp, cmath.log, cmath.sqrt
@@ -85,6 +118,7 @@ class Context:
             self.cos, self.sin, self.acos = math.cos, math.sin, math.acos
             self.expi = lambda theta: complex(math.cos(theta), math.sin(theta))
             self.is_finite = cmath.isfinite
+            self.prec = 53
 
     def __repr__(self):
         return f"Context({self.mode!r}, dps={self.dps})"
@@ -97,6 +131,20 @@ class Context:
         if isinstance(v, (int, float, complex)):
             return v
         return self._mpctx.convert(v)
+
+
+def _dyadic_of_double(v: complex):
+    """(re, im, exp) with (re + i im) 2^exp == v exactly."""
+    if not cmath.isfinite(v):
+        raise OverflowError(f"{v} has no dyadic value")
+    (mr, er), (mi, ei) = math.frexp(v.real), math.frexp(v.imag)
+    if not mr:
+        er = ei
+    elif not mi:
+        ei = er
+    e = min(er, ei)
+    return (int(math.ldexp(mr, 53)) << (er - e),
+            int(math.ldexp(mi, 53)) << (ei - e), e - 53)
 
 
 STANDARD = Context(STANDARD_MODE)

@@ -1,0 +1,101 @@
+"""Property tests of the extended series engines, independent of the
+identity registry: classical transformations of 2F1 and two theorems of
+basic hypergeometric series (Gasper and Rahman, *Basic Hypergeometric
+Series*, 1.3.2 and 1.4.1), each at 40 digits to within 1e-30."""
+import cmath
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qkl.hyper import TruncationPolicy, bhs_rphis, detect_termination, hyp_pfq
+from qkl.numerics import EXTENDED as E
+from qkl.series import qpoch
+
+# the sums run far below the 1e-30 bound; their arguments keep them short
+DEEP = TruncationPolicy(tail_tol=1e-38)
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _real(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _complex(radius):
+    return st.builds(complex, _real(-radius, radius), _real(-radius, radius))
+
+
+def _disc(radius):
+    """Complex z with |z| <= radius."""
+    return st.builds(cmath.rect, _real(0, radius), _real(-cmath.pi, cmath.pi))
+
+
+# c stays off the poles 0, -1, -2, ... of 2F1
+_C = st.one_of(_real(0.5, 3.0), st.builds(complex, _real(0.5, 3.0), _real(-1.0, 1.0)))
+
+
+def _summed_in_full(upper, q=None):
+    """True unless an engine takes one of the upper parameters for a
+    terminating one (within its tolerance of -n or q^-n): a property holds
+    for the series the engines sum only where they sum it in full."""
+    return detect_termination(upper, q) is None
+
+
+def _close(a, b, tol=1e-30):
+    return abs(a - b) <= tol * max(abs(a), abs(b), 1)
+
+
+def _pow(base, exponent):
+    """base^exponent, principal branch, in E."""
+    return E.exp(E.cnum(exponent) * E.log(E.cnum(base)))
+
+
+@PROPERTY
+@given(_complex(2.0), _complex(2.0), _C, _disc(0.6))
+def test_euler_transformation(a, b, c, z):
+    # 2F1(a, b; c; z) = (1 - z)^(c - a - b) 2F1(c - a, c - b; c; z)
+    assume(_summed_in_full([a, b, c - a, c - b]))
+    lhs = hyp_pfq([a, b], [c], z, DEEP, E).value
+    ca, cb = E.cnum(c) - E.cnum(a), E.cnum(c) - E.cnum(b)
+    rhs = _pow(1 - E.cnum(z), ca - E.cnum(b)) * hyp_pfq([ca, cb], [c], z, DEEP, E).value
+    assert _close(lhs, rhs), (lhs, rhs)
+
+
+@PROPERTY
+@given(_complex(2.0), _complex(2.0), _C, _real(-0.6, 0.35))
+def test_pfaff_transformation(a, b, c, x):
+    # 2F1(a, b; c; z) = (1 - z)^(-a) 2F1(a, c - b; c; z / (z - 1)), z real < 1/2
+    assume(_summed_in_full([a, b, c - b]))
+    z = E.rnum(x)
+    lhs = hyp_pfq([a, b], [c], z, DEEP, E).value
+    w = z / (z - 1)
+    rhs = (_pow(1 - z, -E.cnum(a))
+           * hyp_pfq([a, E.cnum(c) - E.cnum(b)], [c], w, DEEP, E).value)
+    assert _close(lhs, rhs), (lhs, rhs)
+
+
+_Q = st.sampled_from([0.2, 0.35, 0.5, 0.7, 0.85])
+
+
+@PROPERTY
+@given(_complex(1.5), _Q, _disc(0.5))
+def test_q_binomial_theorem(a, q, z):
+    # 1phi0(a; -; q, z) = (a z; q)_inf / (z; q)_inf, |z| < 1
+    assume(_summed_in_full([a], q))
+    lhs = bhs_rphis([a], [], q, z, DEEP, E).value
+    rhs = qpoch(E.cnum(a) * E.cnum(z), q, ctx=E) / qpoch(z, q, ctx=E)
+    assert _close(lhs, rhs), (lhs, rhs)
+
+
+@PROPERTY
+@given(_complex(0.6), _disc(0.6).filter(lambda b: abs(b) > 0.05), _complex(0.6), _Q,
+       _disc(0.5))
+def test_heine_transformation(a, b, c, q, z):
+    # 2phi1(a, b; c; q, z)
+    #   = (b, a z; q)_inf / (c, z; q)_inf 2phi1(c / b, z; a z; q, b), |z|, |b| < 1
+    assume(_summed_in_full([a, b, c / b, z], q))
+    lhs = bhs_rphis([a, b], [c], q, z, DEEP, E).value
+    ac, bc, cc, zc = (E.cnum(v) for v in (a, b, c, z))
+    pref = (qpoch(bc, q, ctx=E) * qpoch(ac * zc, q, ctx=E)
+            / (qpoch(cc, q, ctx=E) * qpoch(zc, q, ctx=E)))
+    rhs = pref * bhs_rphis([cc / bc, zc], [ac * zc], q, bc, DEEP, E).value
+    assert _close(lhs, rhs), (lhs, rhs)

@@ -3,11 +3,15 @@
 import pytest
 
 from qkl.errors import QKLError
-from qkl.identities import run_case, sample_params
+from qkl.identities import IdentityCase, run_case, sample_params
 
 CLASSICAL_BILINEAR = ["hahn_product", "chahn_bilinear", "mult_2f1", "burchnall_chaundy",
                       "conf_1f1", "mp_spoisson", "jacobi_bessel", "chahn_finite",
                       "chahn_finite_whipple"]
+# the identities whose cases escalate single series to extended precision,
+# summed on integers: stable_eval's polynomial re-runs (mp_recurrence) and
+# the |z| in (0.9, 1) re-runs of the closed forms' 2F1 and 8W7
+ESCALATING = ["mp_poisson", "mp_recurrence", "ac_poisson", "ac_poisson_alt"]
 # The only known failures of seeds 50..1049: polys.sj_mp raises
 # ValueError (math domain error) at j = 0 when k1 + k2 < 1/2, a defect whose
 # mend waits on a benchmark change (ROADMAP item 2).
@@ -43,3 +47,19 @@ def test_q_ladder_identities_pass_seeds_50_to_1049(ident):
 @pytest.mark.parametrize("ident", CLASSICAL_BILINEAR)
 def test_classical_bilinear_identities_pass_seeds_50_to_1049(ident):
     assert _failures(ident, range(50, 1050)) == KNOWN_FAILURES.get(ident, [])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ident", ESCALATING)
+def test_escalating_identities_pass_seeds_50_to_1049(ident):
+    assert _failures(ident, range(50, 1050)) == []
+
+
+@pytest.mark.slow
+def test_ac_spoisson_near_the_unit_circle_passes():
+    # q = 0.3, t = 0.9: s = t^2 / q = 2.7 sends the rhs to its direct per-j
+    # route, whose 335 8W7s at |z| = 0.9 each re-run at extended precision
+    p = dict(sample_params("ac_spoisson", 0).params, q=0.3, t=0.9)
+    rep = run_case(IdentityCase("ac_spoisson", p, seed=0))
+    assert rep.passed and rep.rel_err <= 1e-13, rep.rel_err
+    assert rep.terms["rhs"] == {"terms": 335, "status": "Converged"}
