@@ -25,7 +25,7 @@ from .errors import (
 )
 from .dyadic import FixedSum, Magnitude, SeriesTerms, magnitude
 from .numerics import STANDARD, Context, extended_context, log10_abs
-from .series import _INT_TOL, _qval, as_nonneg_int, complex_pow_principal
+from .series import _INT_TOL, _qval, complex_pow_principal
 
 _ESCALATE_BAND = (0.9, 1.0)  # |z| band that triggers extended precision
 _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
@@ -178,15 +178,25 @@ def _safe_float(x) -> float:
 
 
 def detect_termination(upper: Sequence, q=None, tol: float = _INT_TOL):
-    """Smallest n with an upper parameter equal to -n (classical) or q^{-n}
-    (basic), within tolerance; None when the series does not terminate."""
+    """Smallest n with an upper parameter equal to -n (classical), exactly in
+    the parameter's own type, or to q^{-n} (basic) within relative tolerance
+    ``tol``; None when the series does not terminate."""
     best = None
     qq = None if q is None else _qval(q)
     for u in upper:
-        m = as_nonneg_int(u, tol) if qq is None else _q_power_index(u, qq, tol)
+        m = _neg_int_index(u) if qq is None else _q_power_index(u, qq, tol)
         if m is not None and (best is None or m < best):
             best = m
     return best
+
+
+def _neg_int_index(u):
+    """m >= 0 with u == -m, else None."""
+    try:
+        m = -round(complex(u).real)
+    except (OverflowError, ValueError):
+        return None
+    return m if m >= 0 and u == -m else None
 
 
 def _q_power_index(u, q: float, tol: float = _INT_TOL):
@@ -222,15 +232,19 @@ def _check_poles(stop, pole, kind: str):
             f"{kind} lower parameter pole at term {pole} before termination")
 
 
-def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
-                policy: TruncationPolicy | None, ctx: Context) -> SeriesEval:
-    """The protocol shared by every series engine.
+def _sum_series(kind: str, excess: int, stop, pole, num, den, z, again,
+                policy: TruncationPolicy | None, ctx: Context, q=None, head=1,
+                weight=None) -> SeriesEval:
+    """The protocol shared by every series engine, and its one declaration
+    of a series: ``num``, ``den``, ``z``, ``q``, ``head`` and ``weight``,
+    values of ``ctx``, are the factor lists and values of
+    :class:`dyadic.SeriesTerms`, which sums the terms on Python integers in
+    an extended ``ctx``; :func:`_float_terms` yields them in a standard one.
 
     ``excess`` is the number of upper parameters beyond (lower + 1): positive
     diverges unless terminating, zero converges only for |z| < 1 and near the
     boundary re-runs the engine through ``again(policy, ctx)`` at extended
-    precision, whose value comes back as a value of ``ctx``.  ``terms()``
-    yields the summands in ``ctx``'s backend.
+    precision, whose value comes back as a value of ``ctx``.
     """
     policy = policy or default_policy()
     _check_poles(stop, pole, kind)
@@ -247,22 +261,35 @@ def _sum_series(kind: str, excess: int, stop, pole, z, terms, again,
                            extended_context(40))
                 ev.value = ctx.adopt(ev.value)
                 return ev
-    return accumulate(terms(), policy, ctx, stop_index=stop)
+    if not ctx.extended:
+        terms = _float_terms(num, den, z, q, head, weight)
+    else:
+        d = ctx.to_dyadic
+
+        def pairs(factors):
+            return [(d(c), d(s)) for c, s in factors]
+
+        terms = SeriesTerms(pairs(num), pairs(den), d(z), ctx.prec,
+                            q=None if q is None else d(q), head=d(head),
+                            weight=None if weight is None else tuple(map(d, weight)))
+    return accumulate(terms, policy, ctx, stop_index=stop)
 
 
-def _integer_terms(ctx: Context, num, den, z, q=None, head=1, weight=None):
-    """The terms of an engine's series in an extended ``ctx``, as a
-    :class:`dyadic.SeriesTerms` summed on Python integers: ``num`` and
-    ``den`` hold the (c, s) pairs of its factors c + s x, and every value
-    passes into ``ctx`` and then, exactly, into a triple."""
-    d = ctx.to_dyadic
-
-    def pairs(factors):
-        return [(d(c), d(s)) for c, s in factors]
-
-    return SeriesTerms(pairs(num), pairs(den), d(z), ctx.prec,
-                       q=None if q is None else d(q), head=d(head),
-                       weight=None if weight is None else tuple(map(d, weight)))
+def _float_terms(num, den, z, q, head, weight):
+    """The terms of :func:`_sum_series`'s series in doubles: from one term
+    to the next, term * N(x) / D(x) * z, each product taken factor by
+    factor in its list's order from 1; x_m is m, or q^m carried as a
+    running product.  The weight multiplies a term as it is yielded."""
+    term, x = head, 0 if q is None else 1.0
+    while True:
+        yield term if weight is None else term * (weight[0] + weight[1] * (x * x))
+        up = down = 1
+        for c, s in num:
+            up *= c + s * x
+        for c, s in den:
+            down *= c + s * x
+        term = term * up / down * z
+        x = x + 1 if q is None else x * q
 
 
 def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None = None,
@@ -273,35 +300,11 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
     and p = q+1 requires |z| < 1 (near the boundary the evaluation escalates
     to extended precision per policy).
     """
-
-    def values():
-        up = [ctx.cnum(u) for u in upper]
-        lo = [ctx.cnum(l) for l in lower]
-        zc = ctx.cnum(z)
-        term = ctx.cnum(1)
-        yield term
-        n = 0
-        while True:
-            num = 1
-            for u in up:
-                num *= u + n
-            den = ctx.cnum(n + 1)
-            for l in lo:
-                den *= l + n
-            term = term * num / den * zc
-            yield term
-            n += 1
-
-    def terms():
-        if not ctx.extended:
-            return values()
-        return _integer_terms(ctx, [(u, 1) for u in upper],
-                              [(1, 1)] + [(l, 1) for l in lower], z)
-
     return _sum_series("pFq", len(upper) - len(lower) - 1,
                        detect_termination(upper), _pole_index(lower),
-                       z, terms, lambda pol, c: hyp_pfq(upper, lower, z, pol, c),
-                       policy, ctx)
+                       [(ctx.cnum(u), 1) for u in upper],
+                       [(1, 1)] + [(ctx.cnum(l), 1) for l in lower], ctx.cnum(z),
+                       lambda pol, c: hyp_pfq(upper, lower, z, pol, c), policy, ctx)
 
 
 def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
@@ -313,44 +316,16 @@ def bhs_rphis(upper: Sequence, lower: Sequence, q, z,
     Zero parameters are legal on either side: (0; q)_n = 1.
     """
     qq = _qval(q)
+    qc = ctx.rnum(qq)
     extra = 1 + len(lower) - len(upper)
-
-    def values():
-        up = [ctx.cnum(u) for u in upper]
-        lo = [ctx.cnum(l) for l in lower]
-        zc = ctx.cnum(z)
-        qc = ctx.rnum(qq)
-        term = ctx.cnum(1)
-        yield term
-        qn = ctx.cnum(1)
-        while True:
-            num = 1
-            for u in up:
-                num *= 1 - u * qn
-            den = 1 - qc * qn
-            for l in lo:
-                den *= 1 - l * qn
-            factor = num / den * zc
-            if extra:
-                factor *= (-qn) ** extra
-            term = term * factor
-            qn *= qc
-            yield term
-
-    def terms():
-        if not ctx.extended:
-            return values()
-        qc = ctx.rnum(qq)
-        # (-q^n)^extra is extra factors 0 - q^n above, or -extra below
-        return _integer_terms(
-            ctx, [(1, -ctx.cnum(u)) for u in upper] + [(0, -1)] * max(extra, 0),
-            [(1, -qc)] + [(1, -ctx.cnum(l)) for l in lower] + [(0, -1)] * max(-extra, 0),
-            z, q=qc)
-
+    # (-q^n)^extra is extra factors 0 - q^n above, or -extra below
     return _sum_series("rphis", -extra, detect_termination(upper, qq),
-                       _pole_index(lower, qq), z, terms,
+                       _pole_index(lower, qq),
+                       [(1, -ctx.cnum(u)) for u in upper] + [(0, -1)] * max(extra, 0),
+                       [(1, -qc)] + [(1, -ctx.cnum(l)) for l in lower]
+                       + [(0, -1)] * max(-extra, 0), ctx.cnum(z),
                        lambda pol, c: bhs_rphis(upper, lower, q, z, pol, c),
-                       policy, ctx)
+                       policy, ctx, q=qc)
 
 
 def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
@@ -371,43 +346,14 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
     if any(complex(b) == 0 for b in b5) and ac != 0:
         raise ParamError("b_i = 0 with a != 0 leaves the denominator a q / b_i undefined")
     denoms = [0 if complex(b) == 0 else a * qq / b for b in b5]
-
-    def values():
-        aa = ctx.cnum(a)
-        bs = [ctx.cnum(b) for b in b5]
-        ds = [ctx.cnum(d) for d in denoms]
-        zc = ctx.cnum(z)
-        qc = ctx.rnum(qq)
-        # base_n excludes the (1 - a q^{2n}) factor so its zeros never
-        # enter a ratio denominator
-        base = ctx.cnum(1) / (1 - aa)
-        yield base * (1 - aa)
-        qn = ctx.cnum(1)
-        q2n = ctx.cnum(1)
-        while True:
-            num = (1 - aa * qn) * zc
-            den = 1 - qc * qn
-            for b, d in zip(bs, ds):
-                num *= 1 - b * qn
-                den *= 1 - d * qn
-            base = base * num / den
-            qn *= qc
-            q2n *= qc * qc
-            yield base * (1 - aa * q2n)
-
-    def terms():
-        if not ctx.extended:
-            return values()
-        aa, qc = ctx.cnum(a), ctx.rnum(qq)
-        return _integer_terms(
-            ctx, [(1, -aa)] + [(1, -ctx.cnum(b)) for b in b5],
-            [(1, -qc)] + [(1, -ctx.cnum(d)) for d in denoms], z, q=qc,
-            head=ctx.cnum(1) / (1 - aa), weight=(1, -aa))
-
-    return _sum_series("8W7", 0, detect_termination(b5, qq),
-                       _pole_index(denoms, qq), z, terms,
-                       lambda pol, c: vwp_8w7(a, b5, q, z, pol, c),
-                       policy, ctx)
+    aa, qc = ctx.cnum(a), ctx.rnum(qq)
+    # the head 1 / (1 - a) and the weight 1 - a q^{2n} keep the zeros of
+    # (1 - a q^{2n}) out of every ratio
+    return _sum_series("8W7", 0, detect_termination(b5, qq), _pole_index(denoms, qq),
+                       [(1, -aa)] + [(1, -ctx.cnum(b)) for b in b5],
+                       [(1, -qc)] + [(1, -ctx.cnum(d)) for d in denoms], ctx.cnum(z),
+                       lambda pol, c: vwp_8w7(a, b5, q, z, pol, c), policy, ctx,
+                       q=qc, head=ctx.cnum(1) / (1 - aa), weight=(1, -aa))
 
 
 def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):

@@ -480,10 +480,17 @@ def _chahn_finite_validate(p):
     _require(1 <= int(p["K"]) <= 10, "1 <= K <= 10")
 
 
-def _chahn_finite_lhs(p, policy, ctx):
+def _chahn_finite_values(p, ctx):
+    """a, b, d, b', d', x, y and b + d of a terminating sample as values of
+    ``ctx``, so that the parameters built from them keep its precision."""
     a, b, d, b2, d2 = _chahn_abcd(p)
-    x, y, K = p["x"], p["y"], int(p["K"])
-    bd = (b + d).real
+    b, d, b2, d2 = (ctx.cnum(v) for v in (b, d, b2, d2))
+    return ctx.rnum(a), b, d, b2, d2, ctx.rnum(p["x"]), ctx.rnum(p["y"]), (b + d).real
+
+
+def _chahn_finite_lhs(p, policy, ctx):
+    a, b, d, b2, d2, x, y, bd = _chahn_finite_values(p, ctx)
+    K = int(p["K"])
     S = 2 * a + bd
     # (-K)_j (S)_{2j} j! / ((2a)_j (b+d)_j (S+j-1)_j (a+d)_j (a+d')_j (S+K)_j)
     coefs = pochhammer_ladder(
@@ -501,9 +508,8 @@ def _chahn_finite_lhs(p, policy, ctx):
 def _chahn_finite_pref(p, ctx):
     """(d - ix, d' - iy, 2a + b + d)_K / (a + d, a + d', b + d)_K, the
     prefactor of both terminating right sides."""
-    a, b, d, b2, d2 = _chahn_abcd(p)
-    x, y, K = p["x"], p["y"], int(p["K"])
-    bd = (b + d).real
+    a, b, d, b2, d2, x, y, bd = _chahn_finite_values(p, ctx)
+    K = int(p["K"])
     return (pochhammer(d - 1j * x, K, ctx) * pochhammer(d2 - 1j * y, K, ctx)
             * pochhammer(2 * a + bd, K, ctx)
             / (pochhammer(a + d, K, ctx) * pochhammer(a + d2, K, ctx)
@@ -511,11 +517,10 @@ def _chahn_finite_pref(p, ctx):
 
 
 def _chahn_finite_rhs(p, policy, ctx):
-    a, b, d, b2, d2 = _chahn_abcd(p)
-    x, y, K = p["x"], p["y"], int(p["K"])
-    bd = (b + d).real
+    a, b, d, b2, d2, x, y, bd = _chahn_finite_values(p, ctx)
+    K = int(p["K"])
     pref = _chahn_finite_pref(p, ctx)
-    f = hyp_pfq_stable([-K, 1 - K - bd, complex(a, x), complex(a, y)],
+    f = hyp_pfq_stable([-K, 1 - K - bd, a + 1j * x, a + 1j * y],
                        [2 * a, 1 - K - d + 1j * x, 1 - K - d2 + 1j * y],
                        1, ctx, lost_hint=0.6 * K)
     return pref * f, {"terms": K + 1}
@@ -547,15 +552,14 @@ def _chahn_whipple_lhs(p, policy, ctx):
 
 def _chahn_whipple_rhs(p, policy, ctx):
     q = _chahn_whipple_params(p)
-    a, b, d, b2, d2 = _chahn_abcd(q)
-    x, y, K = q["x"], q["y"], int(q["K"])
-    bd = (b + d).real
+    a, b, d, b2, d2, x, y, bd = _chahn_finite_values(q, ctx)
+    K = int(q["K"])
     S = 2 * a + bd
     pref = _chahn_finite_pref(q, ctx)
     whip = (pochhammer(a + d, K, ctx)
             * pochhammer(a + b + 1j * (x - y), K, ctx)
             / (pochhammer(d - 1j * x, K, ctx) * pochhammer(b - 1j * y, K, ctx)))
-    f = hyp_pfq_stable([-K, S + K - 1, complex(a, x), complex(a, -y)],
+    f = hyp_pfq_stable([-K, S + K - 1, a + 1j * x, a - 1j * y],
                        [2 * a, a + d, a + b + 1j * (x - y)],
                        1, ctx, lost_hint=0.6 * K)
     return pref * whip * f, {"terms": K + 1}

@@ -1,6 +1,7 @@
-"""The extended series engines' integer term loop (``qkl.dyadic``): values
-against 80-digit references, bounded by 2^-(prec - 8) times the sum of the
-terms' magnitudes, the size of the integers it builds, and the conversions
+"""The series engines' two term loops, on Python integers (``qkl.dyadic``)
+in extended precision and on doubles in standard: values against 80-digit
+references, bounded by 2^-(prec - 8) times the sum of the terms'
+magnitudes, the size of the integers the first builds, and the conversions
 of ``numerics.Context``."""
 import cmath
 import random
@@ -11,7 +12,7 @@ import pytest
 import qkl.dyadic as dyadic
 import qkl.hyper as hyper
 from qkl.hyper import SeriesStatus, TruncationPolicy, bhs_rphis, hyp_pfq, vwp_8w7
-from qkl.numerics import EXTENDED, extended_context
+from qkl.numerics import EXTENDED, STANDARD, extended_context
 
 REF = mp.MPContext()
 REF.dps = 80
@@ -100,6 +101,18 @@ def _boundary_draws():
         yield ("8w7", _rand_c(rng, 0.3), [_rand_c(rng, 0.4) for _ in range(5)], q, z)
 
 
+def _rphis_order_draws():
+    """Terminating r-phi-s with r = s, whose (-q^n)^(1+s-r) is a factor
+    0 - q^n of the term ratio's numerator, and with r = s + 2, where it is
+    one of its denominator."""
+    rng = random.Random(24)
+    for s, r in ((1, 1), (2, 2), (3, 3), (0, 2), (2, 4)):
+        m = rng.randrange(1, 16)
+        q = rng.choice([0.3, 0.5, 0.7, 0.9])
+        yield ("rphis", [q ** -m] + [_rand_c(rng, 0.5) for _ in range(r - 1)],
+               [_rand_c(rng, 0.5) for _ in range(s)], q, _rand_c(rng, 1.5))
+
+
 # zero and negative-zero imaginary parts, and 1e-300 next to order one
 _EDGE_DRAWS = [
     ("pfq", [complex(-12, 0.0), complex(0.7, -0.0)], [complex(1.3, -0.0)], complex(-1.6, 0.0)),
@@ -132,12 +145,23 @@ def _evaluate(draw, ctx=EXTENDED):
     return ev, REF.fsum(terms), terms
 
 
-@pytest.mark.parametrize("draw", [*_terminating_draws(), *_boundary_draws(), *_EDGE_DRAWS],
-                         ids=lambda d: d[0])
+_DRAWS = [*_terminating_draws(), *_boundary_draws(), *_EDGE_DRAWS, *_rphis_order_draws()]
+
+
+@pytest.mark.parametrize("draw", _DRAWS, ids=lambda d: d[0])
 def test_extended_engines_meet_an_80_digit_reference(draw):
     ev, ref, terms = _evaluate(draw)
     assert ev.precision == "extended"
     ok, detail = _within_bound(ev, ref, terms)
+    assert ok, detail
+
+
+@pytest.mark.parametrize("draw", _DRAWS, ids=lambda d: d[0])
+def test_standard_engines_meet_an_80_digit_reference(draw):
+    # the double loop reads the factor lists the integer loop takes, and
+    # keeps to the same bound at 53 bits (a draw near |z| = 1 escalates)
+    ev, ref, terms = _evaluate(draw, STANDARD)
+    ok, detail = _within_bound(ev, ref, terms, STANDARD)
     assert ok, detail
 
 

@@ -52,6 +52,23 @@ def test_detect_termination():
     assert detect_termination([1.0, 0.3], 0.5) == 0
 
 
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED], ids=["standard", "extended"])
+def test_classical_termination_is_exact(ctx):
+    # a classical parameter ends its series only when it equals -n: 1e-12 i
+    # is no 0, and 2F1(a, 1; 1; z) = (1 - z)^(-a) = 1 - 2.877e-13 i at
+    # z = -1/3; a q parameter keeps its relative tolerance
+    assert detect_termination([1e-12j, 1]) is None
+    assert detect_termination([-3 + 1e-13]) is None
+    assert detect_termination([EXTENDED.cnum(-4), complex(-7, 0.0)]) == 4
+    assert detect_termination([4.0 * (1 + 1e-14)], 0.5) == 2
+    a, z = 1e-12j, -1 / 3
+    ev = hyp_pfq([a, 1], [1], z, ctx=ctx)
+    assert ev.status is SeriesStatus.CONVERGED
+    # within the stopping rule's 1e-15 of |value| = 1; exactly 1 is 2.9e-13 off
+    ref = complex(mp.power(1 - mp.mpf(z), -mp.mpc(a)))
+    assert abs(complex(ev.value) - ref) <= 1e-15
+
+
 def test_pfq_trivial():
     assert hyp_pfq([0.3, -1.2], [0.9], 0.0).value == 1
     ev = hyp_pfq([-1, 2], [4], 0.5)

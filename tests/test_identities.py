@@ -595,6 +595,16 @@ def test_jacobi_bessel_extended_builds_parameters_in_context():
     assert max(errs) <= 1e-19, errs
 
 
+@pytest.mark.parametrize("ident", ["chahn_finite", "chahn_finite_whipple"])
+def test_chahn_finite_extended_builds_parameters_in_context(ident):
+    # a, b, d, b', d', x and y enter both sides as values of the context:
+    # while a + ix, 1 - K - d + ix and 2a + b + d were built in doubles,
+    # seeds 0..9 reported up to 2.9e-15 and 2.6e-15 extended
+    errs = [run_case(sample_params(ident, seed), precision="extended").rel_err
+            for seed in range(10)]
+    assert max(errs) <= 1e-30, errs
+
+
 # The q j-sums whose per-j 2phi1, 3phi2 or 8W7 comes from a ladder of
 # hyper.py: (ladder name, module that calls it, side that sums it).
 _Q_LADDER_SIDES = {"asc_bilinear": ("phi21_ladder", identities, "lhs"),

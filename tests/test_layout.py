@@ -1,8 +1,10 @@
 """Package layout: the precision decision stays behind ``qkl.numerics``, which
 makes it once per context; the q-kernel point stays behind
 ``polys.unit_phase``; the classical j-sums stay on recurrence streams; a
-j-sum coefficient steps in j only in ``series.pochhammer_ladder``; and the
-command line names no identity, the exact route staying behind ``qkl.exact``."""
+j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
+engine declares its series once, as the factor lists ``hyper._sum_series``
+reads; and the command line names no identity, the exact route staying
+behind ``qkl.exact``."""
 import ast
 import re
 from pathlib import Path
@@ -76,6 +78,26 @@ def test_jsum_coefficients_step_on_the_one_ladder():
                    if isinstance(node, ast.ImportFrom)
                    for alias in node.names if alias.name == "pochhammer_ladder"}
         assert sources == {("series", 1)}, name
+
+
+def test_series_engines_declare_factor_lists_only():
+    # no engine writes out its own term loop: hyp_pfq, bhs_rphis and vwp_8w7
+    # hand factor lists to _sum_series, the one place a SeriesTerms is built
+    tree = ast.parse((SRC / "hyper.py").read_text())
+    engines = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in ("hyp_pfq", "bhs_rphis", "vwp_8w7")]
+    assert len(engines) == 3
+    assert not [f"{engine.name}:{node.lineno}" for engine in engines
+                for node in ast.walk(engine)
+                if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    builders = sorted((path.name, getattr(top, "name", None))
+                      for path in SRC.glob("*.py")
+                      for top in ast.parse(path.read_text()).body
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) == "SeriesTerms"
+                           or getattr(node.func, "attr", None) == "SeriesTerms"))
+    assert builders == [("hyper.py", "_sum_series")]
 
 
 def test_context_chooses_its_backend_once():

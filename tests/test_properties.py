@@ -33,10 +33,10 @@ def _disc(radius):
 _C = st.one_of(_real(0.5, 3.0), st.builds(complex, _real(0.5, 3.0), _real(-1.0, 1.0)))
 
 
-def _summed_in_full(upper, q=None):
-    """True unless an engine takes one of the upper parameters for a
-    terminating one (within its tolerance of -n or q^-n): a property holds
-    for the series the engines sum only where they sum it in full."""
+def _summed_in_full(upper, q):
+    """True unless the engine takes one of the upper parameters for a
+    terminating one (within its tolerance of q^-n): a property holds for the
+    series the engine sums only where it sums it in full."""
     return detect_termination(upper, q) is None
 
 
@@ -53,7 +53,6 @@ def _pow(base, exponent):
 @given(_complex(2.0), _complex(2.0), _C, _disc(0.6))
 def test_euler_transformation(a, b, c, z):
     # 2F1(a, b; c; z) = (1 - z)^(c - a - b) 2F1(c - a, c - b; c; z)
-    assume(_summed_in_full([a, b, c - a, c - b]))
     lhs = hyp_pfq([a, b], [c], z, DEEP, E).value
     ca, cb = E.cnum(c) - E.cnum(a), E.cnum(c) - E.cnum(b)
     rhs = _pow(1 - E.cnum(z), ca - E.cnum(b)) * hyp_pfq([ca, cb], [c], z, DEEP, E).value
@@ -64,7 +63,6 @@ def test_euler_transformation(a, b, c, z):
 @given(_complex(2.0), _complex(2.0), _C, _real(-0.6, 0.35))
 def test_pfaff_transformation(a, b, c, x):
     # 2F1(a, b; c; z) = (1 - z)^(-a) 2F1(a, c - b; c; z / (z - 1)), z real < 1/2
-    assume(_summed_in_full([a, b, c - b]))
     z = E.rnum(x)
     lhs = hyp_pfq([a, b], [c], z, DEEP, E).value
     w = z / (z - 1)
