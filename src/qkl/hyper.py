@@ -19,19 +19,13 @@ from .errors import (
     DivergenceError,
     ParamError,
     PoleError,
-    PrecisionError,
-    RangeError,
     VWPoleError,
 )
 from .dyadic import FixedSum, Magnitude, SeriesTerms, magnitude
-from .numerics import STANDARD, Context, extended_context, log10_abs
+from .numerics import STANDARD, Context, escalate, log10_abs
 from .series import _INT_TOL, _qval, complex_pow_principal
 
-_ESCALATE_BAND = (0.9, 1.0)  # |z| band that triggers extended precision
 _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
-# digits a stable_eval value must keep after cancellation, by precision mode
-_KEEP_STANDARD = 12.5
-_KEEP_EXTENDED = 16.0
 # values each pair of anchors of contiguous_ladder is recurred down over
 _LADDER_BLOCK = 24
 # largest |s| at which a q ladder recurs: past it the backward steps damp
@@ -242,9 +236,9 @@ def _sum_series(kind: str, excess: int, stop, pole, num, den, z, again,
     an extended ``ctx``; :func:`_float_terms` yields them in a standard one.
 
     ``excess`` is the number of upper parameters beyond (lower + 1): positive
-    diverges unless terminating, zero converges only for |z| < 1 and near the
-    boundary re-runs the engine through ``again(policy, ctx)`` at extended
-    precision, whose value comes back as a value of ``ctx``.
+    diverges unless terminating, zero converges only for |z| < 1 and past
+    |z| = 0.9 in a standard ``ctx`` escalates ``again(policy, c)``, first at
+    40 digits, its value coming back as a value of ``ctx``.
     """
     policy = policy or default_policy()
     _check_poles(stop, pole, kind)
@@ -256,9 +250,14 @@ def _sum_series(kind: str, excess: int, stop, pole, num, den, z, again,
         if excess == 0:
             if az >= 1.0:
                 raise DivergenceError(f"{kind} boundary |z| = {az} >= 1")
-            if _ESCALATE_BAND[0] < az < _ESCALATE_BAND[1] and not ctx.extended:
-                ev = again(replace(policy, max_terms=max(policy.max_terms, 100000)),
-                           extended_context(40))
+            if az > 0.9 and not ctx.extended:
+                wide = replace(policy, max_terms=max(policy.max_terms, 100000))
+
+                def attempt(c):
+                    ev = again(wide, c)
+                    return ev.value, ev.cancellation_digits(), ev
+
+                _, ev, _ = escalate(attempt, ctx, predicted_lost=20)
                 ev.value = ctx.adopt(ev.value)
                 return ev
     if not ctx.extended:
@@ -297,8 +296,8 @@ def hyp_pfq(upper: Sequence, lower: Sequence, z, policy: TruncationPolicy | None
     """Generalized hypergeometric series sum_n prod(upper)_n z^n / (prod(lower)_n n!).
 
     Terminating evaluation for any z; otherwise p <= q converges everywhere
-    and p = q+1 requires |z| < 1 (near the boundary the evaluation escalates
-    to extended precision per policy).
+    and p = q+1 requires |z| < 1 (past |z| = 0.9 a standard evaluation
+    escalates to extended precision on its measured cancellation).
     """
     return _sum_series("pFq", len(upper) - len(lower) - 1,
                        detect_termination(upper), _pole_index(lower),
@@ -357,46 +356,15 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
 
 
 def stable_eval(build, ctx: Context, predicted_lost: float = 0.0):
-    """Run ``build(c) -> (value, SeriesEval)`` escalating precision, at most
-    four attempts, until the cancellation-adjusted digit count is adequate or
-    the value vanishes; returns the value, its SeriesEval and the context of
-    the attempt that produced them.
+    """:func:`numerics.escalate` at its default targets for ``build(c) ->
+    (value, SeriesEval)``, the loss read from the SeriesEval: the escalation
+    of every definitional polynomial value, whose sum cancels with degree."""
 
-    Used by every terminating-series polynomial evaluation: the definitional
-    sums lose digits like q^(-n(n-1)/2) (q-families) or (1+|z|)^n (classical),
-    so fixed precision cannot honour the accuracy contracts at high degree.
-    A value that keeps no significant digit on two successive attempts (an
-    exact 0 included) vanishes to the working precision; the second of them
-    runs at least 20 digits past ``predicted_lost``.  Raises RangeError when
-    the last attempt overflows, and PrecisionError when it is finite but
-    still misses its digit target.
-    """
-    c = ctx
-    if not ctx.extended and predicted_lost > 15.95 - _KEEP_STANDARD:
-        c = extended_context(int(predicted_lost) + 20)
-    vanished = False
-    for attempt in range(4):
-        if attempt:
-            c = extended_context(max(nxt, c.dps + 10, int(predicted_lost) + 20))
-        try:
-            value, ev = build(c)
-            finite = c.is_finite(value)
-        except OverflowError:
-            value, ev, finite = None, None, False
-        if finite:
-            lost = ev.cancellation_digits()
-            kept = (15.95 if not c.extended else c.dps) - lost
-            keep = _KEEP_STANDARD if not c.extended else _KEEP_EXTENDED
-            if kept >= keep or (vanished and kept < 1):
-                return value, ev, c
-            vanished = kept < 1
-        else:
-            lost, vanished = float("inf"), False
-        nxt = int(lost) + 22 if math.isfinite(lost) else 2 * c.dps + 20
-    if not finite:
-        raise RangeError("series evaluation failed to produce a finite value")
-    raise PrecisionError(f"series evaluation kept {kept:.1f} of {keep} digits "
-                         f"after 4 attempts, the last at {c.dps} digits")
+    def measured(c: Context):
+        value, ev = build(c)
+        return value, ev.cancellation_digits(), ev
+
+    return escalate(measured, ctx, predicted_lost)
 
 
 def hyp_pfq_stable(upper: Sequence, lower: Sequence, z, ctx: Context = STANDARD,

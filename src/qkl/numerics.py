@@ -41,6 +41,8 @@ import math
 
 import mpmath as mp
 
+from .errors import PrecisionError, RangeError
+
 STANDARD_MODE = "standard"
 EXTENDED_MODE = "extended"
 
@@ -48,6 +50,7 @@ EXTENDED_MODE = "extended"
 EXTENDED_DPS = 40
 #: escalated precisions are rounded up to a multiple of this many digits
 _DPS_RUNG = 10
+STANDARD_DIGITS = 15.95  # significant decimal digits of a double
 
 
 class Context:
@@ -163,6 +166,41 @@ def extended_context(dps: int) -> Context:
     if ctx is None:
         ctx = _LADDER.setdefault(rung, Context(EXTENDED_MODE, rung))
     return ctx
+
+
+def escalate(build, ctx: Context, predicted_lost: float = 0.0, keep=None):
+    """The one precision-escalation loop.  Runs ``build(c) -> (value, lost,
+    result)``, ``lost`` the digits the value lost to cancellation, until the
+    value keeps ``keep`` digits (by default 12.5 in a standard attempt, 16 in
+    an extended one) or keeps none twice running; returns (value, result, c).
+    The first attempt runs in ``ctx``, or at ``predicted_lost`` + 20 digits
+    where a standard ``ctx`` would miss its target; up to three more run at
+    the loss + ``keep`` + 6 digits, at least 10 above the last and 20 past
+    ``predicted_lost``.  Raises RangeError if the last attempt overflows,
+    else PrecisionError."""
+    keeps = (12.5, 16.0) if keep is None else (keep, keep)  # standard, extended
+    c, vanished = ctx, False
+    if not ctx.extended and predicted_lost > STANDARD_DIGITS - keeps[0]:
+        c = extended_context(int(predicted_lost) + 20)
+    for attempt in range(4):
+        if attempt:
+            c = extended_context(max(nxt, c.dps + 10, int(predicted_lost) + 20))
+        try:
+            value, lost, result = build(c)
+            finite = c.is_finite(value)
+        except OverflowError:
+            finite = False
+        if finite:
+            kept = (c.dps if c.extended else STANDARD_DIGITS) - lost
+            if kept >= keeps[c.extended] or (vanished and kept < 1):
+                return value, result, c
+        vanished = finite and kept < 1
+        nxt = (int(lost + keeps[1]) + 6 if finite and math.isfinite(lost)
+               else 2 * c.dps + 20)
+    if not finite:
+        raise RangeError("series evaluation failed to produce a finite value")
+    raise PrecisionError(f"series evaluation kept {kept:.1f} of {keeps[c.extended]} "
+                         f"digits after 4 attempts, the last at {c.dps} digits")
 
 
 def log10_abs(x) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParamError, PoleError, RangeError
-from .numerics import STANDARD, Context, extended_context, log10_abs
+from .numerics import STANDARD, STANDARD_DIGITS, Context, escalate, log10_abs
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 # Gives ~15 significant digits on the right half plane.
@@ -316,10 +316,8 @@ def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
 
     The alternating series cancels where its largest term exceeds the sum:
     up to about 0.44 z digits at low order and large z, and more near a zero
-    of J.  The series is summed in ``ctx`` first; when its largest term
-    exceeds 100 |sum| (more than two digits cancelled), it is summed again
-    at dps + 10 + max(0.45 z, measured loss) digits and rounded back to
-    ``ctx``.
+    of J.  :func:`numerics.escalate` sums it, first in ``ctx``, until at most
+    two of ``ctx``'s digits are lost, and the value is rounded back to ``ctx``.
     """
     if abs(z) > 30.0:
         raise RangeError(f"bessel_j supports |z| <= 30, got {z}")
@@ -333,17 +331,13 @@ def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
         return sign * bessel_j(nu, -z, ctx)
     if z == 0:
         return ctx.rnum(1 if nu == 0 else 0)
-    total, largest = _bessel_series(nu, z, ctx)
-    if largest > 100 * abs(total):
-        lost = min(log10_abs(largest) - log10_abs(total), ctx.dps)
-        wide = extended_context(ctx.dps + 10 + int(max(0.45 * z, lost)))
-        total = ctx.rnum(_bessel_series(nu, z, wide)[0])
-    return total
+    keep = (ctx.dps if ctx.extended else STANDARD_DIGITS) - 2
+    return ctx.rnum(escalate(lambda c: _bessel_series(nu, z, c), ctx, keep=keep)[0])
 
 
 def _bessel_series(nu: float, z: float, ctx: Context):
-    """(sum, largest |term|) of the ascending series of J_nu(z), z > 0,
-    stopped at the first term below 10^-(dps+1) of the sum."""
+    """(sum, digits lost to cancellation, None) of the ascending series of
+    J_nu(z), z > 0, stopped at the first term below 10^-(dps+1) of the sum."""
     zr = ctx.rnum(z)
     nur = ctx.rnum(nu)
     half = zr / 2
@@ -373,4 +367,4 @@ def _bessel_series(nu: float, z: float, ctx: Context):
             largest = size
         elif size <= tol * abs(total):
             break
-    return total, largest
+    return total, log10_abs(largest) - log10_abs(total), None

@@ -106,6 +106,20 @@ def test_eval_series_pfq_rphis_list_and_scalar_upper(argv, ref, terms, capsys):
     assert lines[3] == "status = Converged"
 
 
+def test_eval_series_near_boundary_cancellation(capsys):
+    # the |z| > 0.9 re-run escalates on its measured cancellation: a single
+    # 40-digit run of this 2F1 printed -20387.47 with status Converged
+    code, out, _ = run(["eval", "series", "type=pfq", "upper=20.5,20.5",
+                        "lower=1.5", "z=-0.93"], capsys)
+    assert code == 0
+    value = out.splitlines()[0]
+    assert value == "value = (-5.37869181454634e-8 + 0.0j)"
+    with mp.workdps(30):
+        expected = complex(mp.hyp2f1(20.5, 20.5, 1.5, -0.93))
+    got = complex(value.split(" = ")[1].replace(" ", ""))
+    assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
 def test_eval_bad_input_exit2(capsys):
     code, _, err = run(["eval", "poly", "family=unknown", "n=1", "x=0"], capsys)
     assert code == 2

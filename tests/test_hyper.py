@@ -142,6 +142,17 @@ def test_near_boundary_escalation():
     assert abs(ev.value - ref) <= 1e-12 * abs(ref)
 
 
+def test_near_boundary_escalation_measures_its_cancellation():
+    # 2F1(20.5, 20.5; 1.5; -0.93) sums terms up to 1e53 to a value of 5e-8:
+    # the first, 40-digit attempt keeps none of its digits, and the loop
+    # goes on until the value keeps 16
+    ev = hyp_pfq([20.5, 20.5], [1.5], -0.93)
+    assert ev.precision == "extended"
+    with mp.workdps(30):
+        ref = complex(mp.hyp2f1(20.5, 20.5, 1.5, -0.93))
+    assert abs(ev.value - ref) <= 1e-12 * abs(ref)
+
+
 def test_rphis_near_boundary_escalation():
     upper, lower, q, z = [0.3, -0.4], [0.6], 0.5, 0.95
     ev = bhs_rphis(upper, lower, q, z)

@@ -3,8 +3,8 @@ makes it once per context; the q-kernel point stays behind
 ``polys.unit_phase``; the classical j-sums stay on recurrence streams; a
 j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
 engine declares its series once, as the factor lists ``hyper._sum_series``
-reads; and the command line names no identity, the exact route staying
-behind ``qkl.exact``."""
+reads; precision escalates only in ``numerics.escalate``; and the command
+line names no identity, the exact route staying behind ``qkl.exact``."""
 import ast
 import re
 from pathlib import Path
@@ -98,6 +98,20 @@ def test_series_engines_declare_factor_lists_only():
                       and (getattr(node.func, "id", None) == "SeriesTerms"
                            or getattr(node.func, "attr", None) == "SeriesTerms"))
     assert builders == [("hyper.py", "_sum_series")]
+
+
+def test_precision_escalates_in_one_loop():
+    # numerics.escalate is the one place that builds a wider context: the
+    # polynomial values (stable_eval), the |z| > 0.9 series re-runs and
+    # Bessel J all hand it their attempts
+    callers = sorted((path.name, getattr(top, "name", None))
+                     for path in SRC.glob("*.py")
+                     for top in ast.parse(path.read_text()).body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and (getattr(node.func, "id", None) == "extended_context"
+                          or getattr(node.func, "attr", None) == "extended_context"))
+    assert callers == [("numerics.py", "escalate")] * 2
 
 
 def test_context_chooses_its_backend_once():

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qkl import series
+from qkl import numerics
 from qkl.errors import DomainError, ParamError, PoleError, RangeError
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
@@ -339,7 +339,7 @@ def test_bessel_escalates_on_measured_cancellation(monkeypatch):
         calls.append(dps)
         return extended_context(dps)
 
-    monkeypatch.setattr(series, "extended_context", counted)
+    monkeypatch.setattr(numerics, "extended_context", counted)
     assert _bessel_rel_err(30, 9.5, STANDARD) <= 1e-13
     assert calls == []
     assert _bessel_rel_err(0, 9.5, STANDARD) <= 1e-15
