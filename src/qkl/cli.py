@@ -179,14 +179,12 @@ def _eval_kernel(p: dict):
     closed = bool(p.pop("closed", 0))
     if family == "mp":
         pt = KernelPoint(p["t"], p["x"], p["y"])
-        if closed:
-            return mp_kernel_closed(p["k"], p["phi"], pt), {}
-        ev = mp_kernel_sum(p["k"], p["phi"], pt)
+        kernel = mp_kernel_closed if closed else mp_kernel_sum
+        ev = kernel(p["k"], p["phi"], pt)
     elif family == "ac":
         pt = KernelPoint(p["t"], p["x"], p["y"], s=p["s"], sigma=p["sigma"])
-        if closed:
-            return ac_kernel_closed(p["k"], p["q"], pt), {}
-        ev = ac_kernel_sum(p["k"], p["q"], pt)
+        kernel = ac_kernel_closed if closed else ac_kernel_sum
+        ev = kernel(p["k"], p["q"], pt)
     else:
         raise ParamError(f"unknown kernel family {family!r}")
     return _series_result(ev)

@@ -84,7 +84,7 @@ def _bilinear_sum(xs, ys, t, policy: TruncationPolicy | None,
 
 def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
                      policy: TruncationPolicy | None = None,
-                     ctx: Context = STANDARD, *, as_series: bool = False):
+                     ctx: Context = STANDARD) -> SeriesEval:
     """(1/Gamma(2k)) (1-t e^{2 i phi})^{i(x+y)} (1-t)^{-2k-ix-iy}
     2F1(k+ix, k+iy; 2k; r) with r = -4 t sin^2 phi / (1-t)^2.
 
@@ -92,13 +92,11 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
     positive real part, so no branch cut is crossed; a point where either
     base has not (possible only for |t| >= 1) raises DomainError.
 
-    Returns the kernel's value; with ``as_series=True``, the 2F1's
-    SeriesEval scaled to it (``SeriesEval.scale``), whose terms and stop
-    status a caller can report.
+    Returns the 2F1's SeriesEval scaled to the kernel's value
+    (``SeriesEval.scale``), whose terms and stop status a caller can report.
     """
     pref, a, b, r = _mp_closed_parts(k, phi, pt, ctx)
-    f = gauss_2f1(a, b, 2 * ctx.rnum(k), r, policy, ctx).scale(pref)
-    return f if as_series else ctx.cnum(f.value)
+    return gauss_2f1(a, b, 2 * ctx.rnum(k), r, policy, ctx).scale(pref)
 
 
 def _mp_closed_parts(k: float, phi: float, pt: KernelPoint, ctx: Context):
@@ -176,15 +174,14 @@ def _ac_closed_point(k: float, q, pt: KernelPoint, ctx: Context):
 
 def ac_kernel_closed(k: float, q, pt: KernelPoint,
                      policy: TruncationPolicy | None = None,
-                     ctx: Context = STANDARD, *, as_series: bool = False):
+                     ctx: Context = STANDARD) -> SeriesEval:
     """Closed form of the nonsymmetric Al-Salam-Chihara Poisson kernel:
     q-infinite-product prefactor times 8W7 with argument t e^{i(theta+phi)}.
 
-    Returns the kernel's value, or with ``as_series=True`` the 8W7's
-    SeriesEval scaled to it, as :func:`mp_kernel_closed` does."""
+    Returns the 8W7's SeriesEval scaled to the kernel's value, as
+    :func:`mp_kernel_closed` does."""
     qq, prefs, a8, bs, b5, z, _ = _ac_closed_parts(k, q, pt, ctx)
-    w = vwp_8w7(a8, [*bs, b5], qq, z, policy, ctx).scale(next(prefs))
-    return w if as_series else ctx.cnum(w.value)
+    return vwp_8w7(a8, [*bs, b5], qq, z, policy, ctx).scale(next(prefs))
 
 
 def _ac_closed_parts(k: float, q, pt: KernelPoint, ctx: Context):
@@ -228,9 +225,9 @@ def ac_kernel_closed_ladder(k: float, q, pt: KernelPoint,
 
 def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
                          policy: TruncationPolicy | None = None,
-                         ctx: Context = STANDARD, *, as_series: bool = False):
+                         ctx: Context = STANDARD) -> SeriesEval:
     """The Bailey-transformed variant of :func:`ac_kernel_closed`, an 8W7 in
-    the argument q^k e^{-i theta} / s (requires |s| > q^k); ``as_series`` as
+    the argument q^k e^{-i theta} / s (requires |s| > q^k), returned as
     there."""
     qq, t, s, sg, qk, eit, emt, eip, emp = _ac_closed_point(k, q, pt, ctx)
     if abs(complex(pt.s)) <= qq ** k:
@@ -240,7 +237,6 @@ def ac_kernel_closed_alt(k: float, q, pt: KernelPoint,
     den = [ctx.rnum(qq) ** (2 * k), qk * s * t * t * eit, t * eit * eip,
            t * eit * emp, t * emt * emp, t * emt * eip]
     pref = qpoch_many(num, qq, over=den, ctx=ctx)
-    w = vwp_8w7(ctx.rnum(qq) ** (k - 1) * s * t * t * eit,
-                [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
-                qq, qk * emt / s, policy, ctx).scale(pref)
-    return w if as_series else ctx.cnum(w.value)
+    return vwp_8w7(ctx.rnum(qq) ** (k - 1) * s * t * t * eit,
+                   [t * eit * eip, t * eit * emp, qk * s * eit, s * t / sg, s * t * sg],
+                   qq, qk * emt / s, policy, ctx).scale(pref)

@@ -67,6 +67,18 @@ def test_eval_kernel_t0(capsys):
     assert "terms_used" in out
 
 
+@pytest.mark.parametrize("family", [["family=mp", "k=1", "phi=1.0"],
+                                    ["family=ac", "k=0.7", "q=0.5", "s=1.1", "sigma=0.9"]])
+def test_eval_closed_kernel_reports_its_series(family, capsys):
+    # the closed form prints the stop report of its 2F1 or 8W7, as the sum does
+    code, out, _ = run(["eval", "kernel", *family, "t=0.35", "x=0.2", "y=-0.4",
+                        "closed=1"], capsys)
+    assert code == 0
+    keys = [line.split(" = ")[0] for line in out.splitlines()]
+    assert keys == ["value", "terms_used", "tail_estimate", "status"]
+    assert out.splitlines()[-1] == "status = Converged"
+
+
 def test_eval_series(capsys):
     code, out, _ = run(["eval", "series", "type=2F1", "a=1", "b=1", "c=2",
                         "z=0.5"], capsys)

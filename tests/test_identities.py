@@ -11,8 +11,14 @@ import pytest
 import qkl.hyper as hyper
 import qkl.identities as identities
 import qkl.kernels as kernels
-from qkl.errors import DenominatorPoleError, DomainError, HypothesisError, QKLError
-from qkl.hyper import TruncationPolicy, contiguous_ladder, vwp_8w7
+from qkl.errors import (
+    DenominatorPoleError,
+    DomainError,
+    HypothesisError,
+    ParamError,
+    QKLError,
+)
+from qkl.hyper import SeriesEval, SeriesStatus, TruncationPolicy, contiguous_ladder, vwp_8w7
 from qkl.identities import (
     IdentityCase,
     _sum_j,
@@ -231,6 +237,13 @@ def test_explicit_extended_precision():
     assert rep.rel_err <= 1e-10
 
 
+@pytest.mark.parametrize("precision", ["Extended", "double", ""])
+def test_unknown_precision_is_a_param_error(precision):
+    # a misspelt precision used to run standard and report it
+    with pytest.raises(ParamError):
+        run_case(sample_params("mp_poisson", 0), precision=precision)
+
+
 @pytest.mark.parametrize("ident", ["aw_bilinear", "ac_spoisson", "cdqh_bilinear",
                                    "asc_bilinear", "cbqh_reduction"])
 def test_extended_q_bilinear_case_leaves_mpmath_precision_alone(ident):
@@ -304,16 +317,42 @@ def test_conf_1f1_polynomial_case_floating():
 
 
 def test_jsum_reports_term_cap():
-    value, meta = _sum_j(map(lambda j: 1.0, count()), TruncationPolicy(), STANDARD,
+    value, meta = _sum_j([map(lambda j: 1.0, count())], TruncationPolicy(), STANDARD,
                          jmax=7)
     assert value == 7
     assert meta == {"terms": 7, "status": "MaxTermsReached"}
 
 
 def test_jsum_stops_after_quiet_window():
-    value, meta = _sum_j(map(lambda j: 1.0 if j < 2 else 0.0, count()),
+    value, meta = _sum_j([map(lambda j: 1.0 if j < 2 else 0.0, count())],
                          TruncationPolicy(quiet_window=3), STANDARD)
     assert value == 2
+    assert meta == {"terms": 5, "status": "Converged"}
+
+
+def test_jsum_multiplies_streams_and_collects_series_stops():
+    # term j is coefficient x series value x plain value, left to right; a
+    # per-j series stopped at its cap marks the whole sum as stopped there
+    def series(j):
+        status = SeriesStatus.MAX_TERMS_REACHED if j == 1 else SeriesStatus.CONVERGED
+        return SeriesEval(2.0 ** -j, 1, 0.0, status)
+
+    value, meta = _sum_j([map(lambda j: 0.5 ** j, count()), map(series, count()),
+                          map(lambda j: 3.0, count())], TruncationPolicy(), STANDARD)
+    assert value == pytest.approx(3 / (1 - 0.25))
+    assert meta["status"] == "MaxTermsReached"
+
+
+def test_jsum_pulls_no_stream_past_a_vanished_coefficient():
+    # once the coefficient is 0 the terms are 0, and a stream that would
+    # divide by zero past it is not pulled again
+    def stream():
+        yield from (1.0, 2.0)
+        raise ZeroDivisionError("pulled past the last nonzero coefficient")
+
+    value, meta = _sum_j([iter([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), stream()],
+                         TruncationPolicy(quiet_window=3), STANDARD)
+    assert value == 3
     assert meta == {"terms": 5, "status": "Converged"}
 
 
@@ -510,8 +549,8 @@ def test_capped_jsum_fails_its_case(monkeypatch):
     cap = full.terms["lhs"]["terms"] - 1
     sum_j = identities._sum_j
     monkeypatch.setattr(identities, "_sum_j",
-                        lambda terms, policy, ctx, jmax=400, stops=():
-                        sum_j(terms, policy, ctx, cap, stops))
+                        lambda factors, policy, ctx, jmax=400:
+                        sum_j(factors, policy, ctx, cap))
     rep = run_case(case)
     assert rep.terms["lhs"] == {"terms": cap, "status": "MaxTermsReached"}
     assert rep.rel_err <= case.tol_rel

@@ -3,8 +3,9 @@ makes it once per context; the q-kernel point stays behind
 ``polys.unit_phase``; the classical j-sums stay on recurrence streams; a
 j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
 engine declares its series once, as the factor lists ``hyper._sum_series``
-reads; precision escalates only in ``numerics.escalate``; and the command
-line names no identity, the exact route staying behind ``qkl.exact``."""
+reads; precision escalates only in ``numerics.escalate``; a j-sum term is
+built only in ``identities._sum_j``; and the command line names no identity,
+the exact route staying behind ``qkl.exact``."""
 import ast
 import re
 from pathlib import Path
@@ -112,6 +113,27 @@ def test_precision_escalates_in_one_loop():
                      and (getattr(node.func, "id", None) == "extended_context"
                           or getattr(node.func, "attr", None) == "extended_context"))
     assert callers == [("numerics.py", "escalate")] * 2
+
+
+def test_jsums_run_on_one_driver():
+    # the identity sides declare their factor streams and _sum_j multiplies
+    # them: it is the only caller of accumulate in identities.py, and no side
+    # writes its own term product; the closed kernels always return a series
+    tree = ast.parse((SRC / "identities.py").read_text())
+    callers = [top.name for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "accumulate"]
+    assert callers == ["_sum_j"]
+    products = sorted(f"{top.name}:{node.lineno}" for top in tree.body
+                      if isinstance(top, ast.FunctionDef) and top.name != "_sum_j"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.FunctionDef) and node.name in ("term", "terms"))
+    assert products == []
+    hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "as_series" in line]
+    assert hits == []
 
 
 def test_context_chooses_its_backend_once():
