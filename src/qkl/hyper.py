@@ -1,5 +1,6 @@
 """Generalized hypergeometric pFq, basic hypergeometric r-phi-s, and the
-very-well-poised 8W7, under one truncation/convergence policy.
+very-well-poised 8W7, under one truncation/convergence policy, which also
+stops every sum of products of streams (:func:`sum_streams`).
 
 Series values are returned as :class:`SeriesEval`, carrying the truncation
 metadata needed by the identity drivers (terms used, tail estimate, the
@@ -11,7 +12,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import count, repeat
 from typing import Sequence
 
 from .errors import (
@@ -100,7 +101,8 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     Non-terminating series converge after ``quiet_window`` consecutive terms
     below tail_tol * |partial sum|, with a geometric tail estimate from the
     largest recent term ratio.  Terminating series (``stop_index`` given) are
-    summed through the stop index exactly, so they are policy-independent.
+    summed through the stop index exactly, so they are policy-independent;
+    an iterator that runs out ends a terminating sum too.
 
     The terms are values of ``ctx``, or the triples of a
     :class:`dyadic.SeriesTerms`, which add up in a :class:`dyadic.FixedSum`
@@ -114,8 +116,6 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
     prev_abs = None
     recent_ratio = 0.0
     n = -1
-    status = SeriesStatus.MAX_TERMS_REACHED
-    tail = 0.0
     for n, term in enumerate(term_iter):
         total += term
         a = size(term)
@@ -148,6 +148,8 @@ def accumulate(term_iter, policy: TruncationPolicy, ctx: Context,
             status = SeriesStatus.MAX_TERMS_REACHED
             tail = _safe_float(a)
             break
+    else:
+        status, tail = SeriesStatus.TERMINATED_FINITE, 0.0
     if dyadic:
         return SeriesEval(ctx.from_dyadic(total.parts()), n + 1, tail, status,
                           ctx.mode, Magnitude.of(max_abs).log10())
@@ -162,6 +164,37 @@ def worst_status(statuses) -> SeriesStatus:
         if worse in statuses:
             return worse
     return SeriesStatus.TERMINATED_FINITE
+
+
+def sum_streams(factors, policy: TruncationPolicy | None, ctx: Context) -> SeriesEval:
+    """The sum over j of the left-to-right product of the j-th values of the
+    streams in ``factors``, under the series stopping rule: the one place a
+    term of a kernel sum or a j-sum is built.  A :class:`SeriesEval` value
+    enters by its value, and its stop status joins the sum's.  The first
+    stream is the coefficient; a 0 there ends the sum, terminated, and no
+    other stream is pulled again (past it one may divide by zero)."""
+    coefs, *streams = factors
+    capped, finite = SeriesStatus.MAX_TERMS_REACHED, SeriesStatus.TERMINATED_FINITE
+    worst = finite
+
+    def terms():
+        nonlocal worst
+        rows = zip(*streams) if streams else repeat(())
+        for co in coefs:
+            if co == 0:
+                return
+            term = co
+            for v in next(rows):
+                if v.__class__ is SeriesEval:
+                    if v.status is not finite and worst is not capped:
+                        worst = v.status
+                    v = v.value
+                term = term * v
+            yield term
+
+    ev = accumulate(terms(), policy or default_policy(), ctx)
+    ev.status = worst_status((ev.status, worst))
+    return ev
 
 
 def _safe_float(x) -> float:

@@ -10,29 +10,29 @@ admissible cases from a seed (its keys are the identity's parameter names),
 and a hypothesis validator that raises :class:`HypothesisError` naming the
 violated constraint.
 
-A side that is a j-sum declares its factor streams, in the order of its
-printed product, and hands them to ``_sum_j``, the one place a j-sum term is
-built: it multiplies the j-th values, collects the stop statuses of the
-per-j series among them, and owns the loop and the term cap.  The first
-stream is the coefficient, declared as the printed formula reads to
-``series.pochhammer_ladder``, which carries it from one j to the next; once
-it is 0 no other stream is pulled.
+A side that is a j-sum, infinite or terminating, declares its factor
+streams in the order of its printed product and hands them to
+``hyper.sum_streams``, which also sums the Poisson kernels: the one place a
+term of a sum of streams is built.  It multiplies the j-th values, collects
+the stop statuses of the per-j series among them, and owns the loop, which
+stops under the policy's term cap.  The first stream is the coefficient,
+declared as the printed formula reads to ``series.pochhammer_ladder``, which
+carries it from one j to the next; once it is 0 the sum has terminated and
+no other stream is pulled.  ``_sum_j`` turns the sum into a side's report.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import random
-from dataclasses import dataclass, field, replace
-from itertools import count, islice, repeat
+from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Callable
 
 from .errors import DivergenceError, HypothesisError, ParamError
 from .hyper import (
-    SeriesEval,
     SeriesStatus,
     TruncationPolicy,
-    accumulate,
     bhs_rphis,
     contiguous_ladder,
     default_policy,
@@ -41,6 +41,7 @@ from .hyper import (
     hyp_pfq_stable,
     phi21_ladder,
     phi32_ladder,
+    sum_streams,
     vwp_8w7,
     vwp_ladder,
     worst_status,
@@ -164,37 +165,11 @@ def _require_conv(cond: bool, constraint: str):
         raise DivergenceError(f"outside convergence region: {constraint}")
 
 
-def _sum_j(factors, policy: TruncationPolicy, ctx: Context, jmax: int = 400):
-    """Sum at most ``jmax`` terms of a j-sum under the series stopping rule.
-
-    Term j is the left-to-right product of the j-th values of the streams in
-    ``factors``.  A value that is a :class:`SeriesEval` enters by its value,
-    and its stop status joins the report: a per-j series stopped at its term
-    cap reports the sum as stopped there too.  The first stream is the
-    coefficient ladder; once it is 0 it stays 0, so the term is 0 and no
-    other stream is pulled again (past it a stream may divide by zero).  The
-    report carries the terms and the worst stop status."""
-    coefs, *streams = factors
-    stops = set()
-
-    def terms():
-        rows = zip(*streams) if streams else repeat(())
-        for co in coefs:
-            if co == 0:
-                yield co
-                yield from coefs
-                return
-            term = co
-            for v in next(rows):
-                if v.__class__ is SeriesEval:
-                    stops.add(v.status)
-                    v = v.value
-                term = term * v
-            yield term
-
-    ev = accumulate(terms(), replace(policy, max_terms=jmax), ctx)
-    return ev.value, {"terms": ev.terms_used,
-                      "status": worst_status((ev.status, *stops)).value}
+def _sum_j(factors, policy: TruncationPolicy, ctx: Context):
+    """A j-sum on ``hyper.sum_streams``: its value, and its terms and stop
+    status as a side's report."""
+    ev = sum_streams(factors, policy, ctx)
+    return ev.value, {"terms": ev.terms_used, "status": ev.status.value}
 
 
 def _series_meta(*evs):
@@ -449,7 +424,7 @@ def _jacobi_bessel_lhs(p, policy, ctx):
     py = jacobi_stream(al, be, y, ctx)
     # J_{al+be+2j+1}(z)
     js = (bessel_j(al + be + 2 * j + 1, z, ctx) for j in count())
-    return _sum_j([coefs, ratios, px, py, js], policy, ctx, jmax=60)
+    return _sum_j([coefs, ratios, px, py, js], policy, ctx)
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
@@ -501,12 +476,9 @@ def _chahn_finite_lhs(p, policy, ctx):
         1, [(-K, 0, 1), (S, 0, 2), (1, 0, 1)],
         [(2 * a, 0, 1), (bd, 0, 1), (S - 1, 1, 1), (a + d, 0, 1), (a + d2, 0, 1),
          (S + K, 0, 1)], ctx=ctx)
-    total = ctx.cnum(0)
     px = chahn_stream(CHahnParams(a, b, a, d), x, ctx)
     py = chahn_stream(CHahnParams(a, b2, a, d2), y, ctx)
-    for _, co, vx, vy in zip(range(K + 1), coefs, px, py):
-        total += co * vx * vy
-    return total, {"terms": K + 1}
+    return _sum_j([coefs, px, py], policy, ctx)
 
 
 def _chahn_finite_pref(p, ctx):
@@ -741,7 +713,7 @@ def _hahn_disc_validate(p):
 def _hahn_disc_lhs(p, policy, ctx):
     al, be = ctx.cnum(p["alpha"]), ctx.cnum(p["beta"])
     M, N, x, y, z = int(p["M"]), int(p["N"]), int(p["x"]), int(p["y"]), p["z"]
-    jmax = min(M, N)
+    K = min(M, N)
     # z^j (alpha+1)_j (-M)_j (-N)_j / (j! (beta+1)_j (alpha+beta+j+1)_j)
     coefs = pochhammer_ladder(z, [(al + 1, 0, 1), (-M, 0, 1), (-N, 0, 1)],
                               [(1, 0, 1), (be + 1, 0, 1), (al + be + 1, 1, 1)], ctx=ctx)
@@ -750,15 +722,13 @@ def _hahn_disc_lhs(p, policy, ctx):
     s = u + be + 1
     hahn_x = _3f2_stream(s, ctx.cnum(-x), u, ctx.cnum(-M), ctx)
     hahn_y = _3f2_stream(s, ctx.cnum(-y), u, ctx.cnum(-N), ctx)
-    total = ctx.cnum(0)
-    # at alpha + beta = -K, K >= 2, a stream first divides by 2n + s - 1 or
-    # 2n + s = 0 at j = ceil(K/2); the 2F1 factor below meets its lower-
-    # parameter pole at an earlier j, so the sum stops before that pull
-    for j, co, qx, qy in zip(range(jmax + 1), coefs, hahn_x, hahn_y):
-        f = hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
-                           lost_hint=0.4 * (jmax - j))
-        total += co * qx * qy * f
-    return total, {"terms": jmax + 1}
+    # 2F1(j-M, j-N; alpha+beta+2j+2; z); at alpha + beta = -L, L >= 2, a
+    # stream first divides by 2n + s - 1 or 2n + s = 0 at j = ceil(L/2), and
+    # this factor meets its lower-parameter pole at an earlier j, so the sum
+    # stops before that pull
+    fs = (hyp_pfq_stable([j - M, j - N], [al + be + 2 * j + 2], z, ctx,
+                         lost_hint=0.4 * (K - j)) for j in count())
+    return _sum_j([coefs, hahn_x, hahn_y, fs], policy, ctx)
 
 
 def _hahn_disc_rhs(p, policy, ctx):
@@ -885,8 +855,7 @@ def _ac_spoisson_rhs(p, policy, ctx):
     sy = sj_ac_stream(k1, k2, p["y1"], p["y2"], sg, q, ctx)
     ks = ac_kernel_closed_ladder(
         k1 + k2, q, KernelPoint(t, p["x1"], p["y1"], s=s, sigma=sg), policy, ctx)
-    return _sum_j([pochhammer_ladder(t, ctx=ctx), ks, sx, sy], policy, ctx,
-                  jmax=policy.max_terms)
+    return _sum_j([pochhammer_ladder(t, ctx=ctx), ks, sx, sy], policy, ctx)
 
 
 _register("ac_spoisson",
@@ -947,7 +916,7 @@ def _aw_bilinear_lhs(p, policy, ctx):
     # q, a' t/b), whose a / b5 is a' b' c d / q
     ws = vwp_ladder(b * b2 * c * d * t / q, [b * c, b * d, b2 * c2, b2 * d2],
                     a2 * b2 * c * d / q, q, policy, ctx)
-    return _sum_j([coefs, ws, px, py], policy, ctx, jmax=policy.max_terms)
+    return _sum_j([coefs, ws, px, py], policy, ctx)
 
 
 def _aw_bilinear_rhs(p, policy, ctx):
@@ -1058,7 +1027,7 @@ def _cdqh_lhs(p, policy, ctx):
     bc, a2c = ctx.cnum(b), ctx.cnum(a2)
     fs = phi32_ladder([bc * c, ctx.cnum(b2) * c2], [a2c * c2, ctx.cnum(a) * c],
                       bc * t / a2c, (bc / a2c) ** 2, q, policy, ctx)
-    return _sum_j([gs, fs, px, py], policy, ctx, jmax=policy.max_terms)
+    return _sum_j([gs, fs, px, py], policy, ctx)
 
 
 def _cdqh_rhs(p, policy, ctx):
@@ -1110,7 +1079,7 @@ def _asc_bilinear_lhs(p, policy, ctx):
     coeffs = pochhammer_ladder(t, (), [(q, 0, 1), (a2 * c * t, 0, 1)], q, ctx)
     # 2phi1(c t/c', a c q^j; a' c t q^j; q, t c'/c)
     fs = phi21_ladder(c * t / c2, a * c, a2 * c * t, q, t * c2 / c, policy, ctx)
-    return _sum_j([coeffs, fs, rx, ry], policy, ctx, jmax=policy.max_terms)
+    return _sum_j([coeffs, fs, rx, ry], policy, ctx)
 
 
 def _asc_bilinear_rhs(p, policy, ctx):
@@ -1160,7 +1129,7 @@ def _cbqh_lhs(p, policy, ctx):
     hy = aw_stream(AWParams(q, c2, 0.0, 0.0, 0.0), p["y"], ctx)
     # pref t^j / (q; q)_j
     coefs = (pref * co for co in pochhammer_ladder(t, (), [(q, 0, 1)], q, ctx))
-    return _sum_j([coefs, hx, hy], policy, ctx, jmax=policy.max_terms)
+    return _sum_j([coefs, hx, hy], policy, ctx)
 
 
 def _cbqh_rhs(p, policy, ctx):
@@ -1209,7 +1178,7 @@ def _mp_spoisson_rhs(p, policy, ctx):
     # the kernels K_{k1+k2+j}(t; X, Y)
     ks = mp_kernel_closed_ladder(k1 + k2, phi, KernelPoint(t, X, Y), policy, ctx)
     return _sum_j([pochhammer_ladder(t, ctx=ctx), ks, map(ctx.cnum, sx),
-                   map(ctx.cnum, sy)], policy, ctx, jmax=250)
+                   map(ctx.cnum, sy)], policy, ctx)
 
 
 _register("mp_spoisson",

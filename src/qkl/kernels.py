@@ -1,6 +1,10 @@
 """Poisson kernels: bilinear sums over orthonormal polynomial streams and the
 printed closed forms they must equal.
 
+A kernel sum declares its streams, t^n from ``series.pochhammer_ladder`` and
+the products p_n(x) p_n(y), to ``hyper.sum_streams``, the driver of every
+j-sum, which builds each term and stops the sum.
+
 The Meixner-Pollaczek kernel closed form is assembled in log space (the
 Gamma(2k) prefactor overflows long before the value does) and its 2F1 runs
 through the Pfaff-transformed route, since the argument r = -4t sin^2(phi) /
@@ -10,16 +14,16 @@ has two printed closed forms related by a Bailey transform; both are exposed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DivergenceError, DomainError
 from .hyper import (
     SeriesEval,
     TruncationPolicy,
-    accumulate,
     contiguous_ladder,
-    default_policy,
     gauss_2f1,
+    sum_streams,
     vwp_8w7,
     vwp_ladder,
 )
@@ -63,23 +67,9 @@ def mp_kernel_sum(k: float, phi: float, pt: KernelPoint,
     """sum_n p_n(x) p_n(y) t^n over orthonormal Meixner-Pollaczek values,
     generated by two simultaneous recurrence streams."""
     p = MPParams(k, phi)
-    return _bilinear_sum(mp_orthonormal_stream(p, pt.x, ctx),
-                         mp_orthonormal_stream(p, pt.y, ctx), pt.t, policy, ctx)
-
-
-def _bilinear_sum(xs, ys, t, policy: TruncationPolicy | None,
-                  ctx: Context) -> SeriesEval:
-    """sum_n x_n y_n t^n over two value streams of ``ctx``."""
-    policy = policy or default_policy()
-    t = ctx.cnum(t)
-
-    def terms():
-        tn = ctx.cnum(1)
-        while True:
-            yield next(xs) * next(ys) * tn
-            tn *= t
-
-    return accumulate(terms(), policy, ctx)
+    xs, ys = mp_orthonormal_stream(p, pt.x, ctx), mp_orthonormal_stream(p, pt.y, ctx)
+    return sum_streams([pochhammer_ladder(pt.t, ctx=ctx), map(operator.mul, xs, ys)],
+                       policy, ctx)
 
 
 def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
@@ -147,10 +137,10 @@ def ac_kernel_sum(k: float, q, pt: KernelPoint,
     _check_spectral(k, qq, pt)
     s, sg = ctx.cnum(pt.s), ctx.cnum(pt.sigma)
     qk = ctx.rnum(qq) ** k
-    return _bilinear_sum(
-        asc_orthonormal_stream(qk * s, qk / s, qq, pt.x, ctx),
-        asc_orthonormal_stream(qk * sg, qk / sg, qq, pt.y, ctx),
-        pt.t, policy, ctx)
+    xs = asc_orthonormal_stream(qk * s, qk / s, qq, pt.x, ctx)
+    ys = asc_orthonormal_stream(qk * sg, qk / sg, qq, pt.y, ctx)
+    return sum_streams([pochhammer_ladder(pt.t, ctx=ctx), map(operator.mul, xs, ys)],
+                       policy, ctx)
 
 
 def _check_spectral(k: float, q: float, pt: KernelPoint):

@@ -181,6 +181,10 @@ def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
     j = 0
     while True:
         yield co
+        # c_{j+1} = (c_j z) P / D, and a plain power of z has no P or D
+        co = co * z
+        if not slots:
+            continue
         if j <= last:
             for first, sign, a, step, i in slots:
                 if first == j:
@@ -198,7 +202,7 @@ def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
         down = math.prod(factors[nup:])
         if down == 0:
             raise PoleError(f"pochhammer_ladder: zero divisor from j = {j} to {j + 1}")
-        co = co * z * math.prod(factors[:nup]) / down
+        co = co * math.prod(factors[:nup]) / down
         j += 1
 
 

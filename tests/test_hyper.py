@@ -22,6 +22,7 @@ from qkl.hyper import (
     SeriesEval,
     SeriesStatus,
     TruncationPolicy,
+    accumulate,
     bhs_rphis,
     contiguous_ladder,
     default_policy,
@@ -106,6 +107,17 @@ def test_terminating_policy_independence():
         a = hyp_pfq(upper, lower, z, loose).value
         b = hyp_pfq(upper, lower, z, tight).value
         assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED])
+def test_accumulate_ends_a_run_out_iterator_terminated(ctx):
+    # terms that run out before the stopping rule or the cap make a
+    # terminating sum, summed exactly: tail 0, not MaxTermsReached
+    terms = [ctx.cnum(v) for v in (1.0, 0.5, 0.25)]
+    ev = accumulate(iter(terms), TruncationPolicy(), ctx)
+    assert ev.value == 1.75
+    assert (ev.terms_used, ev.tail_estimate) == (3, 0.0)
+    assert ev.status is SeriesStatus.TERMINATED_FINITE
 
 
 def test_gauss_contiguity_in_c():

@@ -2,6 +2,7 @@
 verification sweeps."""
 import sys
 import threading
+from dataclasses import replace
 from itertools import count, islice
 
 import mpmath as mp
@@ -293,19 +294,21 @@ def test_mult_2f1_polynomial_case_floating():
 def test_burchnall_chaundy_polynomial_case_floating():
     # a = -1: 2F1(-1, b; c; z) = 1 - b z / c, squared; the 3F2 streams of
     # the expansion would divide by A + j = 0 at j = 2, beyond the last
-    # nonzero coefficient, so they are never pulled there
+    # nonzero coefficient, so they are never pulled there: the sum ends after
+    # j = 2, and its status is that of the per-j 2F1s
     rep = run_case(IdentityCase("burchnall_chaundy",
                                 {"a": -1.0, "b": 0.5, "c": 1.5, "z": 0.5}))
     ref = (1 - 0.5 * 0.5 / 1.5) ** 2
     assert abs(rep.lhs - ref) < 1e-14
     assert abs(rep.rhs - ref) < 1e-14
     assert rep.passed
-    assert rep.terms["rhs"] == {"terms": 6, "status": "Converged"}
+    assert rep.terms["rhs"] == {"terms": 3, "status": "Converged"}
 
 
 def test_conf_1f1_polynomial_case_floating():
-    # a = -1, a' = -2: both 1F1 are polynomials and the expansion stops at
-    # j = 3, where A + j = 0 would stop the 3F2 stream
+    # a = -1, a' = -2: both 1F1 are polynomials; the coefficient vanishes
+    # from j = 4 on, so the expansion ends after j = 3, before A + j = 0
+    # would stop the 3F2 stream, and its status is that of the per-j 1F1s
     x, y, c, c2 = 0.7, 1.2, 1.5, 2.5
     rep = run_case(IdentityCase("conf_1f1", {"a": -1.0, "c": c, "a2": -2.0,
                                              "c2": c2, "x": x, "y": y}))
@@ -313,18 +316,20 @@ def test_conf_1f1_polynomial_case_floating():
     assert abs(rep.lhs - ref) < 1e-14
     assert abs(rep.rhs - ref) < 1e-14
     assert rep.passed
-    assert rep.terms["rhs"] == {"terms": 7, "status": "Converged"}
+    assert rep.terms["rhs"] == {"terms": 4, "status": "Converged"}
 
 
 def test_jsum_reports_term_cap():
-    value, meta = _sum_j([map(lambda j: 1.0, count())], TruncationPolicy(), STANDARD,
-                         jmax=7)
+    value, meta = _sum_j([map(lambda j: 1.0, count())], TruncationPolicy(max_terms=7),
+                         STANDARD)
     assert value == 7
     assert meta == {"terms": 7, "status": "MaxTermsReached"}
 
 
 def test_jsum_stops_after_quiet_window():
-    value, meta = _sum_j([map(lambda j: 1.0 if j < 2 else 0.0, count())],
+    # the coefficient stays nonzero, so only the quiet window ends the sum
+    value, meta = _sum_j([map(lambda j: 1.0, count()),
+                          map(lambda j: 1.0 if j < 2 else 0.0, count())],
                          TruncationPolicy(quiet_window=3), STANDARD)
     assert value == 2
     assert meta == {"terms": 5, "status": "Converged"}
@@ -344,8 +349,8 @@ def test_jsum_multiplies_streams_and_collects_series_stops():
 
 
 def test_jsum_pulls_no_stream_past_a_vanished_coefficient():
-    # once the coefficient is 0 the terms are 0, and a stream that would
-    # divide by zero past it is not pulled again
+    # a coefficient 0 ends the sum at the last nonzero term, terminated, and
+    # a stream that would divide by zero past it is not pulled again
     def stream():
         yield from (1.0, 2.0)
         raise ZeroDivisionError("pulled past the last nonzero coefficient")
@@ -353,7 +358,7 @@ def test_jsum_pulls_no_stream_past_a_vanished_coefficient():
     value, meta = _sum_j([iter([1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), stream()],
                          TruncationPolicy(quiet_window=3), STANDARD)
     assert value == 3
-    assert meta == {"terms": 5, "status": "Converged"}
+    assert meta == {"terms": 2, "status": "TerminatedFinite"}
 
 
 @pytest.mark.parametrize("ident", ALL_IDS)
@@ -542,15 +547,16 @@ def test_q_jsum_qpoch_calls_do_not_grow_with_terms(ident, side, monkeypatch):
 
 def test_capped_jsum_fails_its_case(monkeypatch):
     # a j-sum stopped by its term cap one term before the stopping rule
-    # would have ended it fails the case, although its residual is small
+    # would have ended it fails the case, although its residual is small;
+    # the cap reaches only the driver, through the policy it is given
     case = sample_params("aw_bilinear", 0)
     full = run_case(case, precision="standard")
     assert full.passed and full.terms["lhs"]["status"] == "Converged"
     cap = full.terms["lhs"]["terms"] - 1
     sum_j = identities._sum_j
     monkeypatch.setattr(identities, "_sum_j",
-                        lambda factors, policy, ctx, jmax=400:
-                        sum_j(factors, policy, ctx, cap))
+                        lambda factors, policy, ctx:
+                        sum_j(factors, replace(policy, max_terms=cap), ctx))
     rep = run_case(case)
     assert rep.terms["lhs"] == {"terms": cap, "status": "MaxTermsReached"}
     assert rep.rel_err <= case.tol_rel

@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from qkl.errors import DivergenceError, DomainError
-from qkl.hyper import TruncationPolicy
+from qkl.hyper import SeriesStatus, TruncationPolicy
 from qkl.identities import run_case, sample_params
 from qkl.kernels import (
     KernelPoint,
@@ -59,7 +59,10 @@ def test_mp_kernel_closed_branch_violation_is_a_domain_error():
 def test_mp_kernel_t0():
     for k in (0.5, 1.0, 2.3):
         pt = KernelPoint(0.0, 0.4, -0.8)
-        assert abs(mp_kernel_sum(k, 1.2, pt).value - 1 / math.gamma(2 * k)) < 1e-14
+        ev = mp_kernel_sum(k, 1.2, pt)
+        assert abs(ev.value - 1 / math.gamma(2 * k)) < 1e-14
+        # t^n vanishes from n = 1 on: the sum is its first term, terminated
+        assert (ev.terms_used, ev.status) == (1, SeriesStatus.TERMINATED_FINITE)
         assert abs(mp_kernel_closed(k, 1.2, pt).value - 1 / math.gamma(2 * k)) < 1e-14
 
 
@@ -109,7 +112,9 @@ def test_mp_kernel_truncation_consistency():
 
 def test_ac_kernel_t0():
     pt = KernelPoint(0.0, 0.2, -0.4, s=1.1, sigma=0.9)
-    assert abs(ac_kernel_sum(0.7, 0.5, pt).value - 1) < 1e-14
+    ev = ac_kernel_sum(0.7, 0.5, pt)
+    assert abs(ev.value - 1) < 1e-14
+    assert (ev.terms_used, ev.status) == (1, SeriesStatus.TERMINATED_FINITE)
     assert abs(ac_kernel_closed(0.7, 0.5, pt).value - 1) < 1e-14
     assert abs(ac_kernel_closed_alt(0.7, 0.5, pt).value - 1) < 1e-13
 

@@ -3,9 +3,9 @@ makes it once per context; the q-kernel point stays behind
 ``polys.unit_phase``; the classical j-sums stay on recurrence streams; a
 j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
 engine declares its series once, as the factor lists ``hyper._sum_series``
-reads; precision escalates only in ``numerics.escalate``; a j-sum term is
-built only in ``identities._sum_j``; and the command line names no identity,
-the exact route staying behind ``qkl.exact``."""
+reads; precision escalates only in ``numerics.escalate``; a term of a
+kernel sum or a j-sum is built only in ``hyper.sum_streams``; and the command
+line names no identity, the exact route staying behind ``qkl.exact``."""
 import ast
 import re
 from pathlib import Path
@@ -116,18 +116,25 @@ def test_precision_escalates_in_one_loop():
 
 
 def test_jsums_run_on_one_driver():
-    # the identity sides declare their factor streams and _sum_j multiplies
-    # them: it is the only caller of accumulate in identities.py, and no side
-    # writes its own term product; the closed kernels always return a series
-    tree = ast.parse((SRC / "identities.py").read_text())
-    callers = [top.name for top in tree.body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Call)
-               and getattr(node.func, "id", None) == "accumulate"]
-    assert callers == ["_sum_j"]
-    products = sorted(f"{top.name}:{node.lineno}" for top in tree.body
-                      if isinstance(top, ast.FunctionDef) and top.name != "_sum_j"
-                      for node in ast.walk(top)
+    # the kernel sums and the j-sums, infinite or terminating, declare their
+    # streams and hyper.sum_streams multiplies them: accumulate has no
+    # caller but it and _sum_series, no sum takes a cap of its own, and
+    # neither kernels.py nor identities.py writes its own term product; the
+    # closed kernels always return a series
+    callers = sorted((path.name, top.name) for path in SRC.glob("*.py")
+                     for top in ast.parse(path.read_text()).body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and (getattr(node.func, "id", None) == "accumulate"
+                          or getattr(node.func, "attr", None) == "accumulate"
+                          and getattr(node.func.value, "id", None) == "hyper"))
+    assert callers == [("hyper.py", "_sum_series"), ("hyper.py", "sum_streams")]
+    capped = sorted(f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.arg) and node.arg == "jmax")
+    assert capped == []
+    products = sorted(f"{name}:{node.lineno}" for name in ("identities.py", "kernels.py")
+                      for node in ast.walk(ast.parse((SRC / name).read_text()))
                       if isinstance(node, ast.FunctionDef) and node.name in ("term", "terms"))
     assert products == []
     hits = [f"{path.name}:{n}" for path in sorted(SRC.glob("*.py"))

@@ -3,11 +3,15 @@
 import pytest
 
 from qkl.errors import QKLError
-from qkl.identities import IdentityCase, run_case, sample_params
+from qkl.identities import IdentityCase, identity_ids, run_case, sample_params
 
 CLASSICAL_BILINEAR = ["hahn_product", "chahn_bilinear", "mult_2f1", "burchnall_chaundy",
                       "conf_1f1", "mp_spoisson", "jacobi_bessel", "chahn_finite",
-                      "chahn_finite_whipple"]
+                      "chahn_finite_whipple", "hahn_bilinear_discrete"]
+Q_LADDERS = ["ac_spoisson", "asc_bilinear", "aw_bilinear", "cdqh_bilinear"]
+# the q identities on no ladder: a j-sum of big q-Hermite streams, and the
+# Askey-Wilson recurrence on definitional values
+Q_DIRECT = ["cbqh_reduction", "aw_recurrence"]
 # the identities whose cases escalate single series to extended precision,
 # summed on integers: stable_eval's polynomial re-runs (mp_recurrence) and
 # the |z| in (0.9, 1) re-runs of the closed forms' 2F1 and 8W7
@@ -34,12 +38,22 @@ def _failures(ident, seeds):
     return failed
 
 
+def test_soak_covers_every_identity():
+    soaked = CLASSICAL_BILINEAR + ESCALATING + Q_LADDERS + Q_DIRECT
+    assert sorted(soaked) == sorted(identity_ids())
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("ident", ["ac_spoisson", "asc_bilinear", "aw_bilinear",
-                                   "cdqh_bilinear"])
+@pytest.mark.parametrize("ident", Q_LADDERS)
 def test_q_ladder_identities_pass_seeds_50_to_1049(ident):
     # every case of the four q j-sums that run on a q ladder passes at auto
     # precision
+    assert _failures(ident, range(50, 1050)) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ident", Q_DIRECT)
+def test_direct_q_identities_pass_seeds_50_to_1049(ident):
     assert _failures(ident, range(50, 1050)) == []
 
 
