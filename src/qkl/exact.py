@@ -27,18 +27,75 @@ def _frac(v) -> Fraction:
     raise ParamError(f"exact arithmetic needs int/Fraction/str, got {type(v).__name__}")
 
 
-_new = object.__new__
-_setattr = object.__setattr__
+# ---------------------------------------------------------------------------
+# the arithmetic: Gaussian rationals as (x, y, d) int triples, (x + i y) / d
+# with d > 0.  _add, _mul and _div return unreduced triples; _red takes the
+# one gcd that makes a triple canonical (gcd(x, y, d) = 1, zero being
+# (0, 0, 1)).  A triple is zero exactly when x = y = 0, reduced or not.
+
+_ZERO = (0, 0, 1)
+_ONE = (1, 0, 1)
 
 
-def _make(x: int, y: int, d: int) -> "GaussianRational":
-    """(x + i y) / d, d > 0, reduced by the common gcd of its three parts."""
+def _add(s: tuple, t: tuple) -> tuple:
+    x1, y1, d1 = s
+    x2, y2, d2 = t
+    if d1 == d2:
+        return x1 + x2, y1 + y2, d1
+    return x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2
+
+
+def _mul(s: tuple, t: tuple) -> tuple:
+    x1, y1, d1 = s
+    x2, y2, d2 = t
+    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2
+
+
+def _div(s: tuple, t: tuple) -> tuple:
+    x1, y1, d1 = s
+    x2, y2, d2 = t
+    n = x2 * x2 + y2 * y2
+    if n == 0:
+        raise ZeroDivisionError("division by exact zero")
+    # (x1 + i y1) / d1 * d2 (x2 - i y2) / (x2^2 + y2^2)
+    return d2 * (x1 * x2 + y1 * y2), d2 * (y1 * x2 - x1 * y2), d1 * n
+
+
+def _red(x: int, y: int, d: int) -> tuple:
+    """The canonical form of (x + i y) / d, d > 0."""
     g = math.gcd(d, x, y)
     if g != 1:
-        x //= g
-        y //= g
-        d //= g
-    return _canonical(x, y, d)
+        return x // g, y // g, d // g
+    return x, y, d
+
+
+def _addi(t: tuple, m: int) -> tuple:
+    """t + m for an int m; canonical when t is, since gcd(x + m d, y, d)
+    = gcd(x, y, d)."""
+    x, y, d = t
+    return x + m * d, y, d
+
+
+def _is_zero(t: tuple) -> bool:
+    return not (t[0] or t[1])
+
+
+def _is_nonpositive_integer(t: tuple) -> bool:
+    """For a canonical triple."""
+    x, y, d = t
+    return y == 0 and d == 1 and x <= 0
+
+
+def _poch(t: tuple, n: int) -> tuple:
+    """(t)_n, unreduced."""
+    out = _ONE
+    for m in range(n):
+        out = _mul(out, _addi(t, m))
+    return out
+
+
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def _canonical(x: int, y: int, d: int) -> "GaussianRational":
@@ -63,8 +120,8 @@ class GaussianRational:
     """Exact complex number with rational real and imaginary parts.
 
     Stored as three ints, (x + i y) / d, in canonical form: d > 0 and
-    gcd(x, y, d) = 1, zero being (0, 0, 1).  The operators do integer
-    arithmetic only, with one gcd per result, and two values are equal
+    gcd(x, y, d) = 1, zero being (0, 0, 1).  The operators are the module's
+    triple arithmetic with one gcd per result, and two values are equal
     exactly when their triples are.
     """
 
@@ -104,11 +161,7 @@ class GaussianRational:
         return cls(v)
 
     def __add__(self, o):
-        x1, y1, d1 = self._t
-        x2, y2, d2 = _parts(o)
-        if d1 == d2:
-            return _make(x1 + x2, y1 + y2, d1)
-        return _make(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+        return _canonical(*_red(*_add(self._t, _parts(o))))
 
     __radd__ = __add__
 
@@ -118,29 +171,22 @@ class GaussianRational:
 
     def __sub__(self, o):
         x, y, d = _parts(o)
-        return self + _canonical(-x, -y, d)
+        return _canonical(*_red(*_add(self._t, (-x, -y, d))))
 
     def __rsub__(self, o):
-        return -self + o
+        x, y, d = self._t
+        return _canonical(*_red(*_add(_parts(o), (-x, -y, d))))
 
     def __mul__(self, o):
-        x1, y1, d1 = self._t
-        x2, y2, d2 = _parts(o)
-        return _make(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, d1 * d2)
+        return _canonical(*_red(*_mul(self._t, _parts(o))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        x1, y1, d1 = self._t
-        x2, y2, d2 = _parts(o)
-        n = x2 * x2 + y2 * y2
-        if n == 0:
-            raise ZeroDivisionError("division by exact zero")
-        # (x1 + i y1) / d1 * d2 (x2 - i y2) / (x2^2 + y2^2)
-        return _make(d2 * (x1 * x2 + y1 * y2), d2 * (y1 * x2 - x1 * y2), d1 * n)
+        return _canonical(*_red(*_div(self._t, _parts(o))))
 
     def __rtruediv__(self, o):
-        return _canonical(*_parts(o)) / self
+        return _canonical(*_red(*_div(_parts(o), self._t)))
 
     def __eq__(self, o):
         if isinstance(o, GaussianRational):
@@ -156,16 +202,14 @@ class GaussianRational:
         return hash(self._t) if y else hash(Fraction(x, d))
 
     def is_zero(self) -> bool:
-        x, y, _ = self._t
-        return x == 0 and y == 0
+        return _is_zero(self._t)
 
     def conjugate(self) -> "GaussianRational":
         x, y, d = self._t
         return _canonical(x, -y, d)
 
     def is_nonpositive_integer(self) -> bool:
-        x, y, d = self._t
-        return y == 0 and d == 1 and x <= 0
+        return _is_nonpositive_integer(self._t)
 
     def __repr__(self):
         return f"GaussianRational({self.re}, {self.im})"
@@ -181,10 +225,7 @@ def gr(re, im=0) -> GaussianRational:
 
 
 def poch_exact(a: GaussianRational, n: int) -> GaussianRational:
-    out = GR_ONE
-    for m in range(n):
-        out = out * (a + m)
-    return out
+    return _canonical(*_red(*_poch(_parts(a), n)))
 
 
 def factorial_exact(n: int) -> Fraction:
@@ -197,42 +238,60 @@ def factorial_exact(n: int) -> Fraction:
 def coeff_2f1(a, b, c, k: int) -> GaussianRational:
     """Exact Taylor coefficient (a)_k (b)_k / ((c)_k k!) of a 2F1."""
     a, b, c = (GaussianRational.of(v) for v in (a, b, c))
-    den = poch_exact(c, k)
-    if den.is_zero():
+    den = _poch(c._t, k)
+    if _is_zero(den):
         raise PoleError(f"(c)_{k} = 0 for c = {c}")
-    return poch_exact(a, k) * poch_exact(b, k) / (den * factorial_exact(k))
+    x, y, d = _div(_mul(_poch(a._t, k), _poch(b._t, k)), den)
+    return _canonical(*_red(x, y, d * math.prod(range(2, k + 1))))
 
 
-def _coeffs_2f1(a, b, c):
+# ---------------------------------------------------------------------------
+# the verdicts, on canonical triples: each term is formed unreduced and
+# reduced once, and each side of a comparison once
+
+
+def _coeffs_2f1(a: tuple, b: tuple, c: tuple):
     """Yields the Taylor coefficients of 2F1(a, b; c; z), k = 0, 1, ..., each
     from the last by the term ratio; raises PoleError where (c)_k = 0, as
     ``coeff_2f1`` does."""
-    term = GR_ONE
+    term = _ONE
     for m in count():
         yield term
-        if (c + m).is_zero():
-            raise PoleError(f"(c)_{m + 1} = 0 for c = {c}")
-        term = term * (a + m) * (b + m) / ((c + m) * (m + 1))
+        cm = _addi(c, m)
+        if _is_zero(cm):
+            raise PoleError(f"(c)_{m + 1} = 0 for c = {_canonical(*c)}")
+        x, y, d = _div(_mul(_mul(term, _addi(a, m)), _addi(b, m)), cm)
+        term = _red(x, y, d * (m + 1))
 
 
-def _pfq_exact(upper, lower, z, nmax: int) -> GaussianRational:
+def _pfq_exact(upper, lower, z: tuple, nmax: int) -> tuple:
     """Terminating pFq(upper; lower; z) summed exactly through z^nmax; a
-    vanishing numerator ends the sum before any denominator zero is touched."""
-    total = term = GR_ONE
+    vanishing numerator ends the sum before any denominator zero is touched.
+    The term ratios are formed in order, then nested from the last one
+    (1 + r_0 (1 + r_1 (...))), with one gcd for the sum."""
+    ratios = []
     for m in range(nmax):
-        num = math.prod([u + m for u in upper], start=z)
-        if num.is_zero():
+        num = z
+        for u in upper:
+            num = _mul(num, _addi(u, m))
+        if _is_zero(num):
             break
-        den = math.prod([l + m for l in lower], start=gr(m + 1))
-        if den.is_zero():
+        den = (m + 1, 0, 1)
+        for l in lower:
+            den = _mul(den, _addi(l, m))
+        if _is_zero(den):
             raise PoleError(f"{len(upper)}F{len(lower)} lower-parameter pole "
                             "inside summation range")
-        term = term * num / den
-        total = total + term
-    return total
+        ratios.append((num, den))
+    total = _ONE
+    for num, den in reversed(ratios):
+        total = _addi(_div(_mul(total, num), den), 1)
+    return _red(*total)
 
 
 def _require_order(K: int):
+    if not isinstance(K, int):
+        raise ParamError(f"the truncation order K must be an int, got {type(K).__name__}")
     if K < 0:
         raise ParamError(f"the truncation order K must be >= 0, got {K}")
 
@@ -251,45 +310,52 @@ def verify_mult_2f1_exact(a, b, c, a2, b2, c2, K: int = 8):
     unless both summands are themselves nonpositive integers (the only case in
     which the expansion coefficients stay well defined and eventually vanish).
     """
-    a, b, c, a2, b2, c2 = (GaussianRational.of(v) for v in (a, b, c, a2, b2, c2))
+    a, b, c, a2, b2, c2 = (GaussianRational.of(v)._t for v in (a, b, c, a2, b2, c2))
     for name, v in (("c", c), ("c'", c2)):
-        if v.is_nonpositive_integer():
+        if _is_nonpositive_integer(v):
             raise PoleError(f"{name} is a nonpositive integer")
-    for name, u, u2 in (("a", a, a2), ("b", b, b2)):
-        if (u + u2).is_nonpositive_integer():
-            if not (u.is_nonpositive_integer() and u2.is_nonpositive_integer()):
+    A, B, s = _red(*_add(a, a2)), _red(*_add(b, b2)), _red(*_add(c, c2))
+    for name, u, u2, usum in (("a", a, a2, A), ("b", b, b2, B)):
+        if _is_nonpositive_integer(usum):
+            if not (_is_nonpositive_integer(u) and _is_nonpositive_integer(u2)):
                 raise ParamError(
                     f"{name}+{name}' nonpositive integer needs both {name}, "
                     f"{name}' nonpositive integers")
     _require_order(K)
-    A, B, s = a + a2, b + b2, c + c2
     left, right = _coeffs_2f1(a, b, c), _coeffs_2f1(a2, b2, c2)
     lc, rc = [], []
     # (C_j, coefficient stream of 2F1(A+j, B+j; c+c'+2j)) for each nonzero
     # C_j; each stream advances by one coefficient per k
     rhs_terms = []
+    # (c)_k (A)_k (B)_k and (c')_k k!, carried from k - 1
+    cnum = cden = _ONE
     for k in range(K + 1):
         lc.append(next(left))
         rc.append(next(right))
-        lhs = GR_ZERO
+        lhs = _ZERO
         for i in range(k + 1):
-            lhs = lhs + lc[i] * rc[k - i]
-        rhs = GR_ZERO
+            lhs = _add(lhs, _mul(lc[i], rc[k - i]))
+        rhs = _ZERO
         for cj, coeffs in rhs_terms:
-            rhs = rhs + cj * next(coeffs)
-        cden = poch_exact(c2, k) * poch_exact(s + k - 1, k)
-        if cden.is_zero():
+            rhs = _add(rhs, _mul(cj, next(coeffs)))
+        if k:
+            m = k - 1
+            cnum = _red(*_mul(_mul(_mul(cnum, _addi(c, m)), _addi(A, m)), _addi(B, m)))
+            cden = _red(*_mul(_mul(cden, _addi(c2, m)), (k, 0, 1)))
+        den = _mul(cden, _poch(_addi(s, k - 1), k))
+        if _is_zero(den):
             raise PoleError("C_j prefactor pole")
-        cj = (poch_exact(c, k) * poch_exact(A, k) * poch_exact(B, k)
-              / (cden * factorial_exact(k)))
-        if not cj.is_zero():
-            cj = cj * _pfq_exact([gr(-k), a, s + k - 1], [A, c], GR_ONE, k)
-            cj = cj * _pfq_exact([gr(-k), b, s + k - 1], [B, c], GR_ONE, k)
-        if not cj.is_zero():
-            coeffs = _coeffs_2f1(A + k, B + k, s + 2 * k)
-            rhs = rhs + cj * next(coeffs)
+        cj = _red(*_div(cnum, den))
+        if not _is_zero(cj):
+            mk = (-k, 0, 1)
+            sk = _addi(s, k - 1)
+            cj = _red(*_mul(_mul(cj, _pfq_exact([mk, a, sk], [A, c], _ONE, k)),
+                            _pfq_exact([mk, b, sk], [B, c], _ONE, k)))
+        if not _is_zero(cj):
+            coeffs = _coeffs_2f1(_addi(A, k), _addi(B, k), _addi(s, 2 * k))
+            rhs = _add(rhs, _mul(cj, next(coeffs)))
             rhs_terms.append((cj, coeffs))
-        if lhs != rhs:
+        if _red(*lhs) != _red(*rhs):
             return False, k
     return True, None
 
@@ -302,40 +368,51 @@ def verify_hahn_exact(alpha, beta, M: int, N: int, x: int, y: int, z) -> bool:
     c=alpha+1, a'=x-M, b'=y-N, c'=beta+1), and without it the identity already
     fails at M = N = 2, alpha = beta = 0, x = y = 2.
     """
-    alpha = GaussianRational.of(alpha)
-    beta = GaussianRational.of(beta)
-    z = GaussianRational.of(z)
+    alpha, beta, z = (GaussianRational.of(v)._t for v in (alpha, beta, z))
+    for name, v in (("M", M), ("N", N), ("x", x), ("y", y)):
+        if not isinstance(v, int):
+            raise ParamError(f"{name} must be an int, got {type(v).__name__}")
     if not (1 <= M and 1 <= N):
         raise ParamError("M, N must be positive integers")
     if not (0 <= x <= M and 0 <= y <= N):
         raise ParamError("x in {0..M} and y in {0..N} required")
     jmax = min(M, N)
+    a1, b1 = _addi(alpha, 1), _addi(beta, 1)
+    ab1 = _red(*_add(a1, beta))
+    # the coefficient of each j, (alpha+1)_j (-M)_j (-N)_j over
+    # j! (beta+1)_j (alpha+beta+j+1)_j, with its poles checked for every j
+    # before any term is summed
+    coefs = []
+    pa = pb = _ONE
+    num = den = 1
     for j in range(jmax + 1):
-        if poch_exact(beta + 1, j).is_zero() or poch_exact(alpha + beta + j + 1, j).is_zero():
+        if j:
+            m = j - 1
+            pa = _red(*_mul(pa, _addi(a1, m)))
+            pb = _red(*_mul(pb, _addi(b1, m)))
+            num *= (m - M) * (m - N)
+            den *= j
+        pab = _poch(_addi(ab1, j), j)
+        if _is_zero(pb) or _is_zero(pab):
             raise PoleError("Pochhammer pole in the coefficient")
-        if poch_exact(alpha + 1, j).is_zero():
+        if _is_zero(pa):
             raise PoleError("(alpha+1)_j pole inside Hahn polynomial range")
+        coefs.append(_div(_mul(pa, (num, 0, 1)), _mul(_mul(pb, pab), (den, 0, 1))))
 
     def hahn(n, xx, NN):
-        return _pfq_exact([gr(-n), alpha + beta + n + 1, gr(-xx)],
-                          [alpha + 1, gr(-NN)], GR_ONE, n)
+        return _pfq_exact([(-n, 0, 1), _addi(ab1, n), (-xx, 0, 1)],
+                          [a1, (-NN, 0, 1)], _ONE, n)
 
-    lhs = GR_ZERO
+    lhs, zj = _ZERO, _ONE
     for j in range(jmax + 1):
-        coef = (poch_exact(alpha + 1, j)
-                * poch_exact(GaussianRational(Fraction(-M)), j)
-                * poch_exact(GaussianRational(Fraction(-N)), j)
-                / (factorial_exact(j) * poch_exact(beta + 1, j)
-                   * poch_exact(alpha + beta + j + 1, j)))
-        f = _pfq_exact([gr(j - M), gr(j - N)], [alpha + beta + 2 * j + 2], z,
+        f = _pfq_exact([(j - M, 0, 1), (j - N, 0, 1)], [_addi(ab1, 2 * j + 1)], z,
                        jmax - j)
-        zj = GR_ONE
-        for _ in range(j):
-            zj = zj * z
-        lhs = lhs + hahn(j, x, M) * hahn(j, y, N) * coef * f * zj
-    rhs = _pfq_exact([gr(-x), gr(-y)], [alpha + 1], z, min(x, y)) \
-        * _pfq_exact([gr(x - M), gr(y - N)], [beta + 1], z, min(M - x, N - y))
-    return lhs == rhs
+        term = _mul(_mul(_mul(_mul(hahn(j, x, M), hahn(j, y, N)), coefs[j]), f), zj)
+        lhs = _add(lhs, _red(*term))
+        zj = _mul(zj, z)
+    rhs = _mul(_pfq_exact([(-x, 0, 1), (-y, 0, 1)], [a1], z, min(x, y)),
+               _pfq_exact([(x - M, 0, 1), (y - N, 0, 1)], [b1], z, min(M - x, N - y)))
+    return _red(*lhs) == _red(*rhs)
 
 
 # ---------------------------------------------------------------------------

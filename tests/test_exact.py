@@ -15,7 +15,6 @@ from qkl.exact import (
     GR_ZERO,
     GaussianRational,
     EXACT_ROUTES,
-    _pfq_exact,
     coeff_2f1,
     exact_case,
     factorial_exact,
@@ -162,6 +161,13 @@ def test_coeff_2f1():
         coeff_2f1(gr(1), gr(1), gr(-2), 3)
 
 
+def test_poch_and_factorial_exact_match_operator_products():
+    for a in (gr(F(-5, 2), F(1, 3)), gr(-3), F(7, 4), 2):
+        for n in range(7):
+            assert poch_exact(a, n) == _poch_ref(GaussianRational.of(a), n)
+    assert [factorial_exact(n) for n in range(7)] == [math.factorial(n) for n in range(7)]
+
+
 def test_mult_2f1_exact_polynomial_case():
     # a = a' = -1, b = b' = 1, c = c' = 1: both sides are (1-z)^2
     ok, k = verify_mult_2f1_exact(gr(-1), gr(1), gr(1), gr(-1), gr(1), gr(1), K=4)
@@ -271,6 +277,34 @@ def test_exact_is_deterministic():
     assert verify_mult_2f1_exact(*args, K=6) == verify_mult_2f1_exact(*args, K=6)
 
 
+def _pfq_ref(upper, lower, z, nmax):
+    """Reference terminating pFq(upper; lower; z) through z^nmax, term by
+    term in GaussianRational operators; a vanishing numerator ends the sum
+    before any denominator zero is touched."""
+    total = term = GR_ONE
+    for m in range(nmax):
+        num = z
+        for u in upper:
+            num = num * (u + m)
+        if num.is_zero():
+            break
+        den = gr(m + 1)
+        for v in lower:
+            den = den * (v + m)
+        if den.is_zero():
+            raise PoleError("lower-parameter pole inside the summation range")
+        term = term * num / den
+        total = total + term
+    return total
+
+
+def _poch_ref(a, n):
+    out = GR_ONE
+    for m in range(n):
+        out = out * (a + m)
+    return out
+
+
 def _mult_2f1_per_k(a, b, c, a2, b2, c2, K):
     """Reference: the multiplication formula checked coefficient by
     coefficient, every Taylor coefficient, C_j and 3F2 factor recomputed for
@@ -290,14 +324,14 @@ def _mult_2f1_per_k(a, b, c, a2, b2, c2, K):
             lhs = lhs + coeff_2f1(a, b, c, i) * coeff_2f1(a2, b2, c2, k - i)
         rhs = GR_ZERO
         for j in range(k + 1):
-            cden = poch_exact(c2, j) * poch_exact(c + c2 + j - 1, j)
+            cden = _poch_ref(c2, j) * _poch_ref(c + c2 + j - 1, j)
             if cden.is_zero():
                 raise PoleError("C_j prefactor pole")
-            cj = (poch_exact(c, j) * poch_exact(A, j) * poch_exact(B, j)
-                  / (cden * factorial_exact(j)))
+            cj = (_poch_ref(c, j) * _poch_ref(A, j) * _poch_ref(B, j)
+                  / (cden * math.factorial(j)))
             if not cj.is_zero():
-                cj = cj * _pfq_exact([gr(-j), a, c + c2 + j - 1], [A, c], GR_ONE, j)
-                cj = cj * _pfq_exact([gr(-j), b, c + c2 + j - 1], [B, c], GR_ONE, j)
+                cj = cj * _pfq_ref([gr(-j), a, c + c2 + j - 1], [A, c], GR_ONE, j)
+                cj = cj * _pfq_ref([gr(-j), b, c + c2 + j - 1], [B, c], GR_ONE, j)
             if not cj.is_zero():
                 rhs = rhs + cj * coeff_2f1(A + j, B + j, c + c2 + 2 * j, k - j)
         if lhs != rhs:
@@ -336,3 +370,75 @@ def test_mult_2f1_exact_matches_per_k_formula():
             got = "pole inside the sum"
         seen.add(got if not isinstance(got, tuple) else got[0])
     assert seen == {True, PoleError, ParamError, "pole inside the sum"}
+
+
+def _hahn_per_j(alpha, beta, M, N, x, y, z):
+    """Reference: the discrete Hahn theorem in GaussianRational operators,
+    every Pochhammer product recomputed for each j; the poles of all j are
+    checked first, in the order of ``verify_hahn_exact``."""
+    alpha, beta, z = (GaussianRational.of(v) for v in (alpha, beta, z))
+    jmax = min(M, N)
+    for j in range(jmax + 1):
+        if (_poch_ref(beta + 1, j).is_zero()
+                or _poch_ref(alpha + beta + j + 1, j).is_zero()):
+            raise PoleError("Pochhammer pole in the coefficient")
+        if _poch_ref(alpha + 1, j).is_zero():
+            raise PoleError("(alpha+1)_j pole inside Hahn polynomial range")
+    lhs, zj = GR_ZERO, GR_ONE
+    for j in range(jmax + 1):
+        coef = (_poch_ref(alpha + 1, j) * _poch_ref(gr(-M), j) * _poch_ref(gr(-N), j)
+                / (math.factorial(j) * _poch_ref(beta + 1, j)
+                   * _poch_ref(alpha + beta + j + 1, j)))
+        hx = _pfq_ref([gr(-j), alpha + beta + j + 1, gr(-x)], [alpha + 1, gr(-M)], GR_ONE, j)
+        hy = _pfq_ref([gr(-j), alpha + beta + j + 1, gr(-y)], [alpha + 1, gr(-N)], GR_ONE, j)
+        f = _pfq_ref([gr(j - M), gr(j - N)], [alpha + beta + 2 * j + 2], z, jmax - j)
+        lhs = lhs + hx * hy * coef * f * zj
+        zj = zj * z
+    rhs = (_pfq_ref([gr(-x), gr(-y)], [alpha + 1], z, min(x, y))
+           * _pfq_ref([gr(x - M), gr(y - N)], [beta + 1], z, min(M - x, N - y)))
+    return lhs == rhs
+
+
+def _hahn_outcome(fn, args):
+    try:
+        return fn(*args)
+    except (PoleError, ParamError) as exc:
+        return type(exc), str(exc)
+
+
+def test_hahn_exact_matches_per_j_formula():
+    # alpha and beta are halves, often negative: alpha + beta is then an
+    # integer, so (alpha+beta+j+1)_j meets zero, and a negative integer alpha
+    # puts a zero of (alpha+1)_j inside the range
+    rng = random.Random(1997)
+    seen = set()
+    for _ in range(100):
+        M, N = rng.randint(1, 6), rng.randint(1, 6)
+        alpha, beta = F(rng.randint(-9, 6), 2), F(rng.randint(-9, 6), 2)
+        if rng.random() < 0.2:
+            alpha = gr(alpha, F(rng.randint(-3, 3), 4))
+        z = gr(F(rng.randint(-8, 8), rng.randint(1, 5)),
+               F(rng.randint(-2, 2), 3) if rng.random() < 0.3 else 0)
+        args = (alpha, beta, M, N, rng.randint(0, M), rng.randint(0, N), z)
+        got = _hahn_outcome(verify_hahn_exact, args)
+        # the same pole is met first: the same message
+        assert got == _hahn_outcome(_hahn_per_j, args), args
+        seen.add(got)
+    assert seen == {True, (PoleError, "Pochhammer pole in the coefficient"),
+                    (PoleError, "(alpha+1)_j pole inside Hahn polynomial range")}
+
+
+def test_non_integer_orders_and_lattice_points_are_refused():
+    args = (gr(F(1, 2)), gr(F(1, 3)), gr(F(5, 4)),
+            gr(F(2, 3)), gr(F(3, 5)), gr(F(7, 6)))
+    for K in (2.5, 2.0, F(2), "2"):
+        with pytest.raises(ParamError, match="K must be an int"):
+            verify_mult_2f1_exact(*args, K=K)
+        with pytest.raises(ParamError, match="K must be an int"):
+            exact_case("mult_2f1", 0, K)
+    good = dict(alpha=gr(F(1, 2)), beta=gr(F(1, 3)), M=4, N=5, x=2, y=3, z=gr(F(2, 7)))
+    assert verify_hahn_exact(**good)
+    for name in ("M", "N", "x", "y"):
+        for bad in (float(good[name]), F(good[name]), str(good[name])):
+            with pytest.raises(ParamError, match=f"{name} must be an int"):
+                verify_hahn_exact(**{**good, name: bad})

@@ -1,12 +1,18 @@
-"""Property tests of the extended series engines, independent of the
-identity registry: classical transformations of 2F1 and two theorems of
-basic hypergeometric series (Gasper and Rahman, *Basic Hypergeometric
-Series*, 1.3.2 and 1.4.1), each at 40 digits to within 1e-30."""
-import cmath
+"""Property tests independent of the identity registry.
 
+The extended series engines: classical transformations of 2F1 and two
+theorems of basic hypergeometric series (Gasper and Rahman, *Basic
+Hypergeometric Series*, 1.3.2 and 1.4.1), each at 40 digits to within 1e-30.
+The exact triple arithmetic of ``qkl.exact``: against Fraction pairs."""
+import cmath
+import math
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qkl.exact import _add, _addi, _div, _mul, _red
 from qkl.hyper import TruncationPolicy, bhs_rphis, detect_termination, hyp_pfq
 from qkl.numerics import EXTENDED as E
 from qkl.series import qpoch
@@ -97,3 +103,61 @@ def test_heine_transformation(a, b, c, q, z):
             / (qpoch(cc, q, ctx=E) * qpoch(zc, q, ctx=E)))
     rhs = pref * bhs_rphis([cc / bc, zc], [ac * zc], q, bc, DEEP, E).value
     assert _close(lhs, rhs), (lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# exact triples: (x + i y) / d against (re, im) Fraction pairs
+
+_RAT = st.fractions(max_denominator=10 ** 6).filter(lambda f: abs(f) < 10 ** 9)
+_PAIR = st.tuples(_RAT, st.one_of(st.just(Fraction(0)), _RAT))
+EXACT = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _triple(pair):
+    """The canonical triple of a (re, im) pair, over the lcm of the two
+    denominators."""
+    re, im = pair
+    d = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _pair(t):
+    x, y, d = t
+    return Fraction(x, d), Fraction(y, d)
+
+
+def _is_canonical(t):
+    x, y, d = t
+    return d > 0 and math.gcd(x, y, d) == 1 and (x or y or d == 1)
+
+
+@EXACT
+@given(_PAIR, _PAIR)
+def test_triple_arithmetic_matches_fraction_pairs(p, q):
+    (a, b), (c, d) = p, q
+    s, t = _triple(p), _triple(q)
+    assert _is_canonical(s) and _pair(s) == p
+    expect = {_add: (a + c, b + d), _mul: (a * c - b * d, a * d + b * c)}
+    if q != (0, 0):
+        n = c * c + d * d
+        expect[_div] = ((a * c + b * d) / n, (b * c - a * d) / n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _div(s, t)
+    for op, want in expect.items():
+        raw = op(s, t)
+        assert raw[2] > 0 and _pair(raw) == want
+        reduced = _red(*raw)
+        assert _is_canonical(reduced) and reduced == _triple(want)
+
+
+@EXACT
+@given(_PAIR, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_addi_keeps_triples_canonical_and_red_undoes_a_common_factor(p, m, k):
+    t = _triple(p)
+    # adding an int needs no gcd
+    assert _addi(t, m) == _triple((p[0] + m, p[1]))
+    # a triple scaled by any k > 0 reduces to the same canonical triple
+    x, y, d = t
+    assert _red(x * k, y * k, d * k) == t
+    assert _red(0, 0, k) == (0, 0, 1)
