@@ -23,7 +23,10 @@ def _frac(v) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ParamError(f"malformed exact number {v!r}") from None
     raise ParamError(f"exact arithmetic needs int/Fraction/str, got {type(v).__name__}")
 
 
@@ -222,17 +225,6 @@ GR_ONE = GaussianRational(1)
 def gr(re, im=0) -> GaussianRational:
     """Convenience constructor accepting ints, Fractions, or strings."""
     return GaussianRational(re, im)
-
-
-def poch_exact(a: GaussianRational, n: int) -> GaussianRational:
-    return _canonical(*_red(*_poch(_parts(a), n)))
-
-
-def factorial_exact(n: int) -> Fraction:
-    out = Fraction(1)
-    for m in range(2, n + 1):
-        out *= m
-    return out
 
 
 def coeff_2f1(a, b, c, k: int) -> GaussianRational:

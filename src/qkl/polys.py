@@ -389,9 +389,11 @@ def unit_phase(x: float, where: str, ctx: Context = STANDARD):
 
 def in_spectral_window(s, q: float, k: float) -> bool:
     """|s| in (q^k, q^-k), or |s| = 1 within 1e-12: the spectral parameters
-    of the q-kernels and of ``sj_ac``.  Each caller raises its own error."""
+    of the q-kernels and of ``sj_ac``.  Each caller raises its own error.
+    The window is compared in logs, |log |s|| < k |log q|, since q^-k
+    overflows for large k; s = 0 lies outside it."""
     m = abs(complex(s))
-    return q ** k < m < q ** (-k) or abs(m - 1.0) <= 1e-12
+    return (0 < m and abs(math.log(m)) < -k * math.log(q)) or abs(m - 1.0) <= 1e-12
 
 
 def _aw_slots(p: AWParams) -> list:

@@ -1,12 +1,18 @@
 """Orthonormality verification by numerical integration: Gram matrices of the
 Meixner-Pollaczek and Al-Salam-Chihara families against their printed weights.
 
-Integration uses adaptive Gauss-Kronrod (G7, K15) panels with elementwise
-error tracking; the Al-Salam-Chihara integral is taken over theta in [0, pi]
-after x = cos(theta), which removes the 1/sqrt(1-x^2) endpoint singularity.
-Refinement runs in rounds, each evaluating the integrand once on the nodes of
-all the panels it makes: a round bisects every panel whose error exceeds its
-width-proportional share tol (hi - lo) / (b - a) of the error budget.
+Both integrals are taken by the trapezoid rule, whose error falls
+geometrically with the node count for an integrand analytic in a strip about
+the interval and negligible at its ends, or periodic over it (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
+2014).  The Meixner-Pollaczek integrand, analytic in |Im x| < k and decaying
+exponentially, is integrated in t after x = sinh t, which spreads the nodes
+evenly over the peak and thins them out over the tails.  The Al-Salam-Chihara
+integrand is integrated over theta in [0, pi] after x = cos(theta); it is even
+and 2 pi-periodic in theta and its weight vanishes at theta = 0 and pi, so the
+interior nodes give the whole trapezoid sum.  The step halves level by level,
+each level evaluating the integrand once on its new midpoints only, until two
+successive sums agree within the tolerance elementwise.
 """
 from __future__ import annotations
 
@@ -21,19 +27,8 @@ from .numerics import STANDARD, Context
 from .polys import ASCParams, MPParams, asc_orthonormal_nodes, mp_orthonormal_nodes
 from .series import log_abs_gamma, qpoch
 
-# Gauss-Kronrod 15-point nodes / weights, with the embedded Gauss-7 rule
-# (QUADPACK constants).
-_XGK = (0.991455371120813, 0.949107912342759, 0.864864423359769,
-        0.741531185599394, 0.586087235467691, 0.405845151377397,
-        0.207784955007898, 0.0)
-_WGK = (0.022935322010529, 0.063092092629979, 0.104790010322250,
-        0.140653259715525, 0.169004726639267, 0.190350578064785,
-        0.204432940075298, 0.209482141084728)
-_WG = (0.129484966168870, 0.279705391489277, 0.381830050505119,
-       0.417959183673469)
-# the seven off-centre abscissae, for all nodes of a panel at once
-_XGK_LR = np.array(_XGK[:7])
-_MAX_PANELS = 2000
+# the finest grid the trapezoid rule refines to, in nodes
+_MAX_NODES = 2 ** 16
 
 
 @dataclass
@@ -103,69 +98,35 @@ def aw_weight(params, x):
     return w.real
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply G7/K15 on the panels [lo[i], hi[i]], with the integrand f
-    evaluated once on the vector of all their nodes (per panel: centre, then
-    left and right halves); f returns one value per node along its first
-    axis.
+def _trapezoid(f, a: float, b: float, tol: float):
+    """Trapezoid rule on [a, b] for an integrand negligible at both ends, so
+    that the interior nodes carry the whole sum; f takes a vector of nodes and
+    returns the sum of the integrand over them (an array of any shape).
 
-    Returns (K15 integrals, elementwise |K15 - G7| estimates, evaluations),
-    the first two with one entry per panel along their first axis.
+    The rule starts from 16 intervals and halves the step at each level,
+    calling f once per level, on the new midpoints only, so the evaluations
+    add up to the node count of the final grid.  It stops when two successive
+    sums differ by at most tol elementwise, and returns (the finer sum, that
+    largest difference, evaluations).  A grid finer than _MAX_NODES nodes
+    raises ConvergenceError.
     """
-    h = 0.5 * (hi - lo)
-    mid = (0.5 * (lo + hi))[:, None]
-    dx = h[:, None] * _XGK_LR
-    nodes = np.concatenate((mid, mid - dx, mid + dx), axis=1)
-    fx = f(nodes.ravel())
-    fx = fx.reshape(nodes.shape + fx.shape[1:])
-    fc, fl, fr = fx[:, 0], fx[:, 1:8], fx[:, 8:]
-    k15 = _WGK[7] * fc
-    g7 = _WG[3] * fc
-    for i in range(7):
-        k15 = k15 + _WGK[i] * (fl[:, i] + fr[:, i])
-        if i % 2 == 1:
-            g7 = g7 + _WG[i // 2] * (fl[:, i] + fr[:, i])
-    h = h.reshape(h.shape + (1,) * (k15.ndim - 1))
-    k15 = k15 * h
-    g7 = g7 * h
-    return k15, np.abs(k15 - g7), nodes.size
-
-
-def _adaptive(f, a: float, b: float, tol: float, initial_panels: int = 8):
-    """Adaptive bisection of GK15 panels driven by the max elementwise error.
-
-    Each round calls f once: first on the nodes of all initial panels, then
-    on those of the halves of every panel whose largest elementwise error
-    exceeds its width-proportional share tol (hi - lo) / (b - a) of the
-    budget.  The panels are kept in order of lo, and the integral and error
-    are summed over them in that order.
-    """
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    val, err, n_eval = _gk15(f, lo, hi)
+    n = 16
+    h = (b - a) / n
+    total = f(a + h * np.arange(1, n))
+    value = h * total
+    n_eval = n - 1
     while True:
-        total_err = float(np.add.accumulate(err)[-1].max())
-        if total_err <= tol:
-            break
-        worst = err.reshape(len(lo), -1).max(axis=1)
-        split = worst * (b - a) > tol * (hi - lo)
-        # the panel with the most error per width always splits: the shares
-        # add up to tol only up to rounding, so a round may otherwise find none
-        split[np.argmax(worst / (hi - lo))] = True
-        if len(lo) + split.sum() > _MAX_PANELS:
+        total = total + f(a + h * (np.arange(n) + 0.5))
+        n_eval += n
+        n *= 2
+        h /= 2
+        value, prev = h * total, value
+        err = float(np.abs(value - prev).max())
+        if err <= tol:
+            return value, err, n_eval
+        if 2 * n - 1 > _MAX_NODES:
             raise ConvergenceError(
-                f"quadrature error estimate {total_err:.3e} exceeds {tol}")
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_val, new_err, ne = _gk15(f, new_lo, new_hi)
-        n_eval += ne
-        keep = ~split
-        lo, hi, val, err = (np.concatenate((old[keep], new)) for old, new in (
-            (lo, new_lo), (hi, new_hi), (val, new_val), (err, new_err)))
-        order = np.argsort(lo)
-        lo, hi, val, err = lo[order], hi[order], val[order], err[order]
-    return np.add.accumulate(val)[-1], total_err, n_eval
+                f"quadrature error estimate {err:.3e} exceeds {tol}")
 
 
 def _mp_support(k: float, phi: float, nmax: int):
@@ -183,16 +144,6 @@ def _mp_support(k: float, phi: float, nmax: int):
     return -float(steps[first[0]]), float(steps[first[1]])
 
 
-def _gram_integrand(w, vals):
-    """w(x) p_m(x) p_n(x) per node, as an array [node, m, n], from the weights
-    ``w`` [node] and the values ``vals`` [n, node]."""
-    v = vals.T
-    out = v[:, :, None] * v[:, None, :]
-    # in place: a round's nodes make this the largest array of a Gram
-    out *= w[:, None, None]
-    return out
-
-
 def _node_table(values, nodes, nmax: int) -> np.ndarray:
     """The first nmax + 1 values of a recurrence run on ``nodes``, one row per
     degree (p_0 is broadcast to every node)."""
@@ -207,10 +158,14 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
     for the orthonormal Meixner-Pollaczek ("mp") or Al-Salam-Chihara ("asc")
     family; exact orthonormality means G = I.
 
-    Each refinement round evaluates the integrand once, on the 15 nodes of
-    every panel it makes: one recurrence over the node vector and one weight
-    call on it.  Panels are bisected until their errors, each within its
-    width-proportional share of ``tol``, add up to at most ``tol``.
+    Both families run the one trapezoid driver (``_trapezoid``): MP in t
+    over [asinh(lo), asinh(hi)] of its support (``_mp_support``), with x =
+    sinh t and the weight times cosh t; ASC in theta over [0, pi], with x =
+    cos(theta).  Each level of the driver evaluates the integrand once on its
+    new nodes: one recurrence over the node vector, one weight call on it,
+    and the node sum of w p_m p_n as one matrix product.  ``error_estimate``
+    is the largest entry of the difference between the last two levels, at
+    most ``tol``.
     """
     if nmax < 0:
         raise ParamError("ortho_gram needs nmax >= 0")
@@ -221,12 +176,12 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
         mpp = MPParams(k, phi)
         lo, hi = _mp_support(k, phi, nmax)
 
-        def f(xs):
+        def f(ts):
+            xs = np.sinh(ts)
             vals = _node_table(mp_orthonormal_nodes(mpp, xs), xs, nmax)
-            return _gram_integrand(mp_weight(k, phi, xs), vals)
+            return (vals * (mp_weight(k, phi, xs) * np.cosh(ts))) @ vals.T
 
-        value, err, n_eval = _adaptive(f, lo, hi, tol,
-                                       initial_panels=max(16, int((hi - lo) / 4)))
+        value, err, n_eval = _trapezoid(f, math.asinh(lo), math.asinh(hi), tol)
         return QuadratureResult(value, err, n_eval)
     if family == "asc":
         q, a, b = params["q"], params["a"], params["b"]
@@ -240,9 +195,9 @@ def ortho_gram(family: str, params: dict, nmax: int = 8,
 
         def f(thetas):
             xs = np.cos(thetas)
-            vals = _node_table(asc_orthonormal_nodes(a, b, q, xs), xs, nmax)
-            return _gram_integrand(const * aw_weight(asc, xs), vals.real)
+            vals = _node_table(asc_orthonormal_nodes(a, b, q, xs), xs, nmax).real
+            return (vals * (const * aw_weight(asc, xs))) @ vals.T
 
-        value, err, n_eval = _adaptive(f, 1e-13, math.pi - 1e-13, tol)
+        value, err, n_eval = _trapezoid(f, 0.0, math.pi, tol)
         return QuadratureResult(value, err, n_eval)
     raise ParamError(f"unknown family {family!r}; use 'mp' or 'asc'")

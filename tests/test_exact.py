@@ -17,9 +17,7 @@ from qkl.exact import (
     EXACT_ROUTES,
     coeff_2f1,
     exact_case,
-    factorial_exact,
     gr,
-    poch_exact,
     verify_hahn_exact,
     verify_mult_2f1_exact,
 )
@@ -161,13 +159,6 @@ def test_coeff_2f1():
         coeff_2f1(gr(1), gr(1), gr(-2), 3)
 
 
-def test_poch_and_factorial_exact_match_operator_products():
-    for a in (gr(F(-5, 2), F(1, 3)), gr(-3), F(7, 4), 2):
-        for n in range(7):
-            assert poch_exact(a, n) == _poch_ref(GaussianRational.of(a), n)
-    assert [factorial_exact(n) for n in range(7)] == [math.factorial(n) for n in range(7)]
-
-
 def test_mult_2f1_exact_polynomial_case():
     # a = a' = -1, b = b' = 1, c = c' = 1: both sides are (1-z)^2
     ok, k = verify_mult_2f1_exact(gr(-1), gr(1), gr(1), gr(-1), gr(1), gr(1), K=4)
@@ -194,6 +185,16 @@ def test_mult_2f1_exact_guards():
     with pytest.raises(ParamError):
         verify_mult_2f1_exact(gr(F(1, 2)), gr(1), gr(2), gr(F(-3, 2)), gr(1),
                               gr(2), K=3)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", "", "1/2/3"])
+def test_malformed_exact_string_is_param_error(bad):
+    # Fraction raised ValueError or ZeroDivisionError, outside QKLError
+    for call in (lambda: gr(bad), lambda: gr(1, bad),
+                 lambda: verify_hahn_exact(bad, 1, 2, 2, 1, 1, 0)):
+        with pytest.raises(ParamError) as info:
+            call()
+        assert repr(bad) in str(info.value)
 
 
 def test_mult_2f1_exact_negative_order_is_refused():

@@ -191,6 +191,20 @@ _HAHN_STREAM_POLES = [(al, -K - al) for K in range(2, 10) for al in (-0.5, 0.5, 
     + [(-1.5, -0.5)]
 
 
+@pytest.mark.parametrize("ident, seed, key", [("ac_poisson", 35, "k"),
+                                             ("ac_spoisson", 13, "k1")])
+def test_large_k_ends_in_report_or_typed_error(ident, seed, key):
+    # k x 1000 made the spectral window's q^-k overflow, and run_case escaped
+    # with OverflowError
+    case = sample_params(ident, seed)
+    case = replace(case, params={**case.params, key: case.params[key] * 1000})
+    try:
+        report = run_case(case)
+    except QKLError:
+        return
+    assert report.identity_id == ident
+
+
 @pytest.mark.parametrize("precision", ["standard", "extended"])
 def test_hahn_stream_poles_are_typed_errors(precision):
     # the j-sum meets the lower-parameter pole of its 2F1 factor before it

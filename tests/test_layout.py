@@ -5,7 +5,8 @@ j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
 engine declares its series once, as the factor lists ``hyper._sum_series``
 reads; precision escalates only in ``numerics.escalate``; a term of a
 kernel sum or a j-sum is built only in ``hyper.sum_streams``; and the command
-line names no identity, the exact route staying behind ``qkl.exact``."""
+line names no identity, the exact route staying behind ``qkl.exact``; and
+every module-level function has a caller in the package or is exported."""
 import ast
 import re
 from pathlib import Path
@@ -182,3 +183,25 @@ def test_cli_names_no_identity():
                       if isinstance(node, ast.ImportFrom)
                       for alias in node.names if alias.name.startswith("verify_"))
     assert imported == []
+
+
+def test_every_function_has_a_caller():
+    # a module-level function that no code in the package names outside its
+    # own definition, and that the package does not export, is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    exported = {alias.name for node in ast.walk(trees["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = [(name, top) for name, tree in trees.items() for top in tree.body
+               if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    named = {}
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                ref = (node.id if isinstance(node, ast.Name)
+                       else node.attr if isinstance(node, ast.Attribute) else None)
+                if ref is not None:
+                    named.setdefault(ref, set()).add((name, id(top)))
+    uncalled = sorted(f"{name[:-3]}.{top.name}" for name, top in defined
+                      if top.name not in exported
+                      and not named.get(top.name, set()) - {(name, id(top))})
+    assert uncalled == []

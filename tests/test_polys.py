@@ -30,6 +30,7 @@ from qkl.polys import (
     chahn_poly,
     chahn_stream,
     hahn_poly,
+    in_spectral_window,
     jacobi_poly,
     jacobi_stream,
     mp_orthonormal_nodes,
@@ -42,6 +43,20 @@ from qkl.polys import (
     sj_mp_stream,
     unit_phase,
 )
+
+
+def test_spectral_window_in_logs():
+    # q^-k overflows a float at q = 0.1, k = 400; the logs do not
+    assert in_spectral_window(2.0, 0.1, 400.0)
+    assert in_spectral_window(1e-300, 0.1, 400.0)
+    assert in_spectral_window(1e300, 0.1, 400.0)
+    assert not in_spectral_window(1e-300, 0.1, 250.0)
+    assert in_spectral_window(1.5j, 0.5, 1.0)
+    assert not in_spectral_window(2.5, 0.5, 1.0)
+    # the unit circle is kept with its slack, and s = 0 stays outside
+    assert in_spectral_window(1.0 + 5e-13, 0.5, 1e-15)
+    assert not in_spectral_window(1.0 + 5e-12, 0.5, 1e-15)
+    assert not in_spectral_window(0.0, 0.5, 5.0)
 
 
 def test_param_validation():

@@ -1,6 +1,7 @@
-"""Orthonormality checks: printed weights and adaptive Gram matrices."""
+"""Orthonormality checks: printed weights and trapezoid-rule Gram matrices."""
 import math
 import random
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from qkl.errors import ConvergenceError, ParamError, RangeError
 from qkl.polys import ASCParams, AWParams
-from qkl.quadrature import _adaptive, _mp_support, aw_weight, mp_weight, ortho_gram
+from qkl.quadrature import _mp_support, _trapezoid, aw_weight, mp_weight, ortho_gram
 
 
 def test_mp_weight_closed_point():
@@ -193,31 +194,139 @@ def test_gram_error_estimate_within_tolerance(family, params):
 
 
 def test_gram_panel_cap_raises():
-    # tol = 1e-30 is below rounding: every round splits until the panels
-    # would pass the cap
+    # tol = 1e-30 is below rounding: the levels keep halving the step until
+    # the next grid would pass the node cap
     with pytest.raises(ConvergenceError):
         ortho_gram("mp", {"k": 0.8, "phi": 1.1}, nmax=1, tol=1e-30)
     with pytest.raises(ConvergenceError):
         ortho_gram("asc", {"q": 0.5, "a": 0.4, "b": 0.3}, nmax=1, tol=1e-30)
 
 
-def test_adaptive_one_integrand_call_per_round():
-    # a vector integrand with known integrals; every call takes the 15 nodes
-    # of whole panels, the first call those of all the initial panels
-    sizes = []
+@pytest.mark.parametrize("g, a, b, want", [
+    # the Gaussian, below 4e-44 at both ends
+    (lambda x: np.exp(-x * x), -10.0, 10.0, math.sqrt(math.pi)),
+    # sin^2 t e^(cos t): even and 2 pi-periodic, zero at both ends; its
+    # integral is pi I_1(1)
+    (lambda t: np.sin(t) ** 2 * np.exp(np.cos(t)), 0.0, math.pi,
+     math.pi * float(mp.besseli(1, 1)))], ids=["gaussian", "periodic"])
+def test_trapezoid_one_integrand_call_per_level(g, a, b, want):
+    calls = []
 
     def f(xs):
-        sizes.append(len(xs))
-        return np.stack([np.ones_like(xs), xs * xs, np.exp(xs), np.sqrt(xs)], axis=1)
+        calls.append(xs)
+        return g(xs).sum(axis=-1)
 
-    value, err, n_eval = _adaptive(f, 0.0, 1.0, 1e-12, initial_panels=3)
-    want = [1.0, 1 / 3, math.e - 1, 2 / 3]
-    assert np.abs(value - want).max() <= 1e-12
-    assert err <= 1e-12
-    assert sizes[0] == 45
-    assert all(n % 15 == 0 for n in sizes)
-    assert sum(sizes) == n_eval
-    assert len(sizes) > 1
+    value, err, n_eval = _trapezoid(f, a, b, 1e-13)
+    assert abs(value - want) <= 1e-13
+    assert 0 <= err <= 1e-13
+    # the first call takes the 15 interior nodes of 16 intervals; each later
+    # call the midpoints of the grid so far, and nothing else
+    assert np.allclose(calls[0], np.linspace(a, b, 17)[1:-1], rtol=0, atol=1e-14)
+    for i in range(1, len(calls)):
+        grid = np.sort(np.concatenate([[a, b], *calls[:i]]))
+        assert np.allclose(np.sort(calls[i]), 0.5 * (grid[:-1] + grid[1:]),
+                           rtol=0, atol=1e-14)
+    assert len(calls) > 1
+    assert n_eval == sum(len(xs) for xs in calls)
+
+
+def _mp_oracle(k, phi, nmax):
+    """Gram entries of the orthonormal Meixner-Pollaczek family by mpmath.quad,
+    in the working precision: P_n = (2k)_n / n! e^(i n phi)
+    2F1(-n, k + i x; 2k; 1 - e^(-2 i phi)), normalised by n! / Gamma(n + 2k)
+    (Koekoek-Lesky-Swarttouw 9.7)."""
+    k, phi = mp.mpf(k), mp.mpf(phi)
+    z = 1 - mp.expj(-2 * phi)
+    norm = (2 * mp.sin(phi)) ** (2 * k) / (2 * mp.pi)
+    scale = [mp.rf(2 * k, n) / mp.factorial(n) * mp.expj(n * phi)
+             * mp.sqrt(mp.factorial(n) / mp.gamma(n + 2 * k)) for n in range(nmax + 1)]
+
+    @lru_cache(maxsize=None)
+    def table(x):
+        w = norm * mp.exp((2 * phi - mp.pi) * x) * abs(mp.gamma(k + 1j * x)) ** 2
+        ps = []
+        for n in range(nmax + 1):
+            t, s = mp.mpf(1), mp.mpf(0)
+            for j in range(n + 1):
+                s += t
+                t *= (j - n) * (k + 1j * x + j) / ((2 * k + j) * (j + 1)) * z
+            ps.append(mp.re(scale[n] * s))
+        return w, ps
+
+    def entry(m, n):
+        def f(x):
+            w, p = table(x)
+            return w * p[m] * p[n]
+
+        return mp.quad(f, [-mp.inf, 0, mp.inf])
+    return entry
+
+
+def _asc_oracle(q, a, b, nmax):
+    """Gram entries of the orthonormal Al-Salam-Chihara family by mpmath.quad
+    over theta, in the working precision: Q_n = (ab; q)_n a^(-n)
+    3phi2(q^-n, a e^(i theta), a e^(-i theta); ab, 0; q, q), normalised by
+    (q, ab; q)_n (Koekoek-Lesky-Swarttouw 14.8), and every infinite product
+    by Euler's series (z; q)_inf = sum_n q^(n(n-1)/2) (-z)^n / (q; q)_n."""
+    q, a, b = mp.mpf(q), mp.mpc(a), mp.mpc(b)
+    with mp.extradps(20):
+        coeffs = [mp.mpf(1)]
+        while coeffs[-1] > mp.mpf(10) ** -(mp.mp.dps + 5):
+            n = len(coeffs)
+            coeffs.append(coeffs[-1] * q ** (n - 1) / (1 - q ** n))
+        coeffs.reverse()
+
+        def qp_inf(z):
+            return mp.polyval(coeffs, -z)
+
+        const = mp.re(qp_inf(q) * qp_inf(a * b)) / (2 * mp.pi)
+    scale = [1 / (a ** n * mp.sqrt(mp.re(mp.qp(q, q, n) / mp.qp(a * b, q, n))))
+             for n in range(nmax + 1)]
+
+    @lru_cache(maxsize=None)
+    def table(th):
+        e = mp.expj(th)
+        with mp.extradps(20):
+            w = (abs(qp_inf(e * e)) ** 2
+                 / mp.re(qp_inf(a * e) * qp_inf(a / e) * qp_inf(b * e) * qp_inf(b / e)))
+        rs = []
+        for n in range(nmax + 1):
+            t, s = mp.mpf(1), mp.mpf(0)
+            for j in range(n + 1):
+                s += t
+                t *= ((1 - q ** (j - n)) * (1 - a * e * q ** j) * (1 - a / e * q ** j)
+                      / ((1 - a * b * q ** j) * (1 - q ** (j + 1))) * q)
+            rs.append(mp.re(scale[n] * s))
+        return const * w, rs
+
+    # split at the peak of the weight, theta = arg a, for a conjugate pair
+    peak = abs(mp.arg(a)) or mp.pi / 2
+
+    def entry(m, n):
+        def f(th):
+            w, r = table(th)
+            return w * r[m] * r[n]
+
+        return mp.quad(f, [0, peak, mp.pi])
+    return entry
+
+
+@pytest.mark.parametrize("family, params", [
+    ("mp", {"k": 0.1, "phi": 0.15}),
+    ("mp", {"k": 0.3, "phi": math.pi - 0.15}),
+    ("asc", {"q": 0.9, "a": 0.9, "b": -0.5}),
+    ("asc", {"q": 0.9, "a": 0.9 * complex(math.cos(1.0), math.sin(1.0)),
+             "b": 0.9 * complex(math.cos(1.0), -math.sin(1.0))})])
+def test_gram_entries_match_mpmath_quad(family, params):
+    # near the edges of the parameter ranges: a weight peaked to width k or
+    # 1 - |a|, and for MP a tail decaying like e^(-2 phi |x|)
+    tol, nmax = 1e-10, 4
+    res = ortho_gram(family, params, nmax=nmax, tol=tol)
+    with mp.workdps(30):
+        entry = (_mp_oracle(params["k"], params["phi"], nmax) if family == "mp"
+                 else _asc_oracle(params["q"], params["a"], params["b"], nmax))
+        for m, n in ((0, 0), (1, 3), (4, 4)):
+            assert abs(res.value[m][n] - float(entry(m, n))) <= tol, (m, n)
 
 
 def test_gram_guards():
