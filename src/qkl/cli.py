@@ -18,7 +18,7 @@ from . import __version__
 from .errors import ConvergenceError, DivergenceError, ParamError, QKLError
 from .exact import EXACT_ROUTES, exact_case
 from .hyper import bhs_rphis, default_policy, gauss_2f1, hyp_pfq, vwp_8w7
-from .identities import IdentityCase, get_entry, identity_ids, run_case, sample_params
+from .identities import IdentityCase, _nonneg_int, get_entry, identity_ids, run_case, sample_params
 from .kernels import (
     KernelPoint,
     ac_kernel_closed,
@@ -156,7 +156,7 @@ def cmd_eval(args) -> int:
 
 def _eval_poly(p: dict):
     family = p.pop("family", None)
-    n = int(p.pop("n"))
+    n = _nonneg_int(p, "n", ParamError)
     x = float(p.pop("x"))
     ortho = bool(p.pop("orthonormal", 0))
     if family == "mp":
@@ -164,7 +164,8 @@ def _eval_poly(p: dict):
     if family == "chahn":
         return chahn_poly(CHahnParams(p["a"], p["b"], p["c"], p["d"]), n, x), {}
     if family == "hahn":
-        return hahn_poly(HahnParams(p["alpha"], p["beta"], int(p["N"])), n, x), {}
+        N = _nonneg_int(p, "N", ParamError)
+        return hahn_poly(HahnParams(p["alpha"], p["beta"], N), n, x), {}
     if family == "jacobi":
         return jacobi_poly(p["alpha"], p["beta"], n, x), {}
     if family == "aw":

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .dyadic import FixedSum, Magnitude, SeriesTerms, magnitude
 from .numerics import STANDARD, Context, escalate, log10_abs
-from .series import _INT_TOL, _qval, complex_pow_principal
+from .series import _neg_int_index, _qval, complex_pow_principal
 
 _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
 # values each pair of anchors of contiguous_ladder is recurred down over
@@ -32,6 +32,7 @@ _LADDER_BLOCK = 24
 # largest |s| at which a q ladder recurs: past it the backward steps damp
 # the other solution of the relation too little, and each y_j is summed
 _LADDER_MAX_RATIO = 0.5
+_VWP_POLE_TOL = 1e-12  # relative distance within which an 8W7's a is its pole 1
 
 
 class SeriesStatus(enum.Enum):
@@ -204,43 +205,34 @@ def _safe_float(x) -> float:
         return float("inf")
 
 
-def detect_termination(upper: Sequence, q=None, tol: float = _INT_TOL):
-    """Smallest n with an upper parameter equal to -n (classical), exactly in
-    the parameter's own type, or to q^{-n} (basic) within relative tolerance
-    ``tol``; None when the series does not terminate."""
+def detect_termination(upper: Sequence, q=None):
+    """Smallest n with an upper parameter equal to -n (classical) or to
+    q^{-n} (basic), None when the series does not terminate.  Both are
+    decided exactly, in each parameter's own arithmetic, as are the
+    lower-parameter poles of :func:`_pole_index`: a parameter one rounding
+    off -n or q^{-n} leaves its series infinite."""
     best = None
     qq = None if q is None else _qval(q)
     for u in upper:
-        m = _neg_int_index(u) if qq is None else _q_power_index(u, qq, tol)
+        m = _neg_int_index(u) if qq is None else _q_power_index(u, qq)
         if m is not None and (best is None or m < best):
             best = m
     return best
 
 
-def _neg_int_index(u):
-    """m >= 0 with u == -m, else None."""
+def _q_power_index(u, q: float):
+    """m >= 0 with u == q^{-m} exactly, in u's own arithmetic, else None:
+    a Python number must equal ``q ** -m``, an mpmath number q converted to
+    its context, to the power -m (as :func:`polys.aw_poly` forms q^{-n} in
+    either precision)."""
     try:
-        m = -round(complex(u).real)
-    except (OverflowError, ValueError):
-        return None
-    return m if m >= 0 and u == -m else None
-
-
-def _q_power_index(u, q: float, tol: float = _INT_TOL):
-    """m >= 0 with u == q^{-m} within relative tolerance, else None."""
-    try:
-        uc = complex(u)
-        au = abs(uc)
-        if not math.isfinite(au) or au < 1.0 - 1e-9 or abs(uc.imag) > tol * au:
-            return None
-        m = round(-math.log(au) / math.log(q))
+        m = round(math.log(abs(complex(u))) / -math.log(q))
         if m < 0:
             return None
-        if abs(uc - q ** (-m)) <= tol * max(1.0, au):
-            return m
+        mpctx = getattr(u, "context", None)
+        return m if u == (q if mpctx is None else mpctx.convert(q)) ** -m else None
     except (OverflowError, ValueError):
         return None
-    return None
 
 
 def _pole_index(lower: Sequence, q=None):
@@ -373,7 +365,7 @@ def vwp_8w7(a, b5: Sequence, q, z, policy: TruncationPolicy | None = None,
     if len(b5) != 5:
         raise ParamError("vwp_8w7 expects exactly five numerator parameters")
     ac = complex(a)
-    if abs(ac - 1.0) <= _INT_TOL * max(1.0, abs(ac)):
+    if abs(ac - 1.0) <= _VWP_POLE_TOL * max(1.0, abs(ac)):
         raise VWPoleError("very-well-poised series undefined at a = 1")
     if any(complex(b) == 0 for b in b5) and ac != 0:
         raise ParamError("b_i = 0 with a != 0 leaves the denominator a q / b_i undefined")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -79,6 +80,7 @@ from .polys import (
     unit_phase,
 )
 from .series import (
+    _neg_int_index,
     bessel_j,
     log_gamma_real,
     pochhammer,
@@ -157,6 +159,15 @@ def get_entry(identity_id: str) -> IdentityEntry:
 def _require(cond: bool, constraint: str):
     if not cond:
         raise HypothesisError(f"violated hypothesis: {constraint}")
+
+
+def _nonneg_int(p, name: str, error=HypothesisError) -> int:
+    """p[name] as an int; ``error`` unless it is exactly a nonnegative
+    integer (int() would truncate 2.5 to 2)."""
+    v = p[name]
+    if not isinstance(v, numbers.Number) or _neg_int_index(-v) is None:
+        raise error(f"{name} must be a nonnegative integer, got {v!r}")
+    return int(v.real)
 
 
 def _require_conv(cond: bool, constraint: str):
@@ -276,7 +287,7 @@ def _mp_rec_sample(rng):
 def _mp_rec_validate(p):
     _require(p["k"] > 0, "k > 0")
     _require(0 < p["phi"] < math.pi, "0 < phi < pi")
-    _require(int(p["n"]) >= 0, "n >= 0")
+    _nonneg_int(p, "n")
 
 
 def _mp_rec_lhs(p, policy, ctx):
@@ -456,7 +467,7 @@ def _chahn_finite_sample(rng):
 
 def _chahn_finite_validate(p):
     _chahn_bilinear_validate({**p, "r": 0.0})
-    _require(1 <= int(p["K"]) <= 10, "1 <= K <= 10")
+    _require(1 <= _nonneg_int(p, "K") <= 10, "1 <= K <= 10")
 
 
 def _chahn_finite_values(p, ctx):
@@ -702,10 +713,10 @@ def _hahn_disc_sample(rng):
 
 
 def _hahn_disc_validate(p):
-    M, N = int(p["M"]), int(p["N"])
+    M, N = _nonneg_int(p, "M"), _nonneg_int(p, "N")
     _require(M >= 1 and N >= 1, "M, N positive integers")
-    _require(0 <= int(p["x"]) <= M, "x in {0..M}")
-    _require(0 <= int(p["y"]) <= N, "y in {0..N}")
+    _require(_nonneg_int(p, "x") <= M, "x in {0..M}")
+    _require(_nonneg_int(p, "y") <= N, "y in {0..N}")
     _require(not _is_nonpos_int(p["beta"] + 1), "beta + 1 not a nonpositive integer")
     _require(not _is_nonpos_int(p["alpha"] + 1), "alpha + 1 not a nonpositive integer")
 
@@ -963,7 +974,7 @@ def _aw_rec_sample(rng):
 
 def _aw_rec_validate(p):
     _require(0 < p["q"] < 1, "0 < q < 1")
-    _require(int(p["n"]) >= 0, "n >= 0")
+    _nonneg_int(p, "n")
     _require(abs(p["x"]) <= 1, "x in [-1, 1]")
 
 

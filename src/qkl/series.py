@@ -40,7 +40,6 @@ _LANCZOS_COEFFS = (
     3.6899182659531622704e-6,
 )
 _SQRT_2PI = 2.5066282746310002
-_INT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,21 +60,13 @@ def _qval(q) -> float:
     return QBase(float(q)).q
 
 
-def as_nonneg_int(u, tol: float = _INT_TOL):
-    """Index m >= 0 such that u == -m within tolerance, else None."""
+def _neg_int_index(u):
+    """m >= 0 with u == -m exactly, in u's own arithmetic, else None."""
     try:
-        uc = complex(u)
-        if not (math.isfinite(uc.real) and math.isfinite(uc.imag)):
-            return None
-        scale = max(1.0, abs(uc))
-        if abs(uc.imag) > tol * scale:
-            return None
-        m = round(-uc.real)
+        m = -round(complex(u).real)
     except (OverflowError, ValueError):
         return None
-    if m < 0 or abs(uc.real + m) > tol * scale:
-        return None
-    return m
+    return m if m >= 0 and u == -m else None
 
 
 def pochhammer(a, n: int, ctx: Context = STANDARD):
@@ -316,7 +307,8 @@ def complex_pow_principal(base, exponent, ctx: Context = STANDARD):
 
 def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
     """Bessel J_nu(z) of the first kind by the ascending series (DLMF 10.2.2),
-    |z| <= 30.
+    |z| <= 30.  A negative z needs an exactly integral order nu = m >= 0
+    (J_m(-z) = (-1)^m J_m(z)); any other order there raises DomainError.
 
     The alternating series cancels where its largest term exceeds the sum:
     up to about 0.44 z digits at low order and large z, and more near a zero
@@ -328,9 +320,9 @@ def bessel_j(nu: float, z: float, ctx: Context = STANDARD):
     if nu <= -1.0:
         raise RangeError("bessel_j requires nu > -1")
     if z < 0:
-        m = as_nonneg_int(-nu)
+        m = _neg_int_index(-nu)
         if m is None:
-            raise DomainError("negative argument needs a nonnegative integer order")
+            raise DomainError("negative argument needs an exactly integral order")
         sign = -1.0 if m % 2 else 1.0
         return sign * bessel_j(nu, -z, ctx)
     if z == 0:

@@ -140,6 +140,16 @@ def test_eval_bad_input_exit2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["family=mp", "k=1", "phi=1.0", "n=2.5", "x=0.3"], "n"),
+    (["family=hahn", "alpha=0.5", "beta=0.7", "N=4.5", "n=2", "x=1"], "N")])
+def test_eval_poly_non_integer_count_exit2(argv, bad, capsys):
+    # n = 2.5 is refused, not evaluated as n = 2
+    code, out, err = run(["eval", "poly", *argv], capsys)
+    assert code == 2 and out == ""
+    assert f"{bad} must be a nonnegative integer" in err
+
+
 def test_eval_divergence_exit3(capsys):
     code, _, err = run(["eval", "kernel", "family=mp", "k=1", "phi=1.0",
                         "t=1.5", "x=0", "y=0"], capsys)

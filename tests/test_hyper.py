@@ -55,19 +55,50 @@ def test_detect_termination():
 
 @pytest.mark.parametrize("ctx", [STANDARD, EXTENDED], ids=["standard", "extended"])
 def test_classical_termination_is_exact(ctx):
-    # a classical parameter ends its series only when it equals -n: 1e-12 i
-    # is no 0, and 2F1(a, 1; 1; z) = (1 - z)^(-a) = 1 - 2.877e-13 i at
-    # z = -1/3; a q parameter keeps its relative tolerance
+    # a parameter ends its series only when it equals -n or q^-n exactly:
+    # 1e-12 i is no 0, and 2F1(a, 1; 1; z) = (1 - z)^(-a) = 1 - 2.877e-13 i
+    # at z = -1/3; one part in 1e14 off 4 is no 0.5^-2
     assert detect_termination([1e-12j, 1]) is None
     assert detect_termination([-3 + 1e-13]) is None
     assert detect_termination([EXTENDED.cnum(-4), complex(-7, 0.0)]) == 4
-    assert detect_termination([4.0 * (1 + 1e-14)], 0.5) == 2
+    assert detect_termination([4.0 * (1 + 1e-14)], 0.5) is None
+    assert detect_termination([4.0], 0.5) == 2
     a, z = 1e-12j, -1 / 3
     ev = hyp_pfq([a, 1], [1], z, ctx=ctx)
     assert ev.status is SeriesStatus.CONVERGED
     # within the stopping rule's 1e-15 of |value| = 1; exactly 1 is 2.9e-13 off
     ref = complex(mp.power(1 - mp.mpf(z), -mp.mpc(a)))
     assert abs(complex(ev.value) - ref) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_q_termination_is_exact_in_each_arithmetic(q):
+    # q^-m formed in the parameter's own arithmetic is q^-m; the next
+    # double above it is not
+    for ctx in (EXTENDED, numerics.extended_context(60)):
+        qc = ctx.rnum(q)
+        assert [detect_termination([qc ** -m], q) for m in range(31)] == list(range(31))
+    for m in range(31):
+        assert detect_termination([q ** -m], q) == m
+        assert detect_termination([math.nextafter(q ** -m, math.inf)], q) is None
+
+
+@pytest.mark.parametrize("q, m", [(0.3, 3), (0.5, 4), (0.7, 6)])
+def test_next_double_above_q_power_sums_in_full(q, m):
+    # 2phi1(u, b; c; q, z) with u one ulp above q^-m is an infinite series:
+    # it converges, and agrees with the term-by-term sum at 60 digits
+    u, b, c, z = math.nextafter(q ** -m, math.inf), 0.4, 0.25, 0.3
+    ev = bhs_rphis([u, b], [c], q, z)
+    assert ev.status is SeriesStatus.CONVERGED and ev.terms_used > m + 1
+    with mp.workdps(60):
+        qm, term, ref = mp.mpf(q), mp.mpf(1), mp.mpf(0)
+        for n in range(400):
+            ref += term
+            x = qm ** n
+            term *= (1 - u * x) * (1 - b * x) / ((1 - qm * x) * (1 - c * x)) * z
+    # the terms up to n = m cancel to |value| = 3e-3 at q = 0.7: the error
+    # is measured on the largest term
+    assert abs(ev.value - complex(ref)) <= 1e-14 * 10 ** ev.max_term_log10
 
 
 def test_pfq_trivial():

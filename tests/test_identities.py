@@ -83,6 +83,19 @@ def test_hypothesis_violation_raises():
         run_case(bad)
 
 
+@pytest.mark.parametrize("ident, name, value", [
+    ("mp_recurrence", "n", 2.5), ("aw_recurrence", "n", 2.5),
+    ("chahn_finite", "K", 3.7), ("chahn_finite_whipple", "K", 3.7),
+    ("hahn_bilinear_discrete", "M", 4.5), ("hahn_bilinear_discrete", "N", 4.5),
+    ("hahn_bilinear_discrete", "x", 1.5), ("hahn_bilinear_discrete", "y", 1.5)])
+def test_integer_parameter_is_not_truncated(ident, name, value):
+    # a non-integer count is refused by name, not run as its integer part
+    params = {**sample_params(ident, 0).params, name: value}
+    with pytest.raises(HypothesisError, match=f"{name} must be a nonnegative integer"):
+        run_case(IdentityCase(ident, params))
+    assert run_case(IdentityCase(ident, {**params, name: float(int(value))})).passed
+
+
 @pytest.mark.parametrize("ident", ["aw_bilinear", "cdqh_bilinear", "asc_bilinear",
                                    "cbqh_reduction"])
 def test_q_bilinear_point_on_the_slack(ident):

@@ -353,6 +353,15 @@ def test_bessel_range_errors():
         bessel_j(-1.5, 1.0)
 
 
+def test_bessel_negative_argument_needs_an_exact_integer_order():
+    # J_m(-z) = (-1)^m J_m(z) for an integer m only: an order one rounding
+    # off an integer is no integer
+    assert bessel_j(3, -1.5) == -bessel_j(3, 1.5)
+    for nu, z in ((1e-13, -1.5), (2 + 2 ** -50, -1.0)):
+        with pytest.raises(DomainError):
+            bessel_j(nu, z)
+
+
 def test_extended_context_ladder():
     # escalations share one context per rung of ten digits
     assert extended_context(12).dps == 30
