@@ -16,8 +16,9 @@ extended:
 - ``rexp``, ``rlog``, ``rsqrt``, ``cos``, ``sin``, ``acos``: ``math``'s /
   mpmath's, real argument (positive for ``rlog``), real backend type.
 - ``expi(theta)``: exp(i theta) for real theta.
-- ``gamma``, ``loggamma``: mpmath's in both modes (``series`` has the
-  standard-precision ones); ``loggamma`` is the principal branch.
+- ``gamma``, ``loggamma``: mpmath's in both modes, at 53 bits in standard
+  (``series.complex_gamma`` and ``series.log_abs_gamma`` take them);
+  ``loggamma`` is the principal branch.
 - ``is_finite``: neither part infinite nor nan.
 - ``to_dyadic(v)``, ``from_dyadic(t)`` (extended contexts only): ``cnum(v)``
   as an ``(re, im, exp)`` triple of ints standing for (re + i im) 2^exp,
@@ -91,12 +92,9 @@ class Context:
             mpc, ldexp = mpctx.mpc, mpctx.ldexp
 
             def to_dyadic(v):
-                kind = v.__class__
-                if kind is int:
+                if v.__class__ is int:
                     return v, 0, 0
-                if kind is float or kind is complex:
-                    # exact, as cnum(v) is: a double has 53 bits
-                    return _dyadic_of_double(complex(v))
+                # mpc converts a double exactly: it has 53 bits
                 (rs, rm, re, _), (is_, im, ie, _) = mpc(v)._mpc_
                 # mpmath's special values are the ones with a zero
                 # mantissa and a nonzero exponent
@@ -134,20 +132,6 @@ class Context:
         if isinstance(v, (int, float, complex)):
             return v
         return self._mpctx.convert(v)
-
-
-def _dyadic_of_double(v: complex):
-    """(re, im, exp) with (re + i im) 2^exp == v exactly."""
-    if not cmath.isfinite(v):
-        raise OverflowError(f"{v} has no dyadic value")
-    (mr, er), (mi, ei) = math.frexp(v.real), math.frexp(v.imag)
-    if not mr:
-        er = ei
-    elif not mi:
-        ei = er
-    e = min(er, ei)
-    return (int(math.ldexp(mr, 53)) << (er - e),
-            int(math.ldexp(mi, 53)) << (ei - e), e - 53)
 
 
 STANDARD = Context(STANDARD_MODE)

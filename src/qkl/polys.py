@@ -39,7 +39,7 @@ from itertools import count, islice
 from .errors import DegreeError, DomainError, ParamError, RealityError
 from .hyper import bhs_rphis, hyp_pfq, stable_eval
 from .numerics import STANDARD, Context
-from .series import QBase, _qval, log_gamma_real, pochhammer, pochhammer_ladder, qpoch
+from .series import QBase, _qval, log_gamma_real, nonneg_int, pochhammer, pochhammer_ladder, qpoch
 
 _REALITY_REL = 1e-10
 
@@ -75,7 +75,7 @@ class HahnParams:
     N: int
 
     def __post_init__(self):
-        if self.N < 1:
+        if nonneg_int(self.N, "Hahn parameter N") < 1:
             raise ParamError("Hahn parameter N must be a positive integer")
 
 
@@ -170,6 +170,7 @@ def mp_poly(p: MPParams, n: int, x: float, orthonormal: bool = False,
     The value is provably real; the imaginary residue is checked and dropped.
     With ``orthonormal`` the factor sqrt(n!/Gamma(n+2k)) is applied.
     """
+    n = nonneg_int(n, "mp_poly degree n")
     k, phi = p.k, p.phi
 
     def build(c: Context):
@@ -191,6 +192,7 @@ def mp_poly(p: MPParams, n: int, x: float, orthonormal: bool = False,
 def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float:
     """Orthonormal MP value by upward three-term recurrence from
     p_{-1} = 0, p_0 = 1/sqrt(Gamma(2k))."""
+    n = nonneg_int(n, "mp_poly_rec degree n")
     return ctx.rnum(next(islice(mp_orthonormal_stream(p, y, ctx), n, None)))
 
 
@@ -227,6 +229,7 @@ def _mp_coefficients(k: float, cosphi, n: int, ctx: Context):
 def chahn_poly(p: CHahnParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     """Continuous Hahn p_n(x; a, b, c, d) = i^n (a+c)_n (a+d)_n / n! *
     3F2(-n, n+a+b+c+d-1, a+ix; a+c, a+d; 1)."""
+    n = nonneg_int(n, "chahn_poly degree n")
     a, b, c_, d = p.a, p.b, p.c, p.d
 
     def build(c: Context):
@@ -313,6 +316,7 @@ def jacobi_stream(alpha: float, beta: float, x: float, ctx: Context = STANDARD):
 
 def hahn_poly(p: HahnParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     """Hahn Q_n(x; alpha, beta, N) = 3F2(-n, n+alpha+beta+1, -x; alpha+1, -N; 1)."""
+    n = nonneg_int(n, "hahn_poly degree n")
     if n > p.N:
         raise DegreeError(f"Hahn degree n = {n} exceeds N = {p.N}")
 
@@ -330,6 +334,7 @@ def jacobi_poly(alpha: float, beta: float, n: int, x: float,
     """Jacobi P_n^(alpha,beta)(x) = ((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1;
     alpha+1; (1-x)/2), the normalisation for which the Bateman-type bilinear
     generating function holds."""
+    n = nonneg_int(n, "jacobi_poly degree n")
 
     def build(c: Context):
         al, be = c.rnum(alpha), c.rnum(beta)
@@ -410,6 +415,7 @@ def aw_poly(p: AWParams, n: int, x: float, ctx: Context = STANDARD) -> complex:
     permutation symmetry; with all four parameters zero the polynomial is the
     continuous q-Hermite case, evaluated from its combinatorial expansion.
     """
+    n = nonneg_int(n, "aw_poly degree n")
     x = _unit_arg(x, "aw_poly")
     a, b, c_, d = _aw_slots(p)
     if complex(a) == 0:

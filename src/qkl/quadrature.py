@@ -23,7 +23,6 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, ParamError, RangeError
-from .numerics import STANDARD, Context
 from .polys import ASCParams, MPParams, asc_orthonormal_nodes, mp_orthonormal_nodes
 from .series import log_abs_gamma, qpoch
 
@@ -40,24 +39,21 @@ class QuadratureResult:
     evaluations: int
 
 
-def mp_weight(k: float, phi: float, x, ctx: Context = STANDARD):
+def mp_weight(k: float, phi: float, x):
     """Meixner-Pollaczek orthogonality density
-    ((2 sin phi)^(2k) / 2 pi) e^((2 phi - pi) x) |Gamma(k + i x)|^2;
-    ``x`` is a float or, in standard precision, elementwise a float array.
+    ((2 sin phi)^(2k) / 2 pi) e^((2 phi - pi) x) |Gamma(k + i x)|^2 at a
+    float ``x`` (a float comes back) or elementwise on a float array, with
+    log |Gamma| by ``series.log_abs_gamma``'s Lanczos array in both cases.
 
     Assembled in log space: the two exponential factors overflow/underflow
     individually far inside the region where their product still matters.
     """
     MPParams(k, phi)
-    if np.ndim(x):
-        x = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     logw = (2 * k * math.log(2 * math.sin(phi)) - math.log(2 * math.pi)
-            + (2 * phi - math.pi) * x + 2 * log_abs_gamma(k + 1j * x, ctx))
-    if np.ndim(logw):
-        return np.where(logw < -745.0, 0.0, np.exp(logw))
-    if logw < -745.0:
-        return 0.0
-    return math.exp(logw)
+            + (2 * phi - math.pi) * xs + 2 * log_abs_gamma(k + 1j * xs))
+    w = np.where(logw < -745.0, 0.0, np.exp(logw))
+    return w if np.ndim(x) else float(w[0])
 
 
 def aw_weight(params, x):

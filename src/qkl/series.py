@@ -1,7 +1,12 @@
 """Scalar building blocks: Pochhammer symbols, q-shifted factorials, the
 (q-)Pochhammer ladder ``pochhammer_ladder`` on which every j-sum coefficient
-steps from one j to the next, complex Gamma, principal-branch complex
-powers, and Bessel J.
+steps from one j to the next, Gamma, principal-branch complex powers, and
+Bessel J.
+
+Scalar Gamma and log |Gamma| come from the mpmath context behind the
+``Context`` (53 bits in standard precision).  The one Lanczos approximation,
+``_log_abs_gamma_array``, takes log |Gamma| on a numpy array of quadrature
+nodes in one pass; its tests compare it with the scalar functions.
 
 Everything here is pure and re-entrant.  Functions accept an optional
 ``Context`` selecting standard (double) or extended (mpmath) arithmetic;
@@ -9,8 +14,8 @@ results are returned in the backend scalar type of that context.
 """
 from __future__ import annotations
 
-import cmath
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -39,7 +44,6 @@ _LANCZOS_COEFFS = (
     -2.6190838401581408670e-5,
     3.6899182659531622704e-6,
 )
-_SQRT_2PI = 2.5066282746310002
 
 
 @dataclass(frozen=True)
@@ -69,13 +73,20 @@ def _neg_int_index(u):
     return m if m >= 0 and u == -m else None
 
 
+def nonneg_int(v, name: str, error=ParamError) -> int:
+    """v as an int; ``error`` unless it is exactly a nonnegative integer
+    (int() would truncate 2.5 to 2): the check on every degree and order."""
+    if isinstance(v, numbers.Number) and _neg_int_index(-v) is not None:
+        return int(v.real)
+    raise error(f"{name} must be a nonnegative integer, got {v!r}")
+
+
 def pochhammer(a, n: int, ctx: Context = STANDARD):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), exact ascending order.
 
     (a)_0 = 1.  Zero results are legal when a is a nonpositive integer > -n.
     """
-    if n < 0:
-        raise ParamError("pochhammer order n must be nonnegative")
+    n = nonneg_int(n, "pochhammer order n")
     a = ctx.cnum(a)
     out = ctx.cnum(1)
     for m in range(n):
@@ -95,8 +106,7 @@ def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
     qc = ctx.rnum(qq)
     out = ctx.cnum(1)
     if n is not None:
-        if n < 0:
-            raise ParamError("qpoch order n must be nonnegative")
+        n = nonneg_int(n, "qpoch order n")
         qm = ctx.cnum(1)
         for m in range(n):
             out *= 1 - a * qm
@@ -197,88 +207,61 @@ def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
         j += 1
 
 
+def complex_gamma(z, ctx: Context = STANDARD):
+    """Gamma(z) on the complex plane, from the mpmath context behind ``ctx``
+    (53 bits in standard precision), as a ``cnum`` value.
+
+    Raises PoleError when z is exactly a nonpositive integer, and RangeError
+    when Gamma(z) is not finite in ``ctx``'s backend.
+    """
+    if _neg_int_index(z) is not None:
+        raise PoleError(f"gamma pole at z = {z}")
+    g = ctx.cnum(ctx.gamma(ctx.cnum(z)))
+    if not ctx.is_finite(g):
+        raise RangeError(f"Gamma({z}) is not finite in {ctx}")
+    return g
+
+
+def log_gamma_real(x, ctx: Context = STANDARD):
+    """log Gamma(x) for real x > 0 (coefficient assembly helper)."""
+    if x <= 0:
+        raise DomainError("log_gamma_real requires x > 0")
+    if ctx.extended:
+        return ctx.loggamma(ctx.rnum(x))
+    return math.lgamma(x)
+
+
+def log_abs_gamma(z, ctx: Context = STANDARD):
+    """log |Gamma(z)| as a float, overflow-free for large |Im z| (weight
+    evaluation): from the mpmath context behind ``ctx`` for a complex number,
+    or, in standard precision only, elementwise on a complex array (see
+    :func:`_log_abs_gamma_array`).  PoleError when z is exactly a
+    nonpositive integer.
+    """
+    if np.ndim(z):
+        if ctx.extended:
+            raise ParamError("log_abs_gamma takes arrays in standard precision only")
+        return _log_abs_gamma_array(np.asarray(z, dtype=complex))
+    if _neg_int_index(z) is not None:
+        raise PoleError(f"gamma pole at z = {z}")
+    return float(ctx.loggamma(ctx.cnum(z)).real)
+
+
 def _lanczos_sum(zz):
-    """The Lanczos series of Gamma(zz + 1); ``zz`` is a complex number or,
-    elementwise, a complex array."""
+    """The Lanczos series of Gamma(zz + 1), elementwise on a complex array."""
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (zz + k)
     return acc
 
 
-def _lanczos_gamma(z: complex) -> complex:
-    z -= 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * _lanczos_sum(z)
-
-
-def _off_gamma_pole(z) -> complex:
-    """complex(z); PoleError when z is a nonpositive integer within 1e-14."""
-    zc = complex(z)
-    m = round(zc.real)
-    if m <= 0 and abs(zc.real - m) <= 1e-14 and abs(zc.imag) <= 1e-14:
-        raise PoleError(f"gamma pole at z = {m}")
-    return zc
-
-
-def complex_gamma(z, ctx: Context = STANDARD):
-    """Gamma(z) on the complex plane, reflection formula for Re z < 0.5.
-
-    Raises PoleError when z is a nonpositive integer within 1e-14.
-    """
-    zc = _off_gamma_pole(z)
-    if ctx.extended:
-        return ctx.gamma(ctx.cnum(z))
-    if zc.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * zc) * _lanczos_gamma(1.0 - zc))
-    return _lanczos_gamma(zc)
-
-
-def log_gamma_real(x, ctx: Context = STANDARD):
-    """log Gamma(x) for real x > 0 (coefficient assembly helper)."""
-    if ctx.extended:
-        return ctx.loggamma(ctx.rnum(x))
-    if x <= 0:
-        raise DomainError("log_gamma_real requires x > 0")
-    return math.lgamma(x)
-
-
-def log_abs_gamma(z, ctx: Context = STANDARD):
-    """log |Gamma(z)|, overflow-free for large |Im z| (weight evaluation).
-
-    ``z`` is a complex number or, in standard precision only, elementwise a
-    complex array (see :func:`_log_abs_gamma_array`).
-    """
-    if np.ndim(z):
-        if ctx.extended:
-            raise ParamError("log_abs_gamma takes arrays in standard precision only")
-        return _log_abs_gamma_array(np.asarray(z, dtype=complex))
-    zc = _off_gamma_pole(z)
-    if ctx.extended:
-        return float(ctx.loggamma(ctx.cnum(z)).real)
-    if zc.real >= 0.5:
-        zz = zc - 1.0
-        t = zz + _LANCZOS_G + 0.5
-        val = (0.5 * math.log(2 * math.pi) + (zz + 0.5) * cmath.log(t) - t
-               + cmath.log(_lanczos_sum(zz)))
-        return val.real
-    # reflection: log|Gamma(z)| = log pi - log|sin(pi z)| - log|Gamma(1-z)|
-    y = math.pi * zc.imag
-    if abs(y) > 25.0:
-        log_sin = abs(y) - math.log(2.0)
-    else:
-        log_sin = 0.5 * math.log(math.sin(math.pi * zc.real) ** 2
-                                 + math.sinh(y) ** 2)
-    return math.log(math.pi) - log_sin - log_abs_gamma(1.0 - zc, ctx)
-
-
 def _log_abs_gamma_array(z: np.ndarray) -> np.ndarray:
-    """The standard branch of :func:`log_abs_gamma` on every element of a
-    complex array: the same Lanczos terms in the same order, with the
-    reflection for Re z < 1/2 and its |pi Im z| > 25 asymptote selected
-    elementwise."""
+    """log |Gamma(z)| on every element of a complex array by the Lanczos
+    approximation, with the reflection for Re z < 1/2 and its |pi Im z| > 25
+    asymptote selected elementwise: the Gram matrices' weight on their node
+    vectors."""
     m = np.round(z.real)
-    if np.any((m <= 0) & (np.abs(z.real - m) <= 1e-14) & (np.abs(z.imag) <= 1e-14)):
+    if np.any((m <= 0) & (z == m)):
         raise PoleError("gamma pole in log_abs_gamma's argument array")
     reflect = z.real < 0.5
     zz = np.where(reflect, 1.0 - z, z) - 1.0
@@ -286,11 +269,15 @@ def _log_abs_gamma_array(z: np.ndarray) -> np.ndarray:
     val = (0.5 * math.log(2 * math.pi) + (zz + 0.5) * np.log(t) - t
            + np.log(_lanczos_sum(zz))).real
     y = math.pi * z.imag
-    # both branches are computed everywhere; sinh overflows where the
-    # asymptote is taken instead
-    with np.errstate(over="ignore"):
+    # both branches are computed everywhere: sinh overflows where the
+    # asymptote is taken instead, and the sine vanishes at the positive
+    # integers, which take no reflection.  sin^2 has period pi and Re z - m
+    # is exact, so next to a pole the sine keeps the digits that pi Re z
+    # would round off
+    with np.errstate(over="ignore", divide="ignore"):
         log_sin = np.where(np.abs(y) > 25.0, np.abs(y) - math.log(2.0),
-                           0.5 * np.log(np.sin(math.pi * z.real) ** 2 + np.sinh(y) ** 2))
+                           0.5 * np.log(np.sin(math.pi * (z.real - m)) ** 2
+                                        + np.sinh(y) ** 2))
     return np.where(reflect, math.log(math.pi) - log_sin - val, val)
 
 

@@ -83,6 +83,14 @@ def test_hypothesis_violation_raises():
         run_case(bad)
 
 
+def test_chahn_bilinear_refuses_unequal_b_plus_d():
+    # b = beta + iu and d = conj(b) by construction, so b + d = 2 Re b; a
+    # complex u moves Re b, and b + d = b' + d' fails
+    params = {**sample_params("chahn_bilinear", 0).params, "u": 0.4 + 0.1j}
+    with pytest.raises(HypothesisError, match="b \\+ d = b' \\+ d'"):
+        run_case(IdentityCase("chahn_bilinear", params))
+
+
 @pytest.mark.parametrize("ident, name, value", [
     ("mp_recurrence", "n", 2.5), ("aw_recurrence", "n", 2.5),
     ("chahn_finite", "K", 3.7), ("chahn_finite_whipple", "K", 3.7),

@@ -4,9 +4,11 @@ makes it once per context; the q-kernel point stays behind
 j-sum coefficient steps in j only in ``series.pochhammer_ladder``; a series
 engine declares its series once, as the factor lists ``hyper._sum_series``
 reads; precision escalates only in ``numerics.escalate``; a term of a
-kernel sum or a j-sum is built only in ``hyper.sum_streams``; and the command
-line names no identity, the exact route staying behind ``qkl.exact``; and
-every module-level function has a caller in the package or is exported."""
+kernel sum or a j-sum is built only in ``hyper.sum_streams``; the command
+line names no identity, the exact route staying behind ``qkl.exact``;
+every module-level function has a caller in the package or is exported;
+the Lanczos series serves only the Gram matrices' node arrays; and no
+module imports a name it does not use."""
 import ast
 import re
 from pathlib import Path
@@ -205,3 +207,36 @@ def test_every_function_has_a_caller():
                       if top.name not in exported
                       and not named.get(top.name, set()) - {(name, id(top))})
     assert uncalled == []
+
+
+def test_lanczos_series_serves_only_the_node_arrays():
+    # scalar Gamma and log |Gamma| come from the context's mpmath; the
+    # Lanczos series runs only on the Gram matrices' node arrays, so the
+    # scalar functions are an independent reference for it
+    tree = ast.parse((SRC / "series.py").read_text())
+    callers = sorted(top.name for top in tree.body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_lanczos_sum")
+    assert callers == ["_log_abs_gamma_array"]
+
+
+def test_every_import_is_used():
+    # a module that imports a name and never uses it kept a dependency its
+    # code dropped; the package's __init__ imports to export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in bound
+                       if name not in used]
+    assert unused == []

@@ -43,6 +43,7 @@ from qkl.polys import (
     sj_mp_stream,
     unit_phase,
 )
+from qkl.series import pochhammer, qpoch
 
 
 def test_spectral_window_in_logs():
@@ -149,6 +150,27 @@ def test_hahn_trivial():
         hahn_poly(p, 6, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: HahnParams(0.5, 0.7, 4.5),
+    lambda: hahn_poly(HahnParams(0.5, 0.7, 4), 1.5, 1.0),
+    lambda: mp_poly(MPParams(1.0, 1.0), 2.5, 0.3),
+    lambda: mp_poly(MPParams(1.0, 1.0), -1, 0.3),
+    lambda: mp_poly_rec(MPParams(1.0, 1.0), 2.5, 0.3),
+    lambda: chahn_poly(CHahnParams(1, 1, 1, 1), 2.5, 0.3),
+    lambda: jacobi_poly(0.5, 0.5, 2.5, 0.3),
+    lambda: aw_poly(AWParams(0.5, 0.1, 0.2, 0.3, 0.4), 2.5, 0.3),
+    lambda: asc_poly(ASCParams(0.5, 0.1, 0.2), 2.5, 0.3),
+    lambda: pochhammer(1.5, 2.5),
+    lambda: qpoch(0.5, 0.3, 2.5),
+], ids=["hahn_N", "hahn_n", "mp_half", "mp_negative", "mp_rec", "chahn", "jacobi",
+        "aw", "asc", "pochhammer", "qpoch"])
+def test_degree_that_is_not_a_nonnegative_integer_is_a_param_error(call):
+    # a degree or order is checked before any arithmetic: 2.5 is neither
+    # summed as a nonterminating series nor truncated to 2
+    with pytest.raises(ParamError, match="must be a nonnegative integer"):
+        call()
+
+
 # ---------------------------------------------------------------- jacobi
 
 def test_jacobi_trivial():
@@ -203,8 +225,6 @@ def test_asc_basic():
     assert asc_poly(p, 0, 0.3) == 1
     assert abs(asc_poly(p, 1, 0.3) - (2 * 0.3 - 0.55 + 0.35)) < 1e-14
     # orthonormal variant divides by sqrt((q, ab; q)_n)
-    from qkl.series import qpoch
-
     n = 4
     norm = math.sqrt((complex(qpoch(q, q, n)) * complex(qpoch(0.55 * -0.35, q, n))).real)
     assert abs(asc_poly(p, n, 0.3, orthonormal=True) - asc_poly(p, n, 0.3) / norm) < 1e-13

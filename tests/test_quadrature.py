@@ -10,10 +10,13 @@ import pytest
 from qkl.errors import ConvergenceError, ParamError, RangeError
 from qkl.polys import ASCParams, AWParams
 from qkl.quadrature import _mp_support, _trapezoid, aw_weight, mp_weight, ortho_gram
+from qkl.series import log_abs_gamma
 
 
 def test_mp_weight_closed_point():
-    assert abs(mp_weight(1.0, math.pi / 2, 0.0) - 2 / math.pi) < 1e-15
+    w = mp_weight(1.0, math.pi / 2, 0.0)
+    assert type(w) is float
+    assert abs(w - 2 / math.pi) < 1e-15
 
 
 def test_mp_weight_positivity():
@@ -34,9 +37,18 @@ def test_mp_weight_k1_identity():
         assert abs(mp_weight(1.0, phi, x) - ref) <= 1e-12 * ref
 
 
+def _mp_weight_ref(k, phi, x):
+    """The weight of ``mp_weight`` at one float x, with log |Gamma(k + ix)|
+    from the scalar ``log_abs_gamma`` (mpmath's loggamma at 53 bits), not
+    from the Lanczos array that ``mp_weight`` runs on."""
+    logw = (2 * k * math.log(2 * math.sin(phi)) - math.log(2 * math.pi)
+            + (2 * phi - math.pi) * x + 2 * log_abs_gamma(complex(k, x)))
+    return 0.0 if logw < -745.0 else math.exp(logw)
+
+
 def test_mp_weight_on_node_array():
-    # one call on an array of nodes agrees with the scalar calls, node by
-    # node, and underflows to 0.0 at the same nodes; k < 1/2 takes the
+    # one call on an array of nodes agrees with the mpmath reference, node
+    # by node, and underflows to 0.0 at the same nodes; k < 1/2 takes the
     # reflection of log |Gamma|
     rng = random.Random(8)
     for _ in range(12):
@@ -47,7 +59,7 @@ def test_mp_weight_on_node_array():
         xs = np.array([rng.uniform(-40, 40) for _ in range(40)] + [-3000.0, 3000.0])
         got = mp_weight(k, phi, xs)
         assert got.shape == xs.shape
-        want = [mp_weight(k, phi, float(x)) for x in xs]
+        want = [_mp_weight_ref(k, phi, float(x)) for x in xs]
         assert got[-2] == got[-1] == want[-2] == want[-1] == 0.0
         for x, g, w in zip(xs, got, want):
             assert (g == 0.0) == (w == 0.0), (k, phi, x)
@@ -55,13 +67,13 @@ def test_mp_weight_on_node_array():
 
 
 def _mp_support_scalar_walk(k, phi, nmax):
-    """The support search one scalar weight at a time: peak on the grid
+    """The support search one reference weight at a time: peak on the grid
     -8, -7.5, ..., 8, then steps of 2 outward from +-8 until the enveloped
     weight is below 1e-18 of the peak, or +-400 is reached."""
-    peak = max(mp_weight(k, phi, float(x)) for x in np.arange(-8.0, 8.0001, 0.5))
+    peak = max(_mp_weight_ref(k, phi, float(x)) for x in np.arange(-8.0, 8.0001, 0.5))
 
     def envelope(x):
-        return mp_weight(k, phi, x) * (1 + x * x) ** (nmax + 1)
+        return _mp_weight_ref(k, phi, x) * (1 + x * x) ** (nmax + 1)
 
     lo = -8.0
     while envelope(lo) > 1e-18 * peak and lo > -400:

@@ -18,6 +18,7 @@ from qkl.series import (
     complex_gamma,
     complex_pow_principal,
     log_abs_gamma,
+    log_gamma_real,
     pochhammer,
     pochhammer_ladder,
     qpoch,
@@ -175,6 +176,39 @@ def test_gamma_basics():
         complex_gamma(-3.0)
 
 
+@pytest.mark.parametrize("z", [171.7, 200.0])
+def test_gamma_past_the_double_range_is_a_range_error(z):
+    # Gamma(171.7) is about 1.1e309: past the largest double, not a bare
+    # OverflowError
+    with pytest.raises(RangeError):
+        complex_gamma(z)
+
+
+def test_gamma_underflows_to_zero_left_of_the_origin():
+    # |Gamma(-200.5)| is about 1e-376, below the smallest double
+    assert complex_gamma(-200.5) == 0
+
+
+def test_log_abs_gamma_next_to_a_pole_is_finite():
+    # -3 + 1e-15 is not -3: only an exact nonpositive integer is a pole
+    z = -3 + 1e-15
+    with mp.workdps(30):
+        ref = float(mp.log(abs(mp.gamma(mp.mpf(z)))))
+    assert abs(log_abs_gamma(z) - ref) <= 1e-12 * ref
+    # the Lanczos array too: its reflection reduces Re z by the nearest
+    # integer before the sine
+    assert abs(log_abs_gamma(np.array([z + 0j]))[0] - ref) <= 1e-12 * ref
+    with pytest.raises(PoleError):
+        log_abs_gamma(-3.0)
+
+
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED], ids=["standard", "extended"])
+@pytest.mark.parametrize("x", [-0.5, 0, -2])
+def test_log_gamma_real_refuses_nonpositive_x_in_both_precisions(x, ctx):
+    with pytest.raises(DomainError):
+        log_gamma_real(x, ctx)
+
+
 def test_gamma_recurrence_on_strip():
     rng = random.Random(11)
     for _ in range(60):
@@ -216,9 +250,10 @@ def test_log_abs_gamma_large_imaginary():
 
 
 def test_log_abs_gamma_on_array_matches_scalar():
-    # one seeded block per branch: Lanczos directly (Re z >= 1/2), through
-    # the reflection (Re z < 1/2), and the reflection's |pi Im z| > 25
-    # asymptote
+    # the Lanczos array against the scalar function, which is mpmath's
+    # loggamma at 53 bits; one seeded block per branch of the array:
+    # Lanczos directly (Re z >= 1/2), through the reflection (Re z < 1/2),
+    # and the reflection's |pi Im z| > 25 asymptote
     rng = np.random.default_rng(11)
     n = 60
     sign = rng.choice([-1.0, 1.0], n)
