@@ -67,9 +67,11 @@ def aw_weight(params, x):
     The numerator is one product, (e^(2 i theta), e^(-2 i theta); q)_inf,
     since (a, -a, q^(1/2) a, -q^(1/2) a; q)_inf = (a^2; q)_inf.  Each factor
     is written as a sum over sin^2 theta = (1 - x)(1 + x), which keeps its
-    relative accuracy up to x = +-1, where the numerator vanishes.  The
-    products stop where max(1, |p|) q^m < 1e-17 (1 - q), as ``qpoch`` does;
-    what they leave out is below double rounding.
+    relative accuracy up to x = +-1, where the numerator vanishes.  Every
+    product stops before the first M with max(1, |p|) q^M < 1e-17 (1 - q),
+    p over the parameters, and takes no tail: the factors it leaves out
+    move it by at most 3 max(1, |p|) q^M / (1 - q) < 3e-17 relative, below
+    double rounding.
     """
     if isinstance(params, ASCParams):
         q, denom_params = params.q, (params.a, params.b)

@@ -53,15 +53,17 @@ class QBase:
     q: float
 
     def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ParamError(f"q must satisfy 0 < q < 1, got {self.q}")
+        _qval(self.q)
 
 
 def _qval(q) -> float:
     """Accept a QBase or a bare float and return the validated base."""
     if isinstance(q, QBase):
         return q.q
-    return QBase(float(q)).q
+    qq = float(q)
+    if not 0.0 < qq < 1.0:
+        raise ParamError(f"q must satisfy 0 < q < 1, got {qq}")
+    return qq
 
 
 def _neg_int_index(u):
@@ -94,12 +96,23 @@ def pochhammer(a, n: int, ctx: Context = STANDARD):
     return out
 
 
+# log(1/20): the infinite product multiplies its factors while |a| q^m > 1/20
+_LOG_TAIL = -math.log(20.0)
+_LN10 = math.log(10.0)
+_DBL_MIN = 2.0 ** -1022  # the smallest normal double
+
+
 def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
     """q-shifted factorial (a; q)_n = prod_{m<n} (1 - a q^m).
 
-    ``n=None`` computes the infinite product, truncated at the first m with
-    |a| q^m < eps (1-q), eps = 1e-17 in standard precision and 10^(-dps-2)
-    in extended, and corrected with the first-order tail exp(-a q^M / (1-q)).
+    ``n=None`` computes the infinite product: the factors 1 - a q^m for
+    m < M, M the first m with |a| q^m <= 1/20, times
+    exp(-sum_{k=1}^{K} x^k / (k (1 - q^k))) with x = a q^M, the log series
+    of (x; q)_inf (Gasper-Rahman, Basic Hypergeometric Series, ch. 1).  K
+    is the first k with |x|^k < eps (1 - q), eps = 1e-17 in standard
+    precision and 10^(-dps-2) in extended.  A non-finite |a|, or a nonzero
+    product outside the normal double range in standard precision, raises
+    RangeError.
     """
     qq = _qval(q)
     a = ctx.cnum(a)
@@ -112,20 +125,36 @@ def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
             out *= 1 - a * qm
             qm *= qc
         return out
-    eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
-    bound = eps * (1 - qq)
-    qm = ctx.cnum(1)
-    absa = abs(a)
-    m = 0
-    # |a| q^m decreases strictly; cap bounds the loop when eps is below the
-    # representable range
-    cap = 64 + int(math.log(max(eps, 1e-320)) / math.log(qq)) if absa > 0 else 0
-    while absa * abs(qm) >= bound and m < cap:
-        out *= 1 - a * qm
-        qm *= qc
-        m += 1
-    # first-order tail of sum_{j>=m} log(1 - a q^j)
-    out *= ctx.exp(-a * qm / (1 - qc))
+    if not a:
+        return out
+    try:
+        loga = float(ctx.rlog(abs(a)))
+    except OverflowError:  # |a| of a finite complex past the double range
+        loga = math.inf
+    if not loga < math.inf:
+        raise RangeError(f"(a; q)_inf needs a finite |a|, got a = {a}")
+    logq = math.log(qq)
+    digits = ctx.dps + 2 if ctx.extended else 17
+    m_cut = max(0, math.ceil((loga - _LOG_TAIL) / -logq))
+    k_cut = 1 + int((math.log1p(-qq) - digits * _LN10) / (loga + m_cut * logq))
+    # q^m by one power each, not a running product, whose rounding drifts by
+    # m ulps; 1 - q^k by the sum (1 - q)(1 + q + ... + q^(k-1)), which keeps
+    # its relative accuracy as q -> 1
+    for m in range(m_cut):
+        out *= 1 - a * qc ** m
+    x = a * qc ** m_cut
+    d = 1 - qc
+    xk, qk, dk, tail = x, qc, d, 0
+    for k in range(1, k_cut + 1):
+        tail += xk / (k * dk)
+        xk *= x
+        dk += qk * d
+        qk *= qc
+    out *= ctx.exp(-tail)
+    if not ctx.extended and not _DBL_MIN <= max(abs(out.real), abs(out.imag)) < math.inf:
+        # over- or underflow, unless the product is 0 because a factor is
+        if out or all(1 - a * qc ** m for m in range(m_cut)):
+            raise RangeError(f"(a; q)_inf is outside the double range at a = {a}, q = {qq}")
     return out
 
 

@@ -3,6 +3,7 @@ Bessel J."""
 import cmath
 import math
 import random
+from fractions import Fraction
 from itertools import islice
 
 import mpmath as mp
@@ -14,6 +15,7 @@ from qkl.errors import DomainError, ParamError, PoleError, RangeError
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
     QBase,
+    _qval,
     bessel_j,
     complex_gamma,
     complex_pow_principal,
@@ -50,9 +52,18 @@ def test_qbase_validation():
         QBase(0.0)
 
 
+def test_bare_q_fails_the_qbase_check_with_its_text():
+    for q in (1.2, 0.0, -0.5, 1.0, math.nan):
+        for check in (QBase, _qval, lambda q: qpoch(0.5, q)):
+            with pytest.raises(ParamError, match=r"q must satisfy 0 < q < 1, got"):
+                check(q)
+
+
 def test_qpoch_finite():
     assert abs(qpoch(0.5, 0.5, 2) - 0.375) < 1e-15
-    assert qpoch(0.0, 0.9) == 1
+    for ctx in (STANDARD, EXTENDED):
+        assert qpoch(0.0, 0.9, ctx=ctx) == 1
+        assert qpoch(0j, 0.999, ctx=ctx) == 1
 
 
 def test_qpoch_infinite_vs_brute_force():
@@ -63,6 +74,93 @@ def test_qpoch_infinite_vs_brute_force():
             oracle *= 1 - mp.mpf("0.9") * mp.mpf("0.5") ** m
     got = qpoch(0.9, 0.5)
     assert abs(got - float(oracle)) <= 1e-15 * float(oracle)
+
+
+def _qpoch_product_loop(a, q, ctx):
+    """(a; q)_inf by the loop ``qpoch`` ran before its log-series tail: the
+    factors while |a| q^m >= eps (1 - q), q^m as a running product, then
+    the first-order tail exp(-a q^M / (1 - q))."""
+    eps = 1e-17 if not ctx.extended else 10.0 ** (-ctx.dps - 2)
+    a, qc = ctx.cnum(a), ctx.rnum(q)
+    out, qm = ctx.cnum(1), ctx.cnum(1)
+    while abs(a) * abs(qm) >= eps * (1 - q):
+        out *= 1 - a * qm
+        qm *= qc
+    return out * ctx.exp(-a * qm / (1 - qc))
+
+
+def _qpoch_brute_force(a, q, bits=300):
+    """(a; q)_inf as the plain product of the factors 1 - a q^m, in binary
+    fixed point with ``bits`` fraction bits (about 90 digits) while
+    max(1, |a|) q^m >= 2^-bits; the product carries its own binary
+    exponent."""
+    one = 1 << bits
+    # a double times 2^bits is an integer here, so both are exact
+    xr, xi = (int(Fraction(v) * one) for v in (a.real, a.imag))
+    qf = int(Fraction(q) * one)
+    pr, pi, e = one, 0, 0  # the product is (pr + i pi) 2^(e - bits)
+    for _ in range(math.ceil((math.log(max(1.0, abs(a))) + bits * math.log(2))
+                             / -math.log(q))):
+        fr = one - xr
+        pr, pi = (pr * fr + pi * xi) >> bits, (pi * fr - pr * xi) >> bits
+        s = max(abs(pr), abs(pi)).bit_length() - bits - 1
+        pr, pi = (pr >> s, pi >> s) if s >= 0 else (pr << -s, pi << -s)
+        e += s
+        xr, xi = xr * qf >> bits, xi * qf >> bits
+    return mp.mpc(mp.ldexp(pr, e - bits), mp.ldexp(pi, e - bits))
+
+
+_QPOCH_CONTEXTS = [(STANDARD, 2e-14), (EXTENDED, 1e-38), (extended_context(60), 1e-58)]
+
+
+def test_qpoch_infinite_seeded_against_90_digit_reference():
+    # reference: mpmath's qp for q <= 0.9; mpmath 1.3's qp gives up
+    # (NoConvergence) at 0.99 and 0.999, where the brute-force product runs.
+    # The old product loop is a second oracle up to q = 0.9: beyond, its
+    # running q^m drifts by m ulps (5.6e-14 at q = 0.99 in standard
+    # precision) and at 40 digits it takes 10^4 to 10^5 factors
+    rng = random.Random(29)
+    for q in (0.05, 0.3, 0.7, 0.9, 0.99, 0.999):
+        for i in range(6 if q <= 0.9 else 2):
+            r = rng.uniform(0, 3) if i == 0 else rng.uniform(0, 30)
+            a = r * cmath.exp(2j * math.pi * rng.random())
+            with mp.workdps(90):
+                ref = mp.qp(mp.mpc(a), mp.mpf(q)) if q <= 0.9 else _qpoch_brute_force(a, q)
+                for ctx, bound in _QPOCH_CONTEXTS:
+                    if not ctx.extended and not 1e-300 < abs(ref) < 1e300:
+                        with pytest.raises(RangeError):
+                            qpoch(a, q, ctx=ctx)
+                        continue
+                    got = mp.mpc(qpoch(a, q, ctx=ctx))
+                    assert abs(got - ref) <= bound * abs(ref), (q, a, ctx)
+                    if q <= 0.9:
+                        old = mp.mpc(_qpoch_product_loop(a, q, ctx))
+                        assert abs(got - old) <= bound * abs(ref), (q, a, ctx)
+
+
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED, extended_context(60)])
+def test_qpoch_infinite_is_zero_at_an_exact_inverse_power_of_q(ctx):
+    # a = q^-m, exact in binary, makes the factor of index m exactly 0
+    for a, q in ((1.0, 0.7), (8.0, 0.5), (complex(16.0, 0.0), 0.5), (64.0, 0.25),
+                 (2.0 ** 12, 0.125)):
+        assert qpoch(a, q, ctx=ctx) == 0, (a, q)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, complex(0, math.inf), math.nan])
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED])
+def test_qpoch_infinite_of_a_non_finite_modulus_is_a_range_error(a, ctx):
+    with pytest.raises(RangeError):
+        qpoch(a, 0.5, ctx=ctx)
+
+
+@pytest.mark.parametrize("a, q", [(1e300, 0.5), (complex(1.5e308, 1.5e308), 0.5),
+                                  (30.0, 0.999), (1.25 - 0.2j, 0.999)])
+def test_qpoch_infinite_outside_the_double_range_is_a_range_error(a, q):
+    # |(a; q)_inf| is about 1e149635, 1e158053, 1e1098 and 1e-767 (the
+    # second a has no double |a|); extended precision has the range
+    with pytest.raises(RangeError):
+        qpoch(a, q)
+    assert qpoch(a, q, ctx=EXTENDED) != 0
 
 
 def test_qpoch_functional_equation():
