@@ -20,11 +20,12 @@ from .errors import (
     DivergenceError,
     ParamError,
     PoleError,
+    RangeError,
     VWPoleError,
 )
 from .dyadic import FixedSum, Magnitude, SeriesTerms, magnitude
 from .numerics import STANDARD, Context, escalate, log10_abs
-from .series import _neg_int_index, _qval, complex_pow_principal
+from .series import _DBL_MIN, _neg_int_index, _q_power_index, _qval, complex_pow_principal
 
 _DIVERGENT = {"pFq": "p > q+1", "rphis": "r > s+1"}  # kind -> divergent order
 # values each pair of anchors of contiguous_ladder is recurred down over
@@ -208,9 +209,10 @@ def _safe_float(x) -> float:
 def detect_termination(upper: Sequence, q=None):
     """Smallest n with an upper parameter equal to -n (classical) or to
     q^{-n} (basic), None when the series does not terminate.  Both are
-    decided exactly, in each parameter's own arithmetic, as are the
-    lower-parameter poles of :func:`_pole_index`: a parameter one rounding
-    off -n or q^{-n} leaves its series infinite."""
+    decided exactly, in each parameter's own arithmetic, by
+    ``series._neg_int_index`` and ``series._q_power_index`` (by which
+    ``qpoch`` is exactly 0), as are the poles of :func:`_pole_index`: a
+    parameter one rounding off leaves its series infinite."""
     best = None
     qq = None if q is None else _qval(q)
     for u in upper:
@@ -218,21 +220,6 @@ def detect_termination(upper: Sequence, q=None):
         if m is not None and (best is None or m < best):
             best = m
     return best
-
-
-def _q_power_index(u, q: float):
-    """m >= 0 with u == q^{-m} exactly, in u's own arithmetic, else None:
-    a Python number must equal ``q ** -m``, an mpmath number q converted to
-    its context, to the power -m (as :func:`polys.aw_poly` forms q^{-n} in
-    either precision)."""
-    try:
-        m = round(math.log(abs(complex(u))) / -math.log(q))
-        if m < 0:
-            return None
-        mpctx = getattr(u, "context", None)
-        return m if u == (q if mpctx is None else mpctx.convert(q)) ** -m else None
-    except (OverflowError, ValueError):
-        return None
 
 
 def _pole_index(lower: Sequence, q=None):
@@ -640,9 +627,10 @@ def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
     Taking b5 and z from ``ratio`` keeps the condition exact in ``ctx``, and
     keeps a = b5 = z = 0 an ordinary point: there alpha_j = 1, beta_j = 0
     and every y_j is 1.  A zero ratio or b_i leaves z undefined and raises
-    PoleError.  As j grows the relation tends to y_{j-1} = (1 + s) y_j
-    - s y_{j+1} with s = b5 z / q, so for |b5 z| < q, y_j is its minimal
-    solution, and the relation runs backward only, on the blocks of
+    PoleError, and b1 b2 b3 b4 below the normal double range, in standard
+    precision, RangeError.  As j grows the relation tends to y_{j-1} =
+    (1 + s) y_j - s y_{j+1} with s = b5 z / q, so for |b5 z| < q, y_j is its
+    minimal solution, and the relation runs backward only, on the blocks of
     :func:`_ladder`, from anchors summed by :func:`vwp_8w7` in ``ctx`` under
     ``policy``; for |s| past ``_LADDER_MAX_RATIO`` every y_j is summed so.
     Every coefficient is built in ``ctx``, with the factors grouped so that
@@ -656,7 +644,10 @@ def vwp_ladder(a, b: Sequence, ratio, q, policy: TruncationPolicy | None = None,
     if 0 in (rr, *bs):
         raise PoleError("vwp_ladder: the natural argument needs ratio and b1..b4 nonzero")
     b5c = aa / rr
-    zc = rr * aa * qc * qc / (bs[0] * bs[1] * bs[2] * bs[3])
+    den = bs[0] * bs[1] * bs[2] * bs[3]
+    if not ctx.extended and not abs(den.real) + abs(den.imag) >= _DBL_MIN:
+        raise RangeError("vwp_ladder: b1 b2 b3 b4 is below the normal double range")
+    zc = rr * aa * qc * qc / den
 
     def anchor(j):
         qj = qc ** j

@@ -836,9 +836,9 @@ def _ac_spoisson_validate(p):
     _require(0 < q < 1, "0 < q < 1")
     _require(k1 > 0 and k2 > 0, "k1, k2 > 0")
     _require_conv(abs(complex(p["t"])) < 1, "|t| < 1")
-    for name in ("s", "sigma"):
+    for name in ("s", "sigma"):  # in logs: q^-k2 overflows for large k2
         m = abs(complex(p[name]))
-        _require(q ** k2 < m < q ** (-k2), f"|{name}| in (q^k2, q^-k2)")
+        _require(0 < m and abs(math.log(m)) < -k2 * math.log(q), f"|{name}| in (q^k2, q^-k2)")
     for name in ("x1", "x2", "y1", "y2"):
         _require(abs(p[name]) <= 1, f"{name} in [-1, 1]")
 

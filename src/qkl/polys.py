@@ -39,7 +39,8 @@ from itertools import count, islice
 from .errors import DegreeError, DomainError, ParamError, RealityError
 from .hyper import bhs_rphis, hyp_pfq, stable_eval
 from .numerics import STANDARD, Context
-from .series import QBase, _qval, log_gamma_real, nonneg_int, pochhammer, pochhammer_ladder, qpoch
+from .series import (QBase, _qval, log_gamma_real, nonneg_int, pochhammer, pochhammer_ladder, qpoch,
+                     qpoch_many)
 
 _REALITY_REL = 1e-10
 
@@ -350,23 +351,15 @@ def jacobi_poly(alpha: float, beta: float, n: int, x: float,
 # Askey-Wilson / Al-Salam-Chihara
 
 
-def _qbinomial(n: int, m: int, q, ctx: Context):
-    num = ctx.rnum(1)
-    den = ctx.rnum(1)
-    qq = ctx.rnum(_qval(q))
-    for i in range(m):
-        num *= 1 - qq ** (n - i)
-        den *= 1 - qq ** (i + 1)
-    return num / den
-
-
 def _cont_q_hermite(n: int, x: float, q: float, ctx: Context) -> complex:
     """H_n(cos theta | q) = sum_m [n, m]_q e^{i(n-2m)theta}; the all-parameters-
-    zero Askey-Wilson case.  No cancellation beyond O(n) terms."""
+    zero Askey-Wilson case.  [n, m]_q = (q; q)_n / ((q; q)_m (q; q)_{n-m})
+    from one table of (q; q)_k, k <= n.  No cancellation beyond O(n) terms."""
     theta = ctx.acos(ctx.rnum(x))
+    qf = [qpoch(q, q, k, ctx=ctx) for k in range(n + 1)]
     total = ctx.cnum(0)
     for m in range(n + 1):
-        total += _qbinomial(n, m, q, ctx) * ctx.expi((n - 2 * m) * theta)
+        total += qf[n] / (qf[m] * qf[n - m]) * ctx.expi((n - 2 * m) * theta)
     return total
 
 
@@ -445,8 +438,7 @@ def asc_poly(p: ASCParams, n: int, x: float, orthonormal: bool = False,
     variant divides by sqrt((q, ab; q)_n)."""
     value = aw_poly(p.as_aw(), n, x, ctx)
     if orthonormal:
-        value /= ctx.sqrt(qpoch(p.q, p.q, n, ctx=ctx)
-                          * qpoch(ctx.cnum(p.a) * ctx.cnum(p.b), p.q, n, ctx=ctx))
+        value /= ctx.sqrt(qpoch_many([p.q, ctx.cnum(p.a) * ctx.cnum(p.b)], p.q, n, ctx=ctx))
     return value
 
 
@@ -572,10 +564,8 @@ def sj_ac(k1: float, k2: float, j: int, x1: float, x2: float, s, q,
     normalised by sqrt((q, q^{2k1}, q^{2k2}, q^{2k1+2k2+j-1}; q)_j)."""
     qq, aw = _sj_ac_params(k1, k2, k1 + k2 + j, x1, s, q, ctx)
     pj = aw_poly(aw, j, x2, ctx)
-    norm = ctx.rsqrt(qpoch(qq, qq, j, ctx=ctx).real
-                     * qpoch(qq ** (2 * k1), qq, j, ctx=ctx).real
-                     * qpoch(qq ** (2 * k2), qq, j, ctx=ctx).real
-                     * qpoch(qq ** (2 * k1 + 2 * k2 + j - 1), qq, j, ctx=ctx).real)
+    norm = ctx.rsqrt(qpoch_many([qq, qq ** (2 * k1), qq ** (2 * k2),
+                                 qq ** (2 * k1 + 2 * k2 + j - 1)], qq, j, ctx=ctx).real)
     return pj / norm
 
 

@@ -75,6 +75,22 @@ def _neg_int_index(u):
     return m if m >= 0 and u == -m else None
 
 
+def _q_power_index(u, q: float):
+    """m >= 0 with u == q^{-m} exactly, in u's own arithmetic, else None:
+    a Python number must equal ``q ** -m``, an mpmath number q converted to
+    its context, to the power -m (as :func:`polys.aw_poly` forms q^{-n} in
+    either precision).  q^{-m} >= 1, so no u with |u| < 1 is one."""
+    try:
+        r = abs(complex(u))
+        if not r >= 1:
+            return None
+        m = round(math.log(r) / -math.log(q))
+        mpctx = getattr(u, "context", None)
+        return m if u == (q if mpctx is None else mpctx.convert(q)) ** -m else None
+    except (OverflowError, ValueError):
+        return None
+
+
 def nonneg_int(v, name: str, error=ParamError) -> int:
     """v as an int; ``error`` unless it is exactly a nonnegative integer
     (int() would truncate 2.5 to 2): the check on every degree and order."""
@@ -103,70 +119,72 @@ _DBL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
 def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
-    """q-shifted factorial (a; q)_n = prod_{m<n} (1 - a q^m).
+    """q-shifted factorial (a; q)_n = prod_{m<n} (1 - a q^m); exactly 0 when
+    a = q^{-m} with m < n (any m for n=None), by :func:`_q_power_index`.
 
-    ``n=None`` computes the infinite product: the factors 1 - a q^m for
-    m < M, M the first m with |a| q^m <= 1/20, times
-    exp(-sum_{k=1}^{K} x^k / (k (1 - q^k))) with x = a q^M, the log series
-    of (x; q)_inf (Gasper-Rahman, Basic Hypergeometric Series, ch. 1).  K
-    is the first k with |x|^k < eps (1 - q), eps = 1e-17 in standard
-    precision and 10^(-dps-2) in extended.  A non-finite |a|, or a nonzero
-    product outside the normal double range in standard precision, raises
-    RangeError.
+    ``n=None`` computes the infinite product: the factors for m < M, M the
+    first m with |a| q^m <= 1/20, times exp(-sum_{k=1}^{K} x^k / (k (1 - q^k)))
+    with x = a q^M, the log series of (x; q)_inf (Gasper-Rahman, Basic
+    Hypergeometric Series, ch. 1); K is the first k with |x|^k < eps (1 - q),
+    eps = 1e-17 in standard precision and 10^(-dps-2) in extended.  A
+    non-finite |a| raises RangeError, as does, in standard precision, a
+    product leaving the normal double range, at the factor that takes it out.
     """
     qq = _qval(q)
-    a = ctx.cnum(a)
-    qc = ctx.rnum(qq)
-    out = ctx.cnum(1)
     if n is not None:
         n = nonneg_int(n, "qpoch order n")
-        qm = ctx.cnum(1)
-        for m in range(n):
-            out *= 1 - a * qm
-            qm *= qc
-        return out
-    if not a:
-        return out
+    zero_at = _q_power_index(a, qq)
+    if zero_at is not None and (n is None or zero_at < n):
+        return ctx.cnum(0)
+    a, qc, out = ctx.cnum(a), ctx.rnum(qq), ctx.cnum(1)
+    m_cut, tail, checked = n or 0, 0, not ctx.extended
     try:
-        loga = float(ctx.rlog(abs(a)))
-    except OverflowError:  # |a| of a finite complex past the double range
-        loga = math.inf
-    if not loga < math.inf:
-        raise RangeError(f"(a; q)_inf needs a finite |a|, got a = {a}")
-    logq = math.log(qq)
-    digits = ctx.dps + 2 if ctx.extended else 17
-    m_cut = max(0, math.ceil((loga - _LOG_TAIL) / -logq))
-    k_cut = 1 + int((math.log1p(-qq) - digits * _LN10) / (loga + m_cut * logq))
-    # q^m by one power each, not a running product, whose rounding drifts by
-    # m ulps; 1 - q^k by the sum (1 - q)(1 + q + ... + q^(k-1)), which keeps
-    # its relative accuracy as q -> 1
-    for m in range(m_cut):
-        out *= 1 - a * qc ** m
-    x = a * qc ** m_cut
-    d = 1 - qc
-    xk, qk, dk, tail = x, qc, d, 0
-    for k in range(1, k_cut + 1):
-        tail += xk / (k * dk)
-        xk *= x
-        dk += qk * d
-        qk *= qc
-    out *= ctx.exp(-tail)
-    if not ctx.extended and not _DBL_MIN <= max(abs(out.real), abs(out.imag)) < math.inf:
-        # over- or underflow, unless the product is 0 because a factor is
-        if out or all(1 - a * qc ** m for m in range(m_cut)):
-            raise RangeError(f"(a; q)_inf is outside the double range at a = {a}, q = {qq}")
-    return out
+        if n is None and a:
+            loga = float(ctx.rlog(abs(a)))
+            if not loga < math.inf:
+                raise OverflowError
+            logq = math.log(qq)
+            digits = ctx.dps + 2 if ctx.extended else 17
+            m_cut = max(0, math.ceil((loga - _LOG_TAIL) / -logq))
+            k_cut = 1 + int((math.log1p(-qq) - digits * _LN10) / (loga + m_cut * logq))
+            # 1 - q^k by the sum (1 - q)(1 + q + ... + q^(k-1)), which keeps
+            # its relative accuracy as q -> 1
+            x, d = a * qc ** m_cut, 1 - qc
+            xk, qk, dk = x, qc, d
+            for k in range(1, k_cut + 1):
+                tail += xk / (k * dk)
+                xk *= x
+                dk += qk * d
+                qk *= qc
+        # q^m by one power per factor: a running product drifts by m ulps
+        for m in range(m_cut):
+            out *= 1 - a * qc ** m
+            if checked and not _DBL_MIN <= abs(out) < math.inf:
+                break
+        else:
+            if tail:
+                out *= ctx.exp(-tail)
+            if not checked or _DBL_MIN <= abs(out) < math.inf:
+                return out
+    except OverflowError:  # a non-finite |a|, or cmath.exp or abs past the double range
+        pass
+    raise RangeError(f"(a; q)_{'inf' if n is None else n} at a = {a}, q = {qq} "
+                     f"is out of range in {ctx}")
 
 
 def qpoch_many(bases, q, n: int | None = None, *, over=(),
                ctx: Context = STANDARD):
     """Product of (a; q)_n over a list of bases, then divided by (l; q)_n
-    for each l in ``over``, one factor at a time in list order."""
+    for each l in ``over``, one factor at a time in list order; a vanishing
+    (l; q)_n raises PoleError."""
     out = ctx.cnum(1)
     for a in bases:
         out *= qpoch(a, q, n, ctx=ctx)
     for l in over:
-        out /= qpoch(l, q, n, ctx=ctx)
+        den = qpoch(l, q, n, ctx=ctx)
+        if not den:
+            raise PoleError(f"qpoch_many: (l; q)_n vanishes at l = {l}, n = {n}")
+        out /= den
     return out
 
 
@@ -202,9 +220,8 @@ def pochhammer_ladder(z, top=(), bottom=(), q=None, ctx: Context = STANDARD):
     else:
         qq = _qval(q)
         qc = ctx.rnum(qq)
-        co = qpoch_many([ctx.cnum(a) for a, _, l in top if l == math.inf], qq,
-                        over=[ctx.cnum(b) for b, _, l in bottom if l == math.inf],
-                        ctx=ctx)
+        co = qpoch_many([a for a, _, l in top if l == math.inf], qq,
+                        over=[b for b, _, l in bottom if l == math.inf], ctx=ctx)
     last = max((slot[0] for slot in slots), default=0)
     # the factor positions of a step, the first ``nup`` multiplying
     vals, steps, nup = [], [], 0

@@ -226,6 +226,21 @@ def test_large_k_ends_in_report_or_typed_error(ident, seed, key):
     assert report.identity_id == ident
 
 
+@pytest.mark.parametrize("k2", [600.0, 700.0, 2000.0])
+def test_ac_spoisson_large_k2_is_a_typed_error(k2):
+    # seed 3 has q = 0.7: at k2 = 2000 the validator's q^-k2 overflowed
+    # (OverflowError), and at 600 and 700 the 8W7 ladder's b1 b2 b3 b4
+    # underflowed to 0 (ZeroDivisionError)
+    case = sample_params("ac_spoisson", 3)
+    params = {**case.params, "k2": k2}
+    get_entry("ac_spoisson").validator(params)
+    with pytest.raises(QKLError):
+        run_case(replace(case, params=params))
+    # the window stays strict, with its text
+    with pytest.raises(HypothesisError, match=r"\|s\| in \(q\^k2, q\^-k2\)"):
+        get_entry("ac_spoisson").validator({**params, "k2": 0.5, "s": 0.7 ** -0.6})
+
+
 @pytest.mark.parametrize("precision", ["standard", "extended"])
 def test_hahn_stream_poles_are_typed_errors(precision):
     # the j-sum meets the lower-parameter pole of its 2F1 factor before it

@@ -7,7 +7,8 @@ reads; precision escalates only in ``numerics.escalate``; a term of a
 kernel sum or a j-sum is built only in ``hyper.sum_streams``; the command
 line names no identity, the exact route staying behind ``qkl.exact``;
 every module-level function has a caller in the package or is exported;
-the Lanczos series serves only the Gram matrices' node arrays; and no
+the Lanczos series serves only the Gram matrices' node arrays; a
+q-shifted factorial vanishes by the one rule of basic termination; and no
 module imports a name it does not use."""
 import ast
 import re
@@ -240,3 +241,21 @@ def test_every_import_is_used():
             unused += [f"{path.name}:{node.lineno}: {name}" for name in bound
                        if name not in used]
     assert unused == []
+
+
+def test_q_products_have_one_zero_rule():
+    # u = q^-m is decided once, in series: basic termination and the exact
+    # zero of qpoch call the same rule, and q-binomials come from qpoch
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    defined = sorted(name for name, tree in trees.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "_q_power_index")
+    assert defined == ["series.py"]
+    callers = sorted((name[:-3], top.name) for name, tree in trees.items()
+                     for top in tree.body
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_q_power_index")
+    assert callers == [("hyper", "detect_termination"), ("series", "qpoch")]
+    assert not [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_qbinomial"]

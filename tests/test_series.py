@@ -3,6 +3,7 @@ Bessel J."""
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -12,6 +13,7 @@ import pytest
 
 from qkl import numerics
 from qkl.errors import DomainError, ParamError, PoleError, RangeError
+from qkl.hyper import detect_termination
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.series import (
     QBase,
@@ -161,6 +163,94 @@ def test_qpoch_infinite_outside_the_double_range_is_a_range_error(a, q):
     with pytest.raises(RangeError):
         qpoch(a, q)
     assert qpoch(a, q, ctx=EXTENDED) != 0
+
+
+@pytest.mark.parametrize("a, q", [(-0.05, 1 - 1e-6), (-0.04 + 0.01j, 1 - 1e-6)])
+def test_qpoch_infinite_tail_past_the_double_range_is_a_range_error(a, q):
+    # M = 0 and the log-series tail alone is exp(+5e4): cmath.exp overflowed
+    with pytest.raises(RangeError):
+        qpoch(a, q)
+    assert qpoch(a, q, ctx=EXTENDED) != 0
+
+
+def test_qpoch_leaving_the_double_range_stops_at_that_factor():
+    # (30; 1 - 1e-6)_inf overflows after about 210 of its 6.4 million
+    # factors; multiplying all of them first took 1.5 s
+    start = time.perf_counter()
+    with pytest.raises(RangeError):
+        qpoch(30.0, 1 - 1e-6)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED, extended_context(60)])
+def test_qpoch_is_exactly_zero_at_q_to_the_minus_m(ctx):
+    # the factor of index m of (q^-m; q)_n vanishes for every n > m and for
+    # n = None, however q^-m q^m rounds; (q^-m; q)_m keeps all its factors
+    for q in (0.3, 0.5, 0.7):
+        for m in range(11):
+            powers = [q ** -m] + ([ctx.rnum(q) ** -m] if ctx.extended else [])
+            for a in powers:
+                for n in (m + 1, m + 2, m + 7, None):
+                    assert qpoch(a, q, n, ctx=ctx) == 0, (q, m, n)
+                assert qpoch(a, q, m, ctx=ctx) != 0, (q, m)
+
+
+@pytest.mark.parametrize("ctx", [STANDARD, EXTENDED])
+def test_qpoch_vanishes_exactly_where_the_basic_series_terminates(ctx):
+    # (u; q)_k is 0 exactly when detect_termination([u], q) < k.  Otherwise
+    # it is nonzero, unless a standard factor 1 - u q^i rounds to 0 for a u
+    # one ulp off q^-m: that product has left the double range
+    rng = random.Random(30)
+    for _ in range(400):
+        q, m = rng.choice((0.3, 0.5, 0.7)), rng.randrange(11)
+        k = rng.choice([None, *range(13)])
+        kind = rng.randrange(3)
+        if kind == 0:
+            u = q ** -m
+        elif kind == 1:
+            u = math.nextafter(q ** -m, rng.choice((0.0, math.inf)))
+        else:
+            u = rng.uniform(0, 3) * cmath.exp(2j * math.pi * rng.random())
+        stop = detect_termination([u], q)
+        if stop is not None and (k is None or stop < k):
+            assert qpoch(u, q, k, ctx=ctx) == 0, (u, q, k)
+        elif not ctx.extended and any(1 - u * q ** i == 0 for i in range(60 if k is None else k)):
+            with pytest.raises(RangeError):
+                qpoch(u, q, k, ctx=ctx)
+        else:
+            assert qpoch(u, q, k, ctx=ctx) != 0, (u, q, k)
+
+
+@pytest.mark.parametrize("a, q, n", [(1.3 * cmath.exp(0.4j), 0.99, 600),
+                                     (2.5 * cmath.exp(-1j), 0.99, 400),
+                                     (1.1 * cmath.exp(3j), 0.995, 1500),
+                                     (0.9 * cmath.exp(2j), 0.999, 2000)])
+def test_qpoch_finite_does_not_drift(a, q, n):
+    # q^m by one power per factor: a running product q^m drifted by m ulps,
+    # 1.7e-14 at the first draw
+    with mp.workdps(60):
+        ref, qm = mp.mpc(1), mp.mpf(q)
+        for m in range(n):
+            ref *= 1 - mp.mpc(a) * qm ** m
+        assert abs(mp.mpc(qpoch(a, q, n)) - ref) <= 5e-15 * abs(ref)
+
+
+def test_qpoch_finite_underflow_is_a_range_error():
+    # |(a; q)_3000| is 1.36e-523: the standard product used to stop at
+    # 5e-324 + 5e-324j
+    a = 1.3 * cmath.exp(0.4j)
+    with pytest.raises(RangeError):
+        qpoch(a, 0.999, 3000)
+    assert qpoch(a, 0.999, 3000, ctx=EXTENDED) != 0
+
+
+def test_vanishing_denominator_product_is_a_pole():
+    # 2 = 0.5^-1 zeroes (2; 0.5)_inf, on its own and as a ladder's j = 0
+    # divisor (a bare ZeroDivisionError before)
+    with pytest.raises(PoleError):
+        qpoch_many([0.5], 0.5, over=[2.0])
+    with pytest.raises(PoleError):
+        next(pochhammer_ladder(0.3, (), [(2.0, 1, math.inf)], 0.5))
 
 
 def test_qpoch_functional_equation():
