@@ -5,17 +5,21 @@ A value here is a Gaussian dyadic: an ``(re, im, exp)`` triple of ints that
 stands for (re + i im) 2^exp.  :class:`SeriesTerms` yields the terms of a
 hypergeometric-type series in this form, each rounded to ``wp`` bits (the
 larger of |re| and |im| below 2^wp), and :class:`FixedSum` adds them up in
-fixed point; :class:`Magnitude` carries |x| as a float mantissa and an int
-exponent, so that the stopping rule of ``hyper.accumulate`` compares terms
-and sums through their exponents, at any magnitude.  Every rounding floors
-(a right shift or a floor division), so it errs by less than one unit in
-the last of the ``wp`` bits.  ``numerics.Context`` converts its extended
-values to triples exactly and back with one rounding at its precision; no
-mpmath number is made or touched here.
+fixed point; :func:`conjugate_convolution` sums the products
+t_j conj(t_{n-j}) of the same terms (the Meixner-Pollaczek and continuous
+q-Hermite values of ``qkl.polys``).  :class:`Magnitude` carries |x| as a
+float mantissa and an int exponent, so that the stopping rule of
+``hyper.accumulate`` compares terms and sums through their exponents, at any
+magnitude.  Every rounding floors (a right shift or a floor division), so it
+errs by less than one unit in the last of the ``wp`` bits.
+``numerics.Context`` converts its extended values to triples exactly and
+back with one rounding at its precision; no mpmath number is made or
+touched here.
 """
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 #: bits every term and partial sum carries past its context's precision
 EXTRA_BITS = 32
@@ -90,40 +94,93 @@ class SeriesTerms:
         self.z, self.q, self.head = z, q, head
 
     def __iter__(self):
-        wp, num, den, weight = self.wp, self.num, self.den, self.weight
-        classical = self.q is None
-        if classical:
-            xr = xe = 0
+        return _terms(self.num, self.den, self.z, self.q, self.head, self.weight, self.wp)
+
+
+def _terms(num, den, z, q, head, weight, wp: int):
+    """The term loop of :class:`SeriesTerms`, on its prepared factors."""
+    classical = q is None
+    if classical:
+        xr = xe = 0
+    else:
+        (qr, _, qe), xr, xe = q, 1, 0
+    base = head
+    while True:
+        xtop = xe + xr.bit_length()
+        if weight is None:
+            yield base
         else:
-            (qr, _, qe), xr, xe = self.q, 1, 0
-        base = self.head
-        while True:
-            xtop = xe + xr.bit_length()
-            if weight is None:
-                yield base
-            else:
-                yield _mul(base, weight.at(xr * xr, 2 * xe, 2 * xtop), wp)
-            pr, pi, pe = self.z
-            dr, di, de = ONE
-            if classical and xr:
-                for f in num:
-                    fr, fi = f.cr + f.sr * xr, f.ci + f.si * xr
-                    pr, pi, pe = pr * fr - pi * fi, pr * fi + pi * fr, pe + f.e
-                for f in den:
-                    fr, fi = f.cr + f.sr * xr, f.ci + f.si * xr
-                    dr, di, de = dr * fr - di * fi, dr * fi + di * fr, de + f.e
-            else:
-                for f in num:
-                    fr, fi, fe = f.at(xr, xe, xtop)
-                    pr, pi, pe = pr * fr - pi * fi, pr * fi + pi * fr, pe + fe
-                for f in den:
-                    fr, fi, fe = f.at(xr, xe, xtop)
-                    dr, di, de = dr * fr - di * fi, dr * fi + di * fr, de + fe
-            base = _step(base, (pr, pi, pe), (dr, di, de), wp)
-            if classical:
-                xr += 1
-            else:
-                xr, _, xe = _round(xr * qr, 0, xe + qe, wp)
+            yield _mul(base, weight.at(xr * xr, 2 * xe, 2 * xtop), wp)
+        pr, pi, pe = z
+        dr, di, de = ONE
+        if classical and xr:
+            for f in num:
+                fr, fi = f.cr + f.sr * xr, f.ci + f.si * xr
+                pr, pi, pe = pr * fr - pi * fi, pr * fi + pi * fr, pe + f.e
+            for f in den:
+                fr, fi = f.cr + f.sr * xr, f.ci + f.si * xr
+                dr, di, de = dr * fr - di * fi, dr * fi + di * fr, de + f.e
+        else:
+            for f in num:
+                fr, fi, fe = f.at(xr, xe, xtop)
+                pr, pi, pe = pr * fr - pi * fi, pr * fi + pi * fr, pe + fe
+            for f in den:
+                fr, fi, fe = f.at(xr, xe, xtop)
+                dr, di, de = dr * fr - di * fi, dr * fi + di * fr, de + fe
+        base = _step(base, (pr, pi, pe), (dr, di, de), wp)
+        if classical:
+            xr += 1
+        else:
+            xr, _, xe = _round(xr * qr, 0, xe + qe, wp)
+
+
+def conjugate_convolution(num, den, z, n: int, prec: int, q=None):
+    """Re sum_{j=0}^{n} t_j conj(t_{n-j}) over the terms t_0 = 1, t_1, ...
+    of :class:`SeriesTerms` (``num``, ``den``, ``z``, ``prec``, ``q``): the
+    coefficient of s^n in |sum_j t_j s^j|^2 for real s.  Returns the sum and
+    the decimal digits it lost, log10 of the largest |t_j t_{n-j}| over the
+    sum's magnitude (at most 0.91 more; infinite for a zero sum).
+
+    The sum is real by construction: t_j conj(t_{n-j}) and t_{n-j} conj(t_j)
+    have the same exact real part, taken once and doubled, so each of the
+    about n/2 products is exact and only the fixed-point sum floors."""
+    wp = prec + EXTRA_BITS
+    terms = list(islice(_terms([_Factor(c, s, wp) for c, s in num],
+                               [_Factor(c, s, wp) for c, s in den], z, q, ONE, None, wp),
+                        n + 1))
+    # 2^(top - 1) <= |t| < 2^(top + 1/2), top the exponent just above the
+    # leading bit of t: the bound below is at most three bits high
+    tops = [e + max(re.bit_length(), im.bit_length()) for re, im, e in terms]
+    total = FixedSum(wp)
+    for j in range(n // 2 + 1):
+        (ar, ai, ae), (br, bi, be) = terms[j], terms[n - j]
+        total += (ar * br + ai * bi, 0, ae + be + (2 * j < n))
+    largest = (max(tops[j] + tops[n - j] for j in range(n + 1)) + 1) * _LOG10_2
+    return total.parts(), max(0.0, largest - abs(total).log10())
+
+
+def rising(c, n: int):
+    """(c)_n = c (c + 1) ... (c + n - 1) of a real triple c, exactly."""
+    m, _, e = c
+    if e > 0:
+        m, e = m << e, 0
+    out = 1
+    for j in range(n):
+        out *= m + (j << -e)
+    return out, 0, n * e
+
+
+def times_sqrt(t, num, den, prec: int):
+    """t sqrt(num / den) to ``prec + EXTRA_BITS`` bits, for triples t and
+    positive real num and den: one floor division to twice that many bits,
+    one integer square root."""
+    wp = prec + EXTRA_BITS
+    (a, _, ae), (b, _, be) = num, den
+    shift = max(0, 2 * wp + b.bit_length() - a.bit_length())
+    shift += (shift + ae - be) & 1  # an even exponent halves exactly
+    root = math.isqrt((a << shift) // b)
+    tr, ti, te = t
+    return _round(tr * root, ti * root, te + (ae - be - shift) // 2, wp)
 
 
 class _Factor:

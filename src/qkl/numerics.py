@@ -89,13 +89,20 @@ class Context:
             self.expi = lambda theta: mpctx.exp(i * theta)
             self.is_finite = mpctx.isfinite
             self.prec = mpctx.prec
-            mpc, ldexp = mpctx.mpc, mpctx.ldexp
+            mpc, mpf, ldexp = mpctx.mpc, mpctx.mpf, mpctx.ldexp
 
             def to_dyadic(v):
                 if v.__class__ is int:
                     return v, 0, 0
-                # mpc converts a double exactly: it has 53 bits
-                (rs, rm, re, _), (is_, im, ie, _) = mpc(v)._mpc_
+                # a number of this context is at its precision already; mpc
+                # converts a double exactly: it has 53 bits
+                if v.__class__ is mpc:
+                    parts = v._mpc_
+                elif v.__class__ is mpf:
+                    parts = v._mpf_, (0, 0, 0, 0)
+                else:
+                    parts = mpc(v)._mpc_
+                (rs, rm, re, _), (is_, im, ie, _) = parts
                 # mpmath's special values are the ones with a zero
                 # mantissa and a nonzero exponent
                 if not rm and re or not im and ie:

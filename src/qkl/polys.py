@@ -5,8 +5,11 @@ Terminating q-series suffer catastrophic cancellation that grows like
 q^(-n(n-1)/2) with the degree, and the classical families lose digits at a
 slower but still fatal rate; every definitional evaluation here therefore
 monitors the largest summand and transparently re-runs at escalated precision
-until the result carries ~15 trustworthy digits.  Al-Salam-Chihara is the
-Askey-Wilson family at c = d = 0 and is evaluated as such by ``aw_poly``.
+until the result carries ~15 trustworthy digits.  Meixner-Pollaczek and
+continuous q-Hermite values are instead coefficients of their generating
+functions, summed on integers (``dyadic.conjugate_convolution``), which
+cancel far less.  Al-Salam-Chihara is the Askey-Wilson family at c = d = 0
+and is evaluated as such by ``aw_poly``.
 
 Recurrence streams yield p_0, p_1, ... at one point: Meixner-Pollaczek and
 Al-Salam-Chihara (orthonormal, backing the kernel sums), Askey-Wilson
@@ -34,11 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice
 
 from .errors import DegreeError, DomainError, ParamError, RealityError
+from .dyadic import ONE, conjugate_convolution, rising, times_sqrt
 from .hyper import bhs_rphis, hyp_pfq, stable_eval
-from .numerics import STANDARD, Context
+from .numerics import EXTENDED, STANDARD, Context, escalate
 from .series import (QBase, _qval, log_gamma_real, nonneg_int, pochhammer, pochhammer_ladder, qpoch,
                      qpoch_many)
 
@@ -166,28 +171,44 @@ def _recurrence(two_x, coefficients, p0):
 
 def mp_poly(p: MPParams, n: int, x: float, orthonormal: bool = False,
             ctx: Context = STANDARD) -> float:
-    """Meixner-Pollaczek P_n^(k)(x; phi) from the terminating 2F1 definition.
+    """Meixner-Pollaczek P_n^(k)(x; phi) from its generating function
+    (1 - e^{i phi} t)^{-k+ix} (1 - e^{-i phi} t)^{-k-ix} (KLS section 9.7):
 
-    The value is provably real; the imaginary residue is checked and dropped.
-    With ``orthonormal`` the factor sqrt(n!/Gamma(n+2k)) is applied.
+        P_n = sum_j B_j conj(B_{n-j}),  B_j = (k + ix)_j / j! e^{-ij phi},
+
+    summed on integers by ``dyadic.conjugate_convolution`` at the working
+    precision of an extended context, whatever ``ctx`` is, and escalated on
+    the digits it measures lost (largest term over the sum).  With
+    ``orthonormal`` the value is multiplied by sqrt(n! / ((2k)_n Gamma(2k))),
+    also on integers.  A non-real x raises RealityError before any
+    arithmetic.
     """
     n = nonneg_int(n, "mp_poly degree n")
-    k, phi = p.k, p.phi
+    if getattr(x, "imag", 0):
+        raise RealityError(f"mp_poly: x = {x} is not real")
+    k, phi, x = p.k, p.phi, x.real
 
     def build(c: Context):
-        i = c.cnum(1j)
-        zarg = 1 - c.exp(-2 * i * c.rnum(phi))
-        ev = hyp_pfq([-n, c.rnum(k) + i * c.rnum(x)], [2 * c.rnum(k)], zarg, ctx=c)
-        lead = c.exp(log_gamma_real(2 * k + n, c) - log_gamma_real(2 * k, c)
-                     - log_gamma_real(n + 1, c) + i * c.rnum(n * phi))
-        return lead * ev.value, ev
+        a, z, gamma = _mp_lifts(k, phi, x, c)
+        total, lost = conjugate_convolution([(a, ONE)], [(ONE, ONE)], z, n, c.prec)
+        if orthonormal:
+            # 2k is twice the real part of k + ix, exactly
+            poch, _, pe = rising((2 * a[0], 0, a[2]), n)
+            total = times_sqrt(total, (math.factorial(n), 0, 0),
+                               (poch * gamma[0], 0, pe + gamma[2]), c.prec)
+        return c.from_dyadic(total).real, lost, None
 
-    value, _, used = _stable_eval(build, ctx, predicted_lost=0.47 * n)
-    out = _enforce_real(value, f"mp_poly(n={n})")
-    if orthonormal:
-        out = out * used.rexp(0.5 * (log_gamma_real(n + 1, used)
-                                     - log_gamma_real(n + 2 * k, used)))
-    return ctx.rnum(out)
+    value, _, _ = escalate(build, ctx if ctx.extended else EXTENDED)
+    return ctx.rnum(value)
+
+
+@lru_cache(maxsize=8)
+def _mp_lifts(k: float, phi: float, x, c: Context):
+    """k + ix exactly, e^{-i phi} and Gamma(2k) at the precision of ``c``, as
+    triples: lifted once for the degrees asked at one point (the right side
+    of ``mp_recurrence`` asks for three)."""
+    d = c.to_dyadic
+    return d(c.cnum(k, x)), d(c.expi(-c.rnum(phi))), d(c.gamma(2 * c.rnum(k)))
 
 
 def mp_poly_rec(p: MPParams, n: int, y: float, ctx: Context = STANDARD) -> float:
@@ -351,16 +372,21 @@ def jacobi_poly(alpha: float, beta: float, n: int, x: float,
 # Askey-Wilson / Al-Salam-Chihara
 
 
-def _cont_q_hermite(n: int, x: float, q: float, ctx: Context) -> complex:
-    """H_n(cos theta | q) = sum_m [n, m]_q e^{i(n-2m)theta}; the all-parameters-
-    zero Askey-Wilson case.  [n, m]_q = (q; q)_n / ((q; q)_m (q; q)_{n-m})
-    from one table of (q; q)_k, k <= n.  No cancellation beyond O(n) terms."""
-    theta = ctx.acos(ctx.rnum(x))
-    qf = [qpoch(q, q, k, ctx=ctx) for k in range(n + 1)]
-    total = ctx.cnum(0)
-    for m in range(n + 1):
-        total += qf[n] / (qf[m] * qf[n - m]) * ctx.expi((n - 2 * m) * theta)
-    return total
+def _cont_q_hermite(n: int, x: float, q: float, ctx: Context):
+    """H_n(cos theta | q) = sum_m [n, m]_q e^{i(n-2m)theta}, the all-parameters-
+    zero Askey-Wilson case, as (q; q)_n sum_m D_m conj(D_{n-m}) with
+    D_m = e^{-im theta} / (q; q)_m, the terms of 1 / (e^{-i theta} s; q)_inf:
+    the q-analogue of ``mp_poly``'s sum, run the same way.  As q -> 1 the
+    q-binomials outgrow the value, so the measured loss escalates."""
+
+    def build(c: Context):
+        d = c.to_dyadic
+        total, lost = conjugate_convolution(
+            [], [(ONE, d(-c.rnum(q)))], d(unit_phase(x, "aw_poly", c).conjugate()),
+            n, c.prec, q=d(c.rnum(q)))
+        return c.from_dyadic(total).real * qpoch(q, q, n, ctx=c), lost, None
+
+    return escalate(build, ctx if ctx.extended else EXTENDED)[0]
 
 
 def _aw_predicted_lost(n: int, q: float, base_mod: float) -> float:

@@ -255,3 +255,47 @@ def test_magnitudes_compare_past_the_double_range():
     with pytest.raises(OverflowError):
         float(huge)
     assert float(dyadic.magnitude((3, 4, -2))) == 1.25
+
+
+def test_context_lifts_its_own_numbers_exactly():
+    # a real or complex number of the context becomes its triple as it is
+    for v in (EXTENDED.rnum(1) / 3, -EXTENDED.gamma(EXTENDED.rnum(2.6)),
+              EXTENDED.expi(EXTENDED.rnum(-1.1)), EXTENDED.rnum(0)):
+        re, im, exp = EXTENDED.to_dyadic(v)
+        assert mp.mpc(re, im) * mp.mpf(2) ** exp == mp.mpc(v)
+    with pytest.raises(OverflowError):
+        EXTENDED.to_dyadic(EXTENDED.rnum(mp.inf))
+
+
+@pytest.mark.parametrize("z", [0.6 - 0.8j, 2.5 + 0.25j, -1.5 + 3j])
+def test_conjugate_convolution_of_the_exponential(z):
+    # t_j = z^j / j!, so sum_j t_j conj(t_{n-j}) is the coefficient of s^n in
+    # |e^{zs}|^2 = e^{2 Re(z) s}: (2 Re z)^n / n!, from terms of modulus
+    # |z|^n / (j! (n-j)!), the largest at j = n/2
+    zc = EXTENDED.cnum(z)
+    for n in (0, 1, 2, 7, 30):
+        parts, lost = dyadic.conjugate_convolution(
+            [], [(dyadic.ONE, dyadic.ONE)], EXTENDED.to_dyadic(zc), n, EXTENDED.prec)
+        assert parts[1] == 0
+        got = REF.mpf(parts[0]) * REF.mpf(2) ** parts[2]
+        ref = (2 * REF.mpf(z.real)) ** n / REF.factorial(n)
+        largest = abs(REF.mpc(z)) ** n / REF.factorial(n // 2) / REF.factorial(n - n // 2)
+        assert abs(got - ref) <= 2 ** -(EXTENDED.prec - 8) * (n + 1) * largest, (z, n)
+        true_lost = max(0, float(REF.log10(largest / abs(ref))))
+        assert true_lost <= lost <= true_lost + 0.91, (z, n, lost, true_lost)
+
+
+def test_times_sqrt_is_one_floor_from_the_root():
+    # and the exact rising factorial that feeds it: (5/2)_3 = 315/8
+    assert dyadic.rising((5, 0, -1), 3) == (315, 0, -3)
+    assert dyadic.rising((3, 0, 2), 2) == (156, 0, 0)
+    assert dyadic.rising((7, 0, -4), 0) == (1, 0, 0)
+    wp = EXTENDED.prec + dyadic.EXTRA_BITS
+    for t, num, den in [((3, 0, 0), (2, 0, 0), (1, 0, 0)),
+                        ((-5, 7, -3), (5, 0, -3), (7, 0, 4)),
+                        ((1, 0, 0), (1, 0, 0), (3 ** 200, 0, -90))]:
+        re, im, exp = dyadic.times_sqrt(t, num, den, EXTENDED.prec)
+        got = REF.mpc(re, im) * REF.mpf(2) ** exp
+        tv = REF.mpc(t[0], t[1]) * REF.mpf(2) ** t[2]
+        ref = tv * REF.sqrt(REF.mpf(num[0]) * REF.mpf(2) ** (num[2] - den[2]) / den[0])
+        assert abs(got - ref) <= 2 ** -(wp - 3) * abs(ref)

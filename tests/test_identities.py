@@ -428,6 +428,14 @@ def test_extended_mp_recurrence_keeps_extended_digits():
         assert rep.rel_err <= 1e-30, (seed, rep.rel_err)
 
 
+def test_extended_mp_recurrence_meets_the_extended_gate():
+    # the definitional values are summed on integers at the working precision
+    # of the extended context, so no extended seed stays near double precision
+    worst = max(run_case(sample_params("mp_recurrence", seed), precision="extended").rel_err
+                for seed in range(10))
+    assert worst <= 1e-28, worst
+
+
 def test_run_case_is_thread_safe():
     # standard cases in one thread while extended ones run in another: each
     # thread reproduces its single-threaded reports bit for bit

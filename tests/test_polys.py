@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qkl.errors import DegreeError, DomainError, ParamError, RealityError
-from qkl.hyper import hyp_pfq_stable
+from qkl.hyper import hyp_pfq, hyp_pfq_stable
 from qkl.identities import sample_params
 from qkl.numerics import EXTENDED, STANDARD, extended_context
 from qkl.polys import (
@@ -107,6 +107,54 @@ def test_mp_three_term_residual():
             rhs = (a_n * vals[n + 1] - 2 * (n + k) * math.cos(phi) * vals[n]
                    + a_nm1 * vals[n - 1])
             assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs), abs(rhs))
+
+
+def _mp_poly_2f1(p, n, x, ctx, orthonormal=False):
+    """KLS 9.7.1, the oracle of ``mp_poly``'s convolution: P_n = (2k)_n / n!
+    e^{in phi} 2F1(-n, k + ix; 2k; 1 - e^{-2i phi}), every argument formed in
+    ``ctx``.  The sum cancels up to about 15 digits, so ``ctx`` is wide."""
+    k, phi = ctx.rnum(p.k), ctx.rnum(p.phi)
+    ev = hyp_pfq([-n, k + ctx.cnum(1j) * ctx.rnum(x)], [2 * k], 1 - ctx.expi(-2 * phi),
+                 ctx=ctx)
+    value = (pochhammer(2 * k, n, ctx) / math.factorial(n) * ctx.expi(n * phi)
+             * ev.value).real
+    if orthonormal:
+        value *= ctx.rsqrt(math.factorial(n) / ctx.gamma(2 * k + n))
+    return value
+
+
+# (k, phi, n, x): the generating-function sums at large n and |x|, and the
+# draw on which double-formed n phi and 2k + n left 4e-15
+_MP_GRID = [(1.3, 1.1, 20, 0.7), (0.25, 0.3, 30, -4.9), (2.9, 2.8, 31, 4.4),
+            (0.8, 1.57, 13, 0.0), (1.7, 0.6, 8, -2.2), (0.45, 2.2, 1, 3.3)]
+
+
+@pytest.mark.parametrize("k,phi,n,x", _MP_GRID)
+def test_mp_poly_meets_an_independent_hyp2f1(k, phi, n, x):
+    # mpmath's own 2F1 at 60 digits; 1e-30 also holds for the definition
+    # with n phi or 2k + n formed in doubles, which missed by up to 4e-15
+    got = mp_poly(MPParams(k, phi), n, x, ctx=extended_context(80))
+    with mp.workdps(60):
+        kk, ph, xx = mp.mpf(k), mp.mpf(phi), mp.mpf(x)
+        ref = (mp.rf(2 * kk, n) / mp.factorial(n) * mp.expj(n * ph)
+               * mp.hyp2f1(-n, kk + 1j * xx, 2 * kk, 1 - mp.expj(-2 * ph))).real
+        assert abs(mp.mpf(got) - ref) <= 1e-30 * max(1, abs(ref)), (k, phi, n, x)
+
+
+def test_mp_poly_matches_the_kls_2f1_oracle():
+    # the convolution of the generating function against the 2F1 form, both
+    # at 80 digits, and the standard values are the oracle's, correctly
+    # rounded
+    ref_ctx = extended_context(80)
+    rng = random.Random(31)
+    for _ in range(12):
+        p = MPParams(rng.uniform(0.2, 3.0), rng.uniform(0.2, math.pi - 0.2))
+        x, n = rng.uniform(-5, 5), rng.randrange(0, 32)
+        for ortho in (False, True):
+            ref = _mp_poly_2f1(p, n, x, ref_ctx, ortho)
+            got = mp_poly(p, n, x, ortho, ref_ctx)
+            assert abs(got - ref) <= 1e-60 * max(1, abs(ref)), (p, n, x, ortho)
+            assert mp_poly(p, n, x, ortho) == float(ref), (p, n, x, ortho)
 
 
 def test_mp_rec_start():
@@ -578,6 +626,25 @@ def test_extended_context_round_trip():
     v_std = mp_poly(p, 12, 0.4, orthonormal=True)
     v_ext = mp_poly(p, 12, 0.4, orthonormal=True, ctx=EXTENDED)
     assert abs(v_std - float(v_ext)) <= 1e-13 * max(1.0, abs(v_std))
+
+
+@pytest.mark.parametrize("q,n", [(0.9, 30), (0.95, 30), (0.95, 40), (0.5, 12), (0.99, 25)])
+def test_cont_q_hermite_meets_its_recurrence(q, n):
+    # H_{n+1} = 2x H_n - (1 - q^n) H_{n-1} at 50 digits; the q-binomial sum
+    # cancels about 14 digits at q = 0.95, n = 40, where summing it once in
+    # doubles missed by 1.4e-2
+    with mp.workdps(50):
+        x = mp.mpf(0.3)
+        prev, cur = mp.mpf(0), mp.mpf(1)
+        for m in range(n):
+            prev, cur = cur, 2 * x * cur - (1 - mp.mpf(q) ** m) * prev
+        ref = cur
+    p = AWParams(q, 0.0, 0.0, 0.0, 0.0)
+    std = aw_poly(p, n, 0.3)
+    assert abs(std - complex(ref)) <= 1e-15 * abs(ref), (q, n, std)
+    ext = aw_poly(p, n, 0.3, EXTENDED)
+    with mp.workdps(50):
+        assert abs(mp.mpc(ext) - ref) <= 1e-25 * abs(ref), (q, n)
 
 
 def test_reality_error_raised():
