@@ -123,16 +123,15 @@ def _mp_poly_2f1(p, n, x, ctx, orthonormal=False):
     return value
 
 
-# (k, phi, n, x): the generating-function sums at large n and |x|, and the
-# draw on which double-formed n phi and 2k + n left 4e-15
+# (k, phi, n, x): large n and |x|, phi near 0, pi/2 and pi, and n = 1
 _MP_GRID = [(1.3, 1.1, 20, 0.7), (0.25, 0.3, 30, -4.9), (2.9, 2.8, 31, 4.4),
             (0.8, 1.57, 13, 0.0), (1.7, 0.6, 8, -2.2), (0.45, 2.2, 1, 3.3)]
 
 
 @pytest.mark.parametrize("k,phi,n,x", _MP_GRID)
 def test_mp_poly_meets_an_independent_hyp2f1(k, phi, n, x):
-    # mpmath's own 2F1 at 60 digits; 1e-30 also holds for the definition
-    # with n phi or 2k + n formed in doubles, which missed by up to 4e-15
+    # mpmath's own 2F1 at 60 digits: a definition that forms n phi or
+    # 2k + n in doubles misses (1.3, 1.1, 20, 0.7) by 4e-15 at any precision
     got = mp_poly(MPParams(k, phi), n, x, ctx=extended_context(80))
     with mp.workdps(60):
         kk, ph, xx = mp.mpf(k), mp.mpf(phi), mp.mpf(x)
