@@ -424,11 +424,11 @@ def _ladder(anchor, step, s=0):
     SeriesEval, each block recurred backward from two summed anchors.
 
     ``anchor(j)`` sums y_j; ``step(j)`` returns (alpha, beta) with
-    y_{j-1} = alpha y_j - beta y_{j+1}, raising PoleError through
-    :func:`_divisors` where a divisor vanishes.  Each block starts with the
-    anchors y_J and y_{J+1}, J being ``_LADDER_BLOCK`` past the block's first
-    j, recurs down to that first j, and yields its values and both anchors;
-    the next block starts at J + 2.  The fields of a yielded SeriesEval other
+    y_{j-1} = alpha y_j - beta y_{j+1}, raising the PoleError of
+    :func:`_zero_divisor` where a divisor vanishes.  Each block starts with
+    the anchors y_J and y_{J+1}, J being ``_LADDER_BLOCK`` past the block's
+    first j, recurs down to that first j, and yields its values and both
+    anchors; the next block starts at J + 2.  The fields of a yielded SeriesEval other
     than its value describe its block's anchors: their terms together, the
     larger tail estimate and the worse stop status, so an anchor stopped at
     its term cap marks every value recurred from it.
@@ -460,55 +460,81 @@ def _ladder(anchor, step, s=0):
         j0 = top + 2
 
 
+def _zero_divisor(j):
+    """The PoleError of a ladder step from j to j - 1 that divides by 0."""
+    return PoleError(f"contiguous ladder: zero divisor from j = {j} to {j - 1}")
+
+
 def _divisors(j, *divs):
     """PoleError unless every divisor of the step from j to j - 1 is nonzero."""
     if 0 in divs:
-        raise PoleError(f"contiguous ladder: zero divisor from j = {j} to {j - 1}")
+        raise _zero_divisor(j)
 
 
 def contiguous_ladder(upper: Sequence, c, z, policy: TruncationPolicy | None = None,
                       ctx: Context = STANDARD):
     """Yields y_j = 2F1(a+j, b+j; c+2j; z) for j = 0, 1, ... given
-    ``upper = (a, b)``, or the confluent 1F1(a+j; c+2j; z) given
-    ``upper = (a,)``, each as a SeriesEval.
+    ``upper = (a, b)``, the confluent 1F1(a+j; c+2j; z) given
+    ``upper = (a,)``, or its own confluent limit 0F1(; c+2j; z) given
+    ``upper = ()``, each as a SeriesEval.
 
     With A = a + j, B = b + j and C = c + 2j the values satisfy the
     contiguous relation y_{j-1} = (1 + z q_j) y_j - z^2 p_j y_{j+1}, where
 
         2F1: q_j = (2AB - AC - BC + C) / (C (C-2)),
              p_j = AB (A-C)(B-C) / (C^2 (C-1)(C+1));
-        1F1: q_j = (2A - C) / (C (C-2)),  p_j = A (A-C) / (C^2 (C-1)(C+1)).
+        1F1: q_j = (2A - C) / (C (C-2)),  p_j = A (A-C) / (C^2 (C-1)(C+1));
+        0F1: q_j = 2 / (C (C-2)),         p_j = 1 / (C^2 (C-1)(C+1)),
 
-    For real z < 1, y_j is its minimal solution: it decays like
-    (2 / (1 + sqrt(1-z)))^{2j} while a dominant one grows, so the relation is
+    the 0F1 relation being the limit of the 1F1 one at argument z / a as a
+    grows.  For real z < 1 (any z for 0F1), y_j is its minimal solution: the
+    2F1 and 1F1 values decay like (2 / (1 + sqrt(1-z)))^{2j} and the 0F1
+    values tend to 1, while a dominant solution grows, so the relation is
     run backward only (Gil, Segura and Temme, "The ABC of hyper recursions",
     J. Comput. Appl. Math. 190, 2006): that way the part of an error that
-    lies along a dominant solution shrinks.  :func:`_ladder` runs the blocks;
-    the anchors are summed by :func:`gauss_2f1` (:func:`hyp_pfq` for 1F1) in
+    lies along a dominant solution shrinks.  :func:`_ladder` runs the blocks; the anchors
+    are summed by :func:`gauss_2f1` (:func:`hyp_pfq` for 1F1 and 0F1) in
     ``ctx`` under ``policy``.  A step whose divisor C (C-2)(C^2-1) vanishes
     raises PoleError.
     """
     up = [ctx.cnum(u) for u in upper]
     cc, zc = ctx.cnum(c), ctx.cnum(z)
     z2 = zc * zc
+    if len(up) == 2:
+        a, b = up
 
-    def anchor(j):
-        if len(up) == 2:
-            return gauss_2f1(up[0] + j, up[1] + j, cc + 2 * j, z, policy, ctx)
-        return hyp_pfq([up[0] + j], [cc + 2 * j], z, policy, ctx)
+        def anchor(j):
+            return gauss_2f1(a + j, b + j, cc + 2 * j, z, policy, ctx)
 
-    def step(j):
-        A, C = up[0] + j, cc + 2 * j
-        down, down2 = C * (C - 2), C * C * (C * C - 1)
-        _divisors(j, down, down2)
-        if len(up) == 2:
-            B = up[1] + j
-            q = (2 * A * B - (A + B) * C + C) / down
-            p = A * B * (A - C) * (B - C) / down2
-        else:
-            q = (2 * A - C) / down
-            p = A * (A - C) / down2
-        return 1 + zc * q, z2 * p
+        def step(j):
+            A, B, C = a + j, b + j, cc + 2 * j
+            down, down2 = C * (C - 2), C * C * (C * C - 1)
+            if down == 0 or down2 == 0:
+                raise _zero_divisor(j)
+            return (1 + zc * ((2 * A * B - (A + B) * C + C) / down),
+                    z2 * (A * B * (A - C) * (B - C) / down2))
+    elif up:
+        [a] = up
+
+        def anchor(j):
+            return hyp_pfq([a + j], [cc + 2 * j], z, policy, ctx)
+
+        def step(j):
+            A, C = a + j, cc + 2 * j
+            down, down2 = C * (C - 2), C * C * (C * C - 1)
+            if down == 0 or down2 == 0:
+                raise _zero_divisor(j)
+            return 1 + zc * ((2 * A - C) / down), z2 * (A * (A - C) / down2)
+    else:
+        def anchor(j):
+            return hyp_pfq([], [cc + 2 * j], z, policy, ctx)
+
+        def step(j):
+            C = cc + 2 * j
+            down, down2 = C * (C - 2), C * C * (C * C - 1)
+            if down == 0 or down2 == 0:
+                raise _zero_divisor(j)
+            return 1 + zc * (2 / down), z2 * (1 / down2)
 
     return _ladder(anchor, step)
 

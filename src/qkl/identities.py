@@ -80,6 +80,7 @@ from .polys import (
 )
 from .series import (
     bessel_j,
+    check_exp_range,
     log_gamma_real,
     nonneg_int,
     pochhammer,
@@ -415,29 +416,42 @@ def _jacobi_bessel_params(p, ctx):
 def _jacobi_bessel_lhs(p, policy, ctx):
     al, be, x, y, z = _jacobi_bessel_params(p, ctx)
     s = al + be + 1
+    w = -z * z / 4
     # (-1)^j (s + 2j) Gamma(j+1) Gamma(s+j) / (Gamma(al+j+1) Gamma(be+j+1))
-    # = (-1)^j (s + 2j) / (s + j) g j! (s+1)_j / ((al+1)_j (be+1)_j), whose
-    # Gammas have positive arguments also at s <= 0; (s + 2j) / (s + j) is 1
-    # at j = 0, its limit at s = 0
-    g = ctx.rexp(log_gamma_real(s + 1, ctx) - log_gamma_real(al + 1, ctx)
-                 - log_gamma_real(be + 1, ctx))
-    coefs = pochhammer_ladder(-1, [(1, 0, 1), (s + 1, 0, 1)],
-                              [(al + 1, 0, 1), (be + 1, 0, 1)], ctx=ctx)
+    # J_{s+2j}(z), with J_{s+2j}(z) = (z/2)^s (z/2)^{2j} 0F1(; s+1+2j; w)
+    # / (Gamma(s+1) (s+1)_{2j}) (DLMF 10.2.2), is (s + 2j) / (s + j) g w^j
+    # j! (s+1)_j / ((al+1)_j (be+1)_j (s+1)_{2j}) 0F1(; s+1+2j; w) with
+    # g = (z/2)^s / (Gamma(al+1) Gamma(be+1)): no Gamma of a nonpositive
+    # argument also at s <= 0; (s + 2j) / (s + j) is 1 at j = 0, its limit
+    # at s = 0
+    lg = log_gamma_real(al + 1, ctx) + log_gamma_real(be + 1, ctx)
+    if z:
+        logg = s * ctx.rlog(z / 2) - lg
+        check_exp_range(logg, ctx, "jacobi_bessel lhs prefactor")
+        g = ctx.rexp(logg)
+    else:
+        # J_{s+2j}(0) as the rhs's bessel_j takes J_nu(0): 1 at nu = 0, else 0
+        g = ctx.rnum(0) if s else ctx.rexp(-lg)
+    coefs = pochhammer_ladder(w, [(1, 0, 1), (s + 1, 0, 1)],
+                              [(al + 1, 0, 1), (be + 1, 0, 1), (s + 1, 0, 2)], ctx=ctx)
     ratios = ((ctx.rnum(al + be + 2 * j + 1) / (s + j) if j else 1) * g
               for j in count())
     px = jacobi_stream(al, be, x, ctx)
     py = jacobi_stream(al, be, y, ctx)
-    # J_{al+be+2j+1}(z)
-    js = (bessel_j(al + be + 2 * j + 1, z, ctx) for j in count())
-    return _sum_j([coefs, ratios, px, py, js], policy, ctx)
+    # 0F1(; s+1+2j; w)
+    fs = contiguous_ladder([], s + 1, w, policy, ctx)
+    return _sum_j([coefs, ratios, px, py, fs], policy, ctx)
 
 
 def _jacobi_bessel_rhs(p, policy, ctx):
     al, be, x, y, z = _jacobi_bessel_params(p, ctx)
     mm = (1 - x) * (1 - y)
     pp = (1 + x) * (1 + y)
-    v = (ctx.rnum(2.0) ** (al + be - 1) * ctx.rnum(mm) ** (-al / 2)
-         * ctx.rnum(pp) ** (-be / 2) * z
+    # 2^(al+be-1) ((1-x)(1-y))^(-al/2) ((1+x)(1+y))^(-be/2)
+    logpref = ((al + be - 1) * ctx.rlog(2) - al / 2 * ctx.rlog(mm)
+               - be / 2 * ctx.rlog(pp))
+    check_exp_range(logpref, ctx, "jacobi_bessel rhs prefactor")
+    v = (ctx.rexp(logpref) * z
          * bessel_j(al, z / 2 * ctx.rsqrt(mm), ctx)
          * bessel_j(be, z / 2 * ctx.rsqrt(pp), ctx))
     return ctx.cnum(v), {}

@@ -35,7 +35,7 @@ from .polys import (
     mp_orthonormal_stream,
     unit_phase,
 )
-from .series import _qval, log_gamma_real, pochhammer_ladder, qpoch_many
+from .series import _qval, check_exp_range, log_gamma_real, pochhammer_ladder, qpoch_many
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,9 @@ def mp_kernel_closed(k: float, phi: float, pt: KernelPoint,
 
 def _mp_closed_parts(k: float, phi: float, pt: KernelPoint, ctx: Context):
     """(prefactor, k + ix, k + iy, r) of :func:`mp_kernel_closed`, whose
-    value is the prefactor times 2F1(k + ix, k + iy; 2k; r)."""
+    value is the prefactor times 2F1(k + ix, k + iy; 2k; r).  The prefactor
+    is assembled as a log: in standard precision, one whose modulus leaves
+    the normal double range raises RangeError."""
     MPParams(k, phi)
     i = ctx.cnum(1j)
     t = ctx.cnum(pt.t)
@@ -105,6 +107,7 @@ def _mp_closed_parts(k: float, phi: float, pt: KernelPoint, ctx: Context):
     logpref = (-log_gamma_real(2 * k, ctx)
                + i * (x + y) * ctx.log(base1)
                + (-2 * k - i * (x + y)) * ctx.log(base2))
+    check_exp_range(logpref, ctx, "mp_kernel_closed prefactor")
     return ctx.exp(logpref), k + i * x, k + i * y, r
 
 

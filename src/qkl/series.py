@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +117,8 @@ def pochhammer(a, n: int, ctx: Context = STANDARD):
 _LOG_TAIL = -math.log(20.0)
 _LN10 = math.log(10.0)
 _DBL_MIN = 2.0 ** -1022  # the smallest normal double
+# the logs of the smallest normal double and of the largest double
+_LOG_DBL_MIN, _LOG_DBL_MAX = math.log(_DBL_MIN), math.log(sys.float_info.max)
 
 
 def qpoch(a, q, n: int | None = None, *, ctx: Context = STANDARD):
@@ -266,6 +269,14 @@ def complex_gamma(z, ctx: Context = STANDARD):
     if not ctx.is_finite(g):
         raise RangeError(f"Gamma({z}) is not finite in {ctx}")
     return g
+
+
+def check_exp_range(x, ctx: Context, what: str):
+    """RangeError, in standard precision, where exp(x) of a real or complex
+    ``x`` has a modulus outside the normal double range: a prefactor
+    assembled in logs is checked so before it is exponentiated."""
+    if not ctx.extended and not _LOG_DBL_MIN <= x.real < _LOG_DBL_MAX:
+        raise RangeError(f"{what} = exp({x}) is out of range in {ctx}")
 
 
 def log_gamma_real(x, ctx: Context = STANDARD):

@@ -391,11 +391,21 @@ def test_stable_eval_missing_its_target_raises_precision_error():
     assert issubclass(PrecisionError, QKLError)
 
 
-@pytest.mark.parametrize("upper", [(0.5, 0.7), (0.5,)])
+@pytest.mark.parametrize("upper", [(0.5, 0.7), (0.5,), ()])
 def test_contiguous_ladder_zero_divisor_is_a_pole(upper):
     # c = 0 meets C - 2 = 0 at j = 1, on the way down from the anchors
     with pytest.raises(PoleError):
         next(contiguous_ladder(upper, 0, 0.3))
+
+
+@pytest.mark.parametrize("c, j", [(-3, 2), (-2, 2), (-1, 1), (0, 1)])
+def test_0f1_ladder_every_vanishing_divisor_is_a_pole(c, j):
+    # C = c + 2 at j = 1 is -1, 0, 1 and 2 in turn, zeroing C + 1, C, C - 1
+    # and C - 2 of the divisor C (C-2)(C^2-1).  The steps run down from the
+    # anchors at j = 24, 25, so c = -3 and -2 meet C = 1 and C = 2 at j = 2
+    # first: each c raises PoleError at the first step that divides by 0
+    with pytest.raises(PoleError, match=f"zero divisor from j = {j} to {j - 1}"):
+        next(contiguous_ladder((), c, -4.0))
 
 
 def test_contiguous_ladder_blocks_and_statuses():

@@ -18,6 +18,7 @@ from qkl.errors import (
     HypothesisError,
     ParamError,
     QKLError,
+    RangeError,
 )
 from qkl.hyper import SeriesEval, SeriesStatus, TruncationPolicy, contiguous_ladder, vwp_8w7
 from qkl.identities import (
@@ -622,11 +623,12 @@ def test_capped_jsum_fails_its_case(monkeypatch):
     assert rep.precision_used == "standard" and rep.note is None
 
 
-# The classical j-sums whose per-j 2F1 or 1F1 comes from
+# The classical j-sums whose per-j 2F1, 1F1 or 0F1 comes from
 # hyper.contiguous_ladder, by the side that sums them.
 _CONTIGUOUS_SIDES = {"hahn_product": "rhs", "chahn_bilinear": "lhs",
                      "mult_2f1": "rhs", "burchnall_chaundy": "rhs",
-                     "conf_1f1": "rhs", "mp_spoisson": "rhs"}
+                     "conf_1f1": "rhs", "mp_spoisson": "rhs",
+                     "jacobi_bessel": "lhs"}
 
 
 def _declared_contiguous(ident, p):
@@ -650,18 +652,20 @@ def _declared_contiguous(ident, p):
 @pytest.mark.parametrize("ident", sorted(_CONTIGUOUS_SIDES))
 def test_contiguous_ladder_matches_mpmath_on_every_sampler(ident):
     # the per-j factor the j-sum runs on, recurred backward from its anchors,
-    # against mpmath's hyp2f1 / hyp1f1 at 30 digits, j = 0..40, on every draw
-    # of seeds 0..49 in standard precision and of seeds 0..9 in extended too
-    # (its 40-digit anchors set the test's time); the anchors stop at the
-    # default tail_tol of 1e-15 in both
+    # against mpmath's hyp2f1 / hyp1f1 / hyp0f1 at 30 digits, j = 0..40, on
+    # every draw of seeds 0..49 in standard precision and of seeds 0..9 in
+    # extended too (its 40-digit anchors set the test's time); the anchors
+    # stop at the default tail_tol of 1e-15 in both
     for seed in range(50):
         upper, c, z = _declared_contiguous(ident, sample_params(ident, seed).params)
         with mp.workdps(30):
             up, cc, zz = [mp.mpmathify(u) for u in upper], mp.mpmathify(c), mp.mpmathify(z)
             if len(up) == 2:
                 want = [mp.hyp2f1(up[0] + j, up[1] + j, cc + 2 * j, zz) for j in range(41)]
-            else:
+            elif up:
                 want = [mp.hyp1f1(up[0] + j, cc + 2 * j, zz) for j in range(41)]
+            else:
+                want = [mp.hyp0f1(cc + 2 * j, zz) for j in range(41)]
         for ctx in (STANDARD, EXTENDED) if seed < 10 else (STANDARD,):
             got = islice(contiguous_ladder(upper, c, z, ctx=ctx), 41)
             for j, (ev, w) in enumerate(zip(got, want)):
@@ -669,9 +673,10 @@ def test_contiguous_ladder_matches_mpmath_on_every_sampler(ident):
 
 
 @pytest.mark.parametrize("ident, side", [("chahn_bilinear", "lhs"), ("conf_1f1", "rhs"),
+                                         ("jacobi_bessel", "lhs"),
                                          ("asc_bilinear", "lhs"), ("cdqh_bilinear", "lhs")])
 def test_capped_ladder_anchor_fails_its_case(ident, side):
-    # five terms cannot sum an anchor of the per-j 2F1 / 1F1 / 2phi1 / 3phi2
+    # five terms cannot sum an anchor of the per-j 2F1 / 1F1 / 0F1 / 2phi1 / 3phi2
     # ladder: the cap the anchors stop at is the j-sum's status, so the case
     # fails on it
     case = sample_params(ident, 0)
@@ -696,6 +701,62 @@ def test_jacobi_bessel_extended_builds_parameters_in_context():
     errs = [run_case(sample_params("jacobi_bessel", seed), precision="extended").rel_err
             for seed in range(10)]
     assert max(errs) <= 1e-19, errs
+
+
+def test_jacobi_bessel_sides_run_on_separate_routes(monkeypatch):
+    # the lhs carries its Bessel functions as 0F1s on contiguous_ladder, the
+    # rhs sums its two J directly: each side keeps its value with the
+    # other's route broken, so a bug in one cannot certify itself
+    def broken(*args, **kwargs):
+        raise AssertionError("the other side's route was taken")
+
+    case = sample_params("jacobi_bessel", 0)
+    entry = get_entry("jacobi_bessel")
+    rep = run_case(case, precision="standard")
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "bessel_j", broken)
+        lhs, _ = entry.eval_lhs(case.params, case.policy, STANDARD)
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "contiguous_ladder", broken)
+        rhs, _ = entry.eval_rhs(case.params, case.policy, STANDARD)
+    assert (lhs, rhs) == (rep.lhs, rep.rhs)
+
+
+def test_jacobi_bessel_worst_soak_seed_holds():
+    # the worst of seeds 0..1049: 7.4e-12 while each J_{s+2j} was summed on
+    # its own, 6.0e-12 on the 0F1 ladder
+    rep = run_case(sample_params("jacobi_bessel", 344))
+    assert rep.passed and rep.rel_err <= 7.4e-12, rep.rel_err
+
+
+def test_jacobi_bessel_at_the_largest_admitted_z_passes():
+    # the validator admits z up to 30, three times the sampler's range: the
+    # 0F1 anchors at w = -225 and the rhs's J at z / (2 sqrt((1-x)(1-y)))
+    params = dict(sample_params("jacobi_bessel", 0).params, z=30.0)
+    rep = run_case(IdentityCase("jacobi_bessel", params, seed=0))
+    assert rep.passed and rep.rel_err <= 1e-13, rep.rel_err
+    assert rep.precision_used == "standard"
+
+
+@pytest.mark.parametrize("ident, seed, key, sides", [
+    ("mp_poisson", 30, "y", ("rhs",)),
+    ("mp_spoisson", 38, "y2", ("rhs",)),
+    ("jacobi_bessel", 2, "beta", ("lhs", "rhs")),
+    ("jacobi_bessel", 9, "alpha", ("lhs", "rhs")),
+])
+def test_prefactor_out_of_the_double_range_is_a_range_error(ident, seed, key, sides):
+    # a sampled draw with one parameter scaled by 1000: the closed-form
+    # prefactor assembled in logs (mp_kernel_closed's, and the Gammas and
+    # powers of each jacobi_bessel side) leaves the double range, and is a
+    # typed error where an OverflowError from exp or a power escaped
+    params = dict(sample_params(ident, seed).params)
+    params[key] *= 1000
+    entry = get_entry(ident)
+    for side in sides:
+        with pytest.raises(RangeError, match="prefactor"):
+            getattr(entry, "eval_" + side)(params, TruncationPolicy(), STANDARD)
+    with pytest.raises(RangeError):
+        run_case(IdentityCase(ident, params, seed=seed))
 
 
 @pytest.mark.parametrize("ident", ["chahn_finite", "chahn_finite_whipple"])
